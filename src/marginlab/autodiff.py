@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, UsageError
+from .margins import topk_ids
 
 __all__ = [
     "Tensor",
@@ -40,16 +41,10 @@ __all__ = [
     "mean",
     "total",
     "masked_mean",
-    "quadratic_form",
-    "outer",
-    "diag",
-    "diag_part",
-    "pairwise_sum",
     "transpose",
     "slice_cols",
     "concat_cols",
     "relu",
-    "reshape",
     "grad_check",
 ]
 
@@ -261,7 +256,7 @@ def log_softmax_gather(x: Tensor, indices) -> Tensor:
 
 
 def topk_values_gather(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
-    """Hard top-k per row: values sorted descending, lower id wins ties.
+    """Hard top-k per row of finite input: values sorted descending, lower id wins ties.
 
     Returns (values [rows, k], indices [rows, k]).  The index choice is
     frozen at forward time; backward scatters gradient onto the selected
@@ -272,7 +267,9 @@ def topk_values_gather(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
         raise UsageError("topk_values_gather expects a 1-D or 2-D input")
     if not 1 <= k <= xv.shape[1]:
         raise UsageError(f"k={k} out of range for V={xv.shape[1]}")
-    order = np.argsort(-xv, axis=1, kind="stable")[:, :k]
+    if not np.isfinite(xv).all():
+        raise UsageError("topk_values_gather needs finite input")
+    order = topk_ids(xv, k)
     rows = np.arange(xv.shape[0])[:, None]
     values = xv[rows, order]
 
@@ -376,66 +373,6 @@ def masked_mean(x: Tensor, mask) -> Tensor:
     return _make(value, (x,), backward)
 
 
-def quadratic_form(v: Tensor, m: Tensor) -> Tensor:
-    """v^T M v for a vector v and square matrix M."""
-    vv, mv = v.values, m.values
-    if vv.ndim != 1 or mv.ndim != 2 or mv.shape != (vv.size, vv.size):
-        raise UsageError(f"quadratic_form shape mismatch: {vv.shape}, {mv.shape}")
-    mv_v = mv @ vv
-
-    def backward(g):
-        _accumulate(v, float(g) * (mv_v + mv.T @ vv))
-        _accumulate(m, float(g) * np.outer(vv, vv))
-
-    return _make(vv @ mv_v, (v, m), backward)
-
-
-def outer(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    if av.ndim != 1 or bv.ndim != 1:
-        raise UsageError("outer expects two vectors")
-
-    def backward(g):
-        _accumulate(a, g @ bv)
-        _accumulate(b, g.T @ av)
-
-    return _make(np.outer(av, bv), (a, b), backward)
-
-
-def diag(v: Tensor) -> Tensor:
-    if v.values.ndim != 1:
-        raise UsageError("diag expects a vector")
-
-    def backward(g):
-        _accumulate(v, np.diagonal(g).copy())
-
-    return _make(np.diag(v.values), (v,), backward)
-
-
-def diag_part(m: Tensor) -> Tensor:
-    mv = m.values
-    if mv.ndim != 2 or mv.shape[0] != mv.shape[1]:
-        raise UsageError("diag_part expects a square matrix")
-
-    def backward(g):
-        _accumulate(m, np.diag(g))
-
-    return _make(np.diagonal(mv).copy(), (m,), backward)
-
-
-def pairwise_sum(u: Tensor, v: Tensor) -> Tensor:
-    """Matrix M[i, j] = u[i] + v[j]."""
-    uv, vv = u.values, v.values
-    if uv.ndim != 1 or vv.ndim != 1:
-        raise UsageError("pairwise_sum expects two vectors")
-
-    def backward(g):
-        _accumulate(u, g.sum(axis=1))
-        _accumulate(v, g.sum(axis=0))
-
-    return _make(uv[:, None] + vv[None, :], (u, v), backward)
-
-
 def transpose(m: Tensor) -> Tensor:
     if m.values.ndim != 2:
         raise UsageError("transpose expects a 2-D tensor")
@@ -480,19 +417,6 @@ def relu(x: Tensor) -> Tensor:
         _accumulate(x, g * pos)
 
     return _make(np.maximum(x.values, 0.0), (x,), backward)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    xv = x.values
-    try:
-        out = xv.reshape(shape).copy()
-    except ValueError as e:
-        raise UsageError(f"cannot reshape {xv.shape} to {shape}") from e
-
-    def backward(g):
-        _accumulate(x, g.reshape(xv.shape))
-
-    return _make(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ __all__ = [
     "MarginRecord",
     "MarginQuantiles",
     "compute_margins",
+    "topk_ids",
     "top2_stats",
     "margin_quantiles",
     "unique_value_count",
@@ -52,6 +53,25 @@ class MarginQuantiles:
     pr_below_half: float
 
 
+def topk_ids(rows: np.ndarray, k: int) -> np.ndarray:
+    """Ids of each row's k largest entries, largest first, as a [rows, k]
+    array; the lower id wins ties.
+
+    Repeated masked ``argmax``, which returns the first maximum, so each
+    row is read k times instead of sorted.  For finite rows this equals the
+    first k columns of a stable argsort of ``-rows``; chosen entries are
+    masked with -inf, so non-finite rows are not supported.
+    """
+    ids = np.empty((rows.shape[0], k), dtype=np.intp)
+    ids[:, 0] = rows.argmax(axis=1)
+    work = rows.astype(rows.dtype if rows.dtype.kind == "f" else np.float64)
+    r = np.arange(rows.shape[0])
+    for j in range(1, k):
+        work[r, ids[:, j - 1]] = -np.inf
+        ids[:, j] = work.argmax(axis=1)
+    return ids
+
+
 def top2_stats(logit_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-1/top-2 ids and margins for a batch of logit rows.
 
@@ -72,14 +92,15 @@ def top2_stats(logit_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         pos = int(np.nonzero(~finite.all(axis=1))[0][0])
         raise DataError(f"non-finite logit at position {pos}")
 
-    # Stable sort on negated logits: equal values keep ascending-id order,
-    # which is exactly the lower-id-wins tie-break.
-    order = np.argsort(-rows, axis=1, kind="stable")
-    top1 = order[:, 0]
-    top2 = order[:, 1]
+    if rows.shape[1] == 2:
+        # Closed form: column 1 wins only when strictly larger.
+        x0, x1 = rows[:, 0], rows[:, 1]
+        second_wins = x1 > x0
+        top1 = second_wins.astype(np.intp)
+        return top1, 1 - top1, np.where(second_wins, x1 - x0, x0 - x1)
+    top1, top2 = topk_ids(rows, 2).T
     idx = np.arange(rows.shape[0])
-    margins = rows[idx, top1] - rows[idx, top2]
-    return top1, top2, margins
+    return top1, top2, rows[idx, top1] - rows[idx, top2]
 
 
 def compute_margins(logit_rows: np.ndarray, targets: np.ndarray) -> list[MarginRecord]:

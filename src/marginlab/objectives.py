@@ -26,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accumulate, _make
 from .errors import DataError, UsageError
+from .margins import topk_ids
 
 __all__ = [
     "MrpConfig",
+    "LossParts",
     "row_margins",
     "margin_loss",
     "cross_entropy",
@@ -73,6 +75,20 @@ class MrpConfig:
             raise UsageError("ce_weight must be nonnegative")
 
 
+@dataclass(frozen=True)
+class LossParts:
+    """The values one ``combined_loss`` call computed, for logging.
+
+    ``objective`` is evaluated even when ``lambda_mrp`` is 0, and
+    ``margins`` (each row's top1 - top2 logit) come from the objective's
+    own top-k selection.
+    """
+
+    ce: float
+    objective: float
+    margins: np.ndarray
+
+
 def _check_logits(logits: Tensor) -> None:
     if logits.values.ndim != 2:
         raise UsageError(f"logit rows must be 2-D, got shape {logits.shape}")
@@ -98,9 +114,11 @@ def margin_loss(logit_rows, tau: float) -> Tensor:
     _check_logits(logits)
     if tau <= 0:
         raise UsageError("tau must be positive")
-    m = row_margins(logits)
-    gate = m.values < tau
-    return ad.scale(ad.masked_mean(m, gate), -1.0)
+    return _gated_margin_loss(row_margins(logits), tau)
+
+
+def _gated_margin_loss(m: Tensor, tau: float) -> Tensor:
+    return ad.scale(ad.masked_mean(m, m.values < tau), -1.0)
 
 
 def cross_entropy(logit_rows, targets) -> Tensor:
@@ -151,7 +169,9 @@ def fisher_distance(
     return math.sqrt(max(dsq, clamp_floor))
 
 
-def fisher_loss(logit_rows, unembedding, k: int, clamp_floor: float = 1e-8) -> Tensor:
+def fisher_loss(
+    logit_rows, unembedding, k: int, clamp_floor: float = 1e-8, *, top_ids=None
+) -> Tensor:
     """Negative mean (over rows) of the probability-weighted pairwise
     Fisher-distance sum among each row's top-k tokens.
 
@@ -159,7 +179,11 @@ def fisher_loss(logit_rows, unembedding, k: int, clamp_floor: float = 1e-8) -> T
     rows at the top-k ids are gathered and L2-normalized, and the penalty
     is sum over ordered pairs i != j of p_i p_j d_F(i, j).  Gradients flow
     through the probabilities, the normalized rows, and the quadratic
-    form; the top-k index set itself is frozen.
+    form; the top-k index set itself is frozen.  ``top_ids`` ([rows, k],
+    largest first) passes in a selection the caller already made.
+
+    All rows are computed as one [rows, k, k] batch and recorded as one
+    tape node with a hand-written backward.
     """
     logits = ad.as_tensor(logit_rows)
     _check_logits(logits)
@@ -175,51 +199,92 @@ def fisher_loss(logit_rows, unembedding, k: int, clamp_floor: float = 1e-8) -> T
         raise UsageError(f"k={k} exceeds V={logits.values.shape[1]}")
     if k < 2:
         raise UsageError("k must be at least 2")
+    ids = topk_ids(logits.values, k) if top_ids is None else top_ids
 
-    n_rows = logits.values.shape[0]
-    top_vals, top_idx = ad.topk_values_gather(logits, k)
-    off_diagonal = ad.constant(1.0 - np.eye(k))
+    n_rows = ids.shape[0]
+    rows, diag = np.arange(n_rows)[:, None], np.arange(k)
+    z = logits.values[rows, ids]
+    p = np.exp(z - z[:, :1])  # column 0 holds the row maximum
+    p /= p.sum(axis=1, keepdims=True)
+    emb = w.values[ids]
+    norms = np.maximum(np.sqrt(np.sum(emb * emb, axis=2, keepdims=True)), 1e-30)
+    u = emb / norms
+    gram = u @ u.transpose(0, 2, 1)
+    pp = p[:, :, None] * p[:, None, :]
+    sigma = -pp
+    sigma[:, diag, diag] += p  # diag(p) - p p^T
+    gs = gram @ sigma
+    form = gs @ gram
+    d = np.diagonal(form, axis1=1, axis2=2)
+    # Pairwise squared distances from the symmetric form matrix:
+    # dsq[i, j] = form[i, i] + form[j, j] - 2 form[i, j].
+    dsq = (d[:, :, None] + d[:, None, :]) - form * 2.0
+    dist = np.sqrt(np.maximum(dsq, clamp_floor))
+    off_diagonal = 1.0 - np.eye(k)
+    weights = pp * off_diagonal
+    penalty = (weights * dist).reshape(n_rows, k * k).sum(axis=1)
 
-    acc = None
-    for r in range(n_rows):
-        p = ad.softmax(ad.reshape(ad.gather_rows(top_vals, [r]), (k,)))
-        wk = ad.l2_normalize_rows(ad.gather_rows(w, top_idx[r]))
-        gram = ad.matmul(wk, ad.transpose(wk))
-        sigma = ad.sub(ad.diag(p), ad.outer(p, p))
-        form = ad.matmul(ad.matmul(gram, sigma), gram)
-        d = ad.diag_part(form)
-        # Pairwise squared distances from the symmetric form matrix:
-        # dsq[i, j] = form[i, i] + form[j, j] - 2 form[i, j].
-        dsq = ad.sub(ad.pairwise_sum(d, d), ad.scale(form, 2.0))
-        dist = ad.sqrt_clamped(dsq, clamp_floor)
-        weights = ad.mul(ad.outer(p, p), off_diagonal)
-        penalty = ad.total(ad.mul(weights, dist))
-        acc = penalty if acc is None else ad.add(acc, penalty)
-    return ad.scale(acc, -1.0 / n_rows)
+    def backward(g):
+        # Every [k, k] matrix here is symmetric, which halves the algebra.
+        c = float(g) * (-1.0 / n_rows)
+        d_dsq = c * weights * (dsq > clamp_floor) * 0.5 / dist
+        d_form = d_dsq * -2.0
+        d_form[:, diag, diag] += 2.0 * d_dsq.sum(axis=2)
+        d_sigma = gram @ d_form @ gram
+        d_pp = c * dist * off_diagonal - d_sigma
+        dp = np.diagonal(d_sigma, axis1=1, axis2=2) + 2.0 * (d_pp @ p[:, :, None])[:, :, 0]
+        dx = np.zeros_like(logits.values)
+        dx[rows, ids] = p * (dp - np.sum(p * dp, axis=1, keepdims=True))
+        _accumulate(logits, dx)
+        # form = G S G, so d_gram = dF G S + S G dF, and gram = u u^T.
+        dfgs = d_form @ gs
+        d_u = 2.0 * (dfgs + dfgs.transpose(0, 2, 1)) @ u
+        d_emb = (d_u - u * np.sum(d_u * u, axis=2, keepdims=True)) / norms
+        dw = np.zeros_like(w.values)
+        np.add.at(dw, ids.ravel(), d_emb.reshape(-1, dw.shape[1]))
+        _accumulate(w, dw)
+
+    return _make(penalty.sum() * (-1.0 / n_rows), (logits, w), backward)
 
 
-def combined_loss(logit_rows, targets, config: MrpConfig, unembedding=None) -> Tensor:
+def combined_loss(
+    logit_rows, targets, config: MrpConfig, unembedding=None, *, with_parts=False
+):
     """ce_weight * cross-entropy + lambda_mrp * refinement objective.
 
     ``unembedding`` is required for the fisher objective whenever
-    lambda_mrp > 0.
+    lambda_mrp > 0 or ``with_parts`` is set.  With ``with_parts`` the
+    result is ``(loss, LossParts)``.  A term whose weight is 0 is
+    evaluated on constants (cross-entropy always, the objective only for
+    the parts), so it records no tape node.
     """
     logits = ad.as_tensor(logit_rows)
-    parts: list[Tensor] = []
-    if config.ce_weight != 0.0:
-        ce = cross_entropy(logits, targets)
-        parts.append(ce if config.ce_weight == 1.0 else ad.scale(ce, config.ce_weight))
-    if config.lambda_mrp != 0.0:
+    frozen = ad.constant(logits.values)
+    ce = cross_entropy(logits if config.ce_weight else frozen, targets)
+    objective = margins = None
+    if config.lambda_mrp != 0.0 or with_parts:
+        source = logits if config.lambda_mrp else frozen
         if config.objective == "margin":
-            obj = margin_loss(logits, config.tau)
+            m = row_margins(source)
+            objective = _gated_margin_loss(m, config.tau)
+            margins = m.values[:, 0]
         else:
             if unembedding is None:
                 raise UsageError("fisher objective requires the unembedding matrix")
-            obj = fisher_loss(logits, unembedding, config.k, config.clamp_floor)
-        parts.append(ad.scale(obj, config.lambda_mrp))
-    if not parts:
-        return ad.constant(0.0)
-    out = parts[0]
-    for p in parts[1:]:
-        out = ad.add(out, p)
-    return out
+            w = ad.as_tensor(unembedding)
+            w = w if config.lambda_mrp else ad.constant(w.values)
+            ids = topk_ids(source.values, config.k)
+            objective = fisher_loss(source, w, config.k, config.clamp_floor, top_ids=ids)
+            r = np.arange(ids.shape[0])
+            margins = source.values[r, ids[:, 0]] - source.values[r, ids[:, 1]]
+    terms = [
+        t if c == 1.0 else ad.scale(t, c)
+        for t, c in ((ce, config.ce_weight), (objective, config.lambda_mrp))
+        if c != 0.0
+    ]
+    out = terms[0] if terms else ad.constant(0.0)
+    for t in terms[1:]:
+        out = ad.add(out, t)
+    if not with_parts:
+        return out
+    return out, LossParts(ce=ce.item(), objective=objective.item(), margins=margins)

@@ -17,7 +17,8 @@ from .audit import ChurnReport, churn_report
 from .errors import NumericalError, UsageError
 from .gapfit import GapFit, GridSpec, fit_gap_curve
 from .margins import MarginRecord, compute_margins, nearest_rank_quantile, top2_stats
-from .objectives import MrpConfig, combined_loss, cross_entropy, fisher_loss, margin_loss
+# cross_entropy and fisher_loss are unused here but patched here by bench/tracing.py.
+from .objectives import MrpConfig, combined_loss, cross_entropy, fisher_loss  # noqa: F401
 from .rankstats import spearman
 from .toylm import ToyLm
 
@@ -145,11 +146,6 @@ class _AdamW:
             p.values -= lr * (update + weight_decay * p.values)
 
 
-def _batch_margins(logit_values: np.ndarray) -> np.ndarray:
-    _, _, margins = top2_stats(logit_values)
-    return margins
-
-
 def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]:
     """Refine ``model`` in place; returns the per-step metric log.
 
@@ -180,12 +176,13 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
                 if not np.isfinite(logits.values).all():
                     raise NumericalError(f"non-finite logits at step {step}")
                 rows = ad.gather_rows(logits, np.arange(chunk.size - 1))
-                targets = chunk[1:]
-                loss = combined_loss(rows, targets, config.mrp, model.unembedding)
+                loss, parts = combined_loss(
+                    rows, chunk[1:], config.mrp, model.unembedding, with_parts=True
+                )
                 loss_acc = loss if loss_acc is None else ad.add(loss_acc, loss)
-                ce_vals.append(cross_entropy(ad.constant(rows.values), targets).item())
-                mrp_vals.append(_objective_value(rows.values, model, config.mrp))
-                margin_pool.append(_batch_margins(rows.values))
+                ce_vals.append(parts.ce)
+                mrp_vals.append(parts.objective)
+                margin_pool.append(parts.margins)
             loss_acc = ad.scale(loss_acc, 1.0 / config.batch_size)
             if not np.isfinite(loss_acc.values).all():
                 raise NumericalError(f"non-finite loss at step {step}")
@@ -204,14 +201,6 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
             )
         )
     return log
-
-
-def _objective_value(logit_values: np.ndarray, model: ToyLm, mrp: MrpConfig) -> float:
-    rows = ad.constant(logit_values)
-    if mrp.objective == "margin":
-        return margin_loss(rows, mrp.tau).item()
-    w = ad.constant(model.unembedding.values)
-    return fisher_loss(rows, w, mrp.k, mrp.clamp_floor).item()
 
 
 def audit_model(model: ToyLm, corpus_tokens) -> list[MarginRecord]:
@@ -306,7 +295,7 @@ def layer_scan(model: ToyLm, corpus_tokens, tau: float = 0.5) -> list[LayerScanR
         ce_pool.append(lse - shifted[np.arange(rows.shape[0]), targets])
         for li, h in enumerate(hiddens):
             virt = model.project_hidden(h[:-1])
-            per_layer_margins[li].append(_batch_margins(virt))
+            per_layer_margins[li].append(top2_stats(virt)[2])
     ce = np.concatenate(ce_pool)
     out = []
     for li in range(n_layers):

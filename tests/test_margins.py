@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from marginlab import autodiff as ad
 from marginlab.errors import DataError, UsageError
 from marginlab.margins import (
     compute_margins,
@@ -13,6 +14,7 @@ from marginlab.margins import (
     top2_stats,
     unique_value_count,
 )
+from marginlab.precision import emulate_bf16
 
 
 def oracle_top2(row):
@@ -92,6 +94,55 @@ class TestComputeMargins:
     def test_target_length_mismatch(self):
         with pytest.raises(UsageError):
             compute_margins([[1.0, 2.0]], [0, 1])
+
+
+def _bits(x):
+    return np.asarray(x).astype(np.float64).view(np.uint64)
+
+
+def _selection_inputs(v):
+    """Rows that stress the tie-break: plain random, bf16-rounded (exact
+    ties), and signed zeros at or below the row maximum."""
+    rng = np.random.default_rng(v)
+    plain = rng.normal(size=(300, v))
+    tied = emulate_bf16(rng.normal(size=(300, v)) * 0.05)
+    zeros = rng.choice([0.0, -0.0, -1.0, -2.0], size=(300, v))
+    zeros[:10] = 0.0
+    zeros[:5, 0] = -0.0  # margin -0.0 - 0.0 = -0.0; rows 5-9 give +0.0
+    return {"plain": plain, "tied": tied, "zeros": zeros}
+
+
+class TestSelectionMatchesStableSort:
+    """The argmax selection equals a stable argsort of every full row, bit
+    for bit: lower id wins ties, and a zero margin keeps its sign."""
+
+    @pytest.mark.parametrize("v", [2, 8, 512])
+    def test_top2_stats(self, v):
+        for kind, rows in _selection_inputs(v).items():
+            order = np.argsort(-rows, axis=1, kind="stable")
+            idx = np.arange(rows.shape[0])
+            top1, top2, margins = top2_stats(rows)
+            assert np.array_equal(top1, order[:, 0]), kind
+            assert np.array_equal(top2, order[:, 1]), kind
+            want = rows[idx, order[:, 0]] - rows[idx, order[:, 1]]
+            assert margins.dtype == want.dtype, kind
+            assert np.array_equal(_bits(margins), _bits(want)), kind
+
+    @pytest.mark.parametrize("v", [2, 8, 512])
+    def test_topk_values_gather(self, v):
+        for kind, rows in _selection_inputs(v).items():
+            order = np.argsort(-rows, axis=1, kind="stable")
+            for k in range(2, min(v, 5) + 1):
+                values, ids = ad.topk_values_gather(ad.constant(rows), k)
+                assert np.array_equal(ids, order[:, :k]), (kind, k)
+                want = np.take_along_axis(rows, order[:, :k], axis=1)
+                assert np.array_equal(_bits(values.values), _bits(want)), (kind, k)
+
+    def test_ties_and_signed_zeros_occur(self):
+        rows = _selection_inputs(512)
+        assert (top2_stats(rows["tied"])[2] == 0.0).any()
+        margins = top2_stats(rows["zeros"])[2]
+        assert np.signbit(margins[:10]).any() and not np.signbit(margins[:10]).all()
 
 
 class TestMarginQuantiles:

@@ -209,6 +209,50 @@ class TestFisherLoss:
         assert err < 1e-4
 
 
+class TestFusedFisherGradient:
+    """The batched fisher node's hand-written backward against central
+    differences, with a clamped pair and a token shared across rows."""
+
+    @staticmethod
+    def inputs(k):
+        rng = np.random.default_rng(20 + k)
+        w = rng.normal(size=(9, 4))
+        # Nearly identical rows: their pair distance stays clamped at every
+        # finite-difference step, where the gradient must be exactly zero.
+        w[2] = w[1] + 1e-6 * rng.normal(size=4)
+        logits = rng.normal(size=(3, 9)) * 0.1 - 5.0
+        # Well separated top-k sets, so no finite-difference step reorders
+        # them.  Token 1 is in every row's top k; 1 and 2 share row 0.
+        logits[0, [1, 2, 3, 4, 5][:k]] = [3.0, 2.5, 2.0, 1.5, 1.0][:k]
+        logits[1, [6, 1, 7, 8, 0][:k]] = [2.0, 1.2, 0.6, 0.3, 0.0][:k]
+        logits[2, [1, 3, 6, 8, 7][:k]] = [1.0, 0.5, 0.0, -0.5, -1.0][:k]
+        return logits, w
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_grad_check(self, k):
+        logits, w = self.inputs(k)
+        rows = w / np.linalg.norm(w, axis=1, keepdims=True)
+        ids = np.argsort(-logits[0], kind="stable")[:k]
+        assert ids[0] == 1 and ids[1] == 2
+        p = softmax_np(logits[0, ids])
+        assert fisher_distance(p, rows[ids], 0, 1) == math.sqrt(FLOOR)
+        err = ad.grad_check(lambda t: fisher_loss(t[0], t[1], k), [logits, w])
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_matches_dense_oracle(self, k):
+        logits, w = self.inputs(k)
+        assert fisher_loss(logits, w, k).item() == pytest.approx(
+            oracle_fisher_loss(logits, w, k), rel=1e-12
+        )
+
+    def test_one_tape_node(self):
+        logits, w = self.inputs(5)
+        with ad.Tape() as tape:
+            fisher_loss(ad.parameter(logits), ad.parameter(w), 5)
+        assert len(tape) == 1
+
+
 class TestKlEquivalence:
     """The squared distance equals twice the KL divergence of the
     renormalized top-k distribution under the projected perturbation,

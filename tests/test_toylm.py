@@ -1,10 +1,14 @@
 """Toy model forward semantics, training behavior, and the layer scan."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from marginlab import autodiff as ad
 from marginlab.errors import DataError, UsageError
-from marginlab.objectives import MrpConfig
+from marginlab.margins import nearest_rank_quantile, top2_stats
+from marginlab.objectives import MrpConfig, cross_entropy, fisher_loss, margin_loss
 from marginlab.toylm import ToyLm, ToyLmConfig
 from marginlab.training import (
     TrainConfig,
@@ -157,6 +161,37 @@ class TestTrain:
         # same forward function, same loss, but the tied model's embedding
         # grad includes the output-projection contribution
         assert not np.allclose(grads["tied"], grads["untied"])
+
+    @pytest.mark.parametrize("objective", ["margin", "fisher"])
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    def test_log_matches_independent_recompute(self, tiny_corpus, objective, lam):
+        """Each logged value equals the loss functions rerun on constants,
+        on the model as it stood before that step's update."""
+        mrp = MrpConfig(objective=objective, lambda_mrp=lam, tau=1.0, k=4)
+        cfg = TrainConfig(steps=2, learning_rate=1e-3, batch_size=2, seed=7, mrp=mrp)
+        log = train(ToyLm(CFG, seed=2), tiny_corpus, cfg)
+        before = [ToyLm(CFG, seed=2), ToyLm(CFG, seed=2)]
+        # A 1-step run has the same first step (same picks, same lr).
+        train(before[1], tiny_corpus, replace(cfg, steps=1))
+        chunks = make_chunks(tiny_corpus, CFG.context)
+        rng = np.random.default_rng(cfg.seed)
+        for entry, model in zip(log, before):
+            ce, obj, margins = [], [], []
+            for ci in rng.integers(0, len(chunks), size=cfg.batch_size):
+                chunk = chunks[int(ci)]
+                rows = model.forward(chunk)[0].values[:-1]
+                ce.append(cross_entropy(rows, chunk[1:]).item())
+                if objective == "margin":
+                    obj.append(margin_loss(rows, mrp.tau).item())
+                else:
+                    w = ad.constant(model.unembedding.values)
+                    obj.append(fisher_loss(rows, w, mrp.k, mrp.clamp_floor).item())
+                margins.append(top2_stats(rows)[2])
+            median = nearest_rank_quantile(np.sort(np.concatenate(margins)), 0.5)
+            assert entry.ce == pytest.approx(np.mean(ce), rel=1e-12, abs=0.0)
+            assert entry.mrp == pytest.approx(np.mean(obj), rel=1e-12, abs=0.0)
+            assert entry.mrp != 0.0
+            assert entry.median_margin == pytest.approx(median, rel=1e-12, abs=0.0)
 
     def test_divergence_names_step(self, tiny_corpus):
         from marginlab.errors import NumericalError
