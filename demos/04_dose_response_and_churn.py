@@ -82,7 +82,7 @@ for b in bands.bands:
     acc = "n/a" if b.accuracy is None else f"{b.accuracy:.3f}"
     print(f"    [{b.lo:g}, {hi}): count {b.count:5d} accuracy {acc}")
 
-counts_arr = np.bincount([r.target_id for r in baseline_audit])
+counts_arr = np.bincount(baseline_audit.target)
 counts = {t: int(c) for t, c in enumerate(counts_arr) if c > 0}
 freq = frequency_audit(baseline_audit, polished_audit, counts)
 print("  net corrections by target-token frequency bucket:")
@@ -90,7 +90,7 @@ for b in freq.buckets:
     share = "n/a" if b.share_of_net is None else f"{b.share_of_net:.1%}"
     print(f"    {b.label:>6}: count {b.count:5d} net {b.net_corrected:+4d} share {share}")
 
-texts = [vocab.id_to_token[r.target_id] for r in baseline_audit]
+texts = [vocab.id_to_token[t] for t in baseline_audit.target.tolist()]
 classes = class_audit(baseline_audit, polished_audit, texts)
 print("  net corrections by token class:")
 for row in classes.rows:

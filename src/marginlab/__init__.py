@@ -26,6 +26,7 @@ from .errors import DataError, MarginLabError, NumericalError, UsageError
 from .gapfit import GapFit, GridSpec, fit_gap_curve
 from .manifold import ManifoldSpec, ScalingVerdict, oracle_alpha, validate_scaling
 from .margins import (
+    Audit,
     MarginQuantiles,
     MarginRecord,
     compute_margins,
@@ -49,6 +50,7 @@ from .training import TrainConfig, audit_model, dose_response, layer_scan, train
 __version__ = "0.1.0"
 
 __all__ = [
+    "Audit",
     "BandTable",
     "ChurnReport",
     "ClassAudit",

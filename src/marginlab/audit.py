@@ -2,7 +2,8 @@
 
 All operations take a baseline and a polished audit of the *same*
 positions (equal counts, matching position indices and targets) and
-aggregate position-level changes:
+aggregate position-level changes.  Each report takes ``Audit`` objects or
+sequences of ``MarginRecord`` (converted once, on entry):
 
 * churn: top-1 prediction changed, split into wrong-to-right and
   right-to-wrong flips;
@@ -16,12 +17,13 @@ Every report is a pure aggregate, invariant under permuting positions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .margins import MarginRecord, nearest_rank_quantile
+from .margins import Audit, MarginRecord, nearest_rank_quantile
 
 __all__ = [
     "ChurnReport",
@@ -102,34 +104,45 @@ class FrequencyBuckets:
     total_net_corrected: int
 
 
-def _check_aligned(baseline: list[MarginRecord], polished: list[MarginRecord]) -> None:
+def _aligned(baseline, polished) -> tuple[Audit, Audit]:
+    """Both audits as ``Audit``, after checking that they cover the same
+    positions with the same targets."""
+    baseline, polished = Audit.from_records(baseline), Audit.from_records(polished)
     if len(baseline) != len(polished):
         raise DataError(
             f"audit size mismatch: {len(baseline)} vs {len(polished)} positions"
         )
-    for b, p in zip(baseline, polished):
-        if b.position_index != p.position_index or b.target_id != p.target_id:
-            raise DataError(
-                f"audit position mismatch at index {b.position_index}: "
-                f"({b.position_index}, target {b.target_id}) vs "
-                f"({p.position_index}, target {p.target_id})"
-            )
+    off = (baseline.position != polished.position) | (baseline.target != polished.target)
+    if off.any():
+        b, p = baseline[int(np.argmax(off))], polished[int(np.argmax(off))]
+        raise DataError(
+            f"audit position mismatch at index {b.position_index}: "
+            f"({b.position_index}, target {b.target_id}) vs "
+            f"({p.position_index}, target {p.target_id})"
+        )
+    return baseline, polished
 
 
-def churn_report(baseline: list[MarginRecord], polished: list[MarginRecord]) -> ChurnReport:
+def _tally(baseline: Audit, polished: Audit, group: np.ndarray, n_groups: int) -> list[list[int]]:
+    """Per group, the positions counted by (baseline correct, polished
+    correct) as [wrong->wrong, wrong->right, right->wrong, right->right].
+    Positions whose group is outside [0, n_groups) are not counted."""
+    keep = (group >= 0) & (group < n_groups)
+    code = group[keep] * 4 + baseline.correct[keep] * 2 + polished.correct[keep]
+    return np.bincount(code, minlength=4 * n_groups).reshape(n_groups, 4).tolist()
+
+
+def _share(net: int, total: int) -> float | None:
+    return net / total if total != 0 else None
+
+
+def churn_report(baseline: Sequence[MarginRecord], polished: Sequence[MarginRecord]) -> ChurnReport:
     """Count top-1 changes and their correctness flips."""
-    _check_aligned(baseline, polished)
-    churned = w2r = r2w = 0
-    for b, p in zip(baseline, polished):
-        if b.top1_id != p.top1_id:
-            churned += 1
-            if (not b.correct) and p.correct:
-                w2r += 1
-            elif b.correct and not p.correct:
-                r2w += 1
+    baseline, polished = _aligned(baseline, polished)
+    ww, w2r, r2w, rr = _tally(baseline, polished, baseline.top1 != polished.top1, 2)[1]
     return ChurnReport(
         total=len(baseline),
-        churned=churned,
+        churned=ww + w2r + r2w + rr,
         w2r=w2r,
         r2w=r2w,
         flip_ratio=(w2r / r2w) if r2w else None,
@@ -138,50 +151,48 @@ def churn_report(baseline: list[MarginRecord], polished: list[MarginRecord]) -> 
 
 
 def rotation_report(
-    baseline: list[MarginRecord], polished: list[MarginRecord]
+    baseline: Sequence[MarginRecord], polished: Sequence[MarginRecord]
 ) -> RotationReport:
     """Positions whose top-1 held but whose runner-up changed."""
-    _check_aligned(baseline, polished)
-    deltas = []
-    wider = 0
-    for b, p in zip(baseline, polished):
-        if b.top1_id == p.top1_id and b.top2_id != p.top2_id:
-            delta = p.margin - b.margin
-            deltas.append(delta)
-            if delta > 0:
-                wider += 1
+    baseline, polished = _aligned(baseline, polished)
+    rotated = (baseline.top1 == polished.top1) & (baseline.top2 != polished.top2)
+    deltas = polished.margin[rotated] - baseline.margin[rotated]
     return RotationReport(
-        rotated=len(deltas),
-        rotated_wider=wider,
-        mean_margin_delta=float(np.mean(deltas)) if deltas else None,
+        rotated=deltas.size,
+        rotated_wider=int(np.count_nonzero(deltas > 0)),
+        mean_margin_delta=float(deltas.mean()) if deltas.size else None,
     )
 
 
-def band_accuracy(audit: list[MarginRecord]) -> BandTable:
+def band_accuracy(audit: Sequence[MarginRecord]) -> BandTable:
     """Accuracy within the half-open margin bands
     [0, 0.5), [0.5, 1), [1, 2), [2, 5), [5, inf)."""
-    if not audit:
+    audit = Audit.from_records(audit)
+    if not len(audit):
         raise UsageError("band_accuracy requires a non-empty audit")
-    edges = (0.0,) + BAND_EDGES + (None,)
+    lows = (0.0,) + BAND_EDGES
+    # Index of the last band start each margin reaches: -1 (no band) for a
+    # negative or NaN margin.
+    band = np.count_nonzero(audit.margin[:, None] >= np.asarray(lows), axis=1) - 1
     rows = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = [r for r in audit if r.margin >= lo and (hi is None or r.margin < hi)]
-        n = len(sel)
-        acc = sum(r.correct for r in sel) / n if n else None
-        rows.append(BandRow(lo=lo, hi=hi, count=n, accuracy=acc))
+    for lo, hi, (wrong, _, _, right) in zip(
+        lows, BAND_EDGES + (None,), _tally(audit, audit, band, len(lows))
+    ):
+        n = wrong + right
+        rows.append(BandRow(lo=lo, hi=hi, count=n, accuracy=right / n if n else None))
     return BandTable(
         bands=tuple(rows),
         total=len(audit),
-        overall_accuracy=sum(r.correct for r in audit) / len(audit),
+        overall_accuracy=int(np.count_nonzero(audit.correct)) / len(audit),
     )
 
 
 def expansion_report(
-    baseline: list[MarginRecord], polished: list[MarginRecord]
+    baseline: Sequence[MarginRecord], polished: Sequence[MarginRecord]
 ) -> ExpansionReport:
     """Margin delta (polished minus baseline) over all positions."""
-    _check_aligned(baseline, polished)
-    deltas = np.array([p.margin - b.margin for b, p in zip(baseline, polished)])
+    baseline, polished = _aligned(baseline, polished)
+    deltas = polished.margin - baseline.margin
     return ExpansionReport(
         pct_wider=float(np.count_nonzero(deltas > 0)) / deltas.size,
         mean_delta=float(deltas.mean()),
@@ -198,62 +209,47 @@ def _bucket_label(lo: int, hi: int | None) -> str:
 
 
 def frequency_audit(
-    baseline: list[MarginRecord],
-    polished: list[MarginRecord],
+    baseline: Sequence[MarginRecord],
+    polished: Sequence[MarginRecord],
     target_counts: dict[int, int],
 ) -> FrequencyBuckets:
     """Per-frequency-bucket accuracy deltas and shares of net corrections.
 
     ``target_counts`` maps each target token id to its occurrence count in
-    the audit corpus; a missing target is a data error.
+    the audit corpus; a missing target, or a count below 1, is a data error.
     """
-    _check_aligned(baseline, polished)
-    for b in baseline:
-        if b.target_id not in target_counts:
-            raise DataError(f"no frequency count for target token {b.target_id}")
+    baseline, polished = _aligned(baseline, polished)
+    ids, inverse = np.unique(baseline.target, return_inverse=True)
+    missing = [t for t in ids.tolist() if t not in target_counts]
+    if missing:
+        raise DataError(f"no frequency count for target token {missing[0]}")
+    below = [t for t in ids.tolist() if target_counts[t] < 1]
+    if below:
+        raise DataError(f"frequency count below 1 for target token {below[0]}")
+    lows = [lo for lo, _ in FREQUENCY_EDGES]
+    # Bucket of each distinct target, in Python: counts may exceed int64.
+    bucket = [sum(target_counts[t] >= lo for lo in lows) - 1 for t in ids.tolist()]
 
     overall = churn_report(baseline, polished)
     buckets = []
-    for lo, hi in FREQUENCY_EDGES:
-        idx = [
-            i
-            for i, b in enumerate(baseline)
-            if target_counts[b.target_id] >= lo
-            and (hi is None or target_counts[b.target_id] <= hi)
-        ]
-        n = len(idx)
-        if n:
-            base_acc = sum(baseline[i].correct for i in idx) / n
-            pol_acc = sum(polished[i].correct for i in idx) / n
-            w2r = sum((not baseline[i].correct) and polished[i].correct for i in idx)
-            r2w = sum(baseline[i].correct and (not polished[i].correct) for i in idx)
-            net = w2r - r2w
-            share = (
-                net / overall.net_corrected if overall.net_corrected != 0 else None
+    for (lo, hi), (ww, w2r, r2w, rr) in zip(
+        FREQUENCY_EDGES,
+        _tally(baseline, polished, np.array(bucket, dtype=np.intp)[inverse], len(lows)),
+    ):
+        n = ww + w2r + r2w + rr
+        base_acc = (r2w + rr) / n if n else None
+        pol_acc = (w2r + rr) / n if n else None
+        buckets.append(
+            FrequencyBucket(
+                label=_bucket_label(lo, hi),
+                count=n,
+                baseline_accuracy=base_acc,
+                polished_accuracy=pol_acc,
+                delta=pol_acc - base_acc if n else None,
+                net_corrected=w2r - r2w,
+                share_of_net=_share(w2r - r2w, overall.net_corrected) if n else None,
             )
-            buckets.append(
-                FrequencyBucket(
-                    label=_bucket_label(lo, hi),
-                    count=n,
-                    baseline_accuracy=base_acc,
-                    polished_accuracy=pol_acc,
-                    delta=pol_acc - base_acc,
-                    net_corrected=net,
-                    share_of_net=share,
-                )
-            )
-        else:
-            buckets.append(
-                FrequencyBucket(
-                    label=_bucket_label(lo, hi),
-                    count=0,
-                    baseline_accuracy=None,
-                    polished_accuracy=None,
-                    delta=None,
-                    net_corrected=0,
-                    share_of_net=None,
-                )
-            )
+        )
     return FrequencyBuckets(
         buckets=tuple(buckets), total_net_corrected=overall.net_corrected
     )

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -45,29 +46,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_targets(path: str, expected: int) -> np.ndarray:
+def _read_json(path: str, what: str, kind: type):
+    """The JSON value in ``path``, which must be a ``kind`` (list or dict)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: cannot read targets: {e}") from e
-    if not isinstance(data, list):
-        raise DataError(f"{path}: targets file must hold a JSON array")
-    arr = np.asarray(data, dtype=np.int64)
-    if arr.size != expected:
-        raise DataError(f"{path}: {arr.size} targets for {expected} logit rows")
-    return arr
-
-
-def _read_json_map(path: str, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
         raise DataError(f"{path}: cannot read {what}: {e}") from e
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: {what} must be a JSON object")
+    if not isinstance(data, kind):
+        raise DataError(f"{path}: {what} must be a JSON {'array' if kind is list else 'object'}")
     return data
+
+
+def _read_targets(path: str, expected: int) -> np.ndarray:
+    data = _read_json(path, "targets", list)
+    if not all(type(t) is int and abs(t) < 2**63 for t in data):
+        raise DataError(f"{path}: targets must be integer token ids")
+    if len(data) != expected:
+        raise DataError(f"{path}: {len(data)} targets for {expected} logit rows")
+    return np.asarray(data, dtype=np.int64)
 
 
 def _load_corpus(path: str, vocab_size: int) -> tuple[np.ndarray, Vocab]:
@@ -98,22 +95,21 @@ def _cmd_audit(args) -> int:
     if args.bf16_emulate:
         matrix = emulate_bf16(matrix)
     targets = _read_targets(args.targets, matrix.shape[0])
-    records = compute_margins(matrix, targets)
+    audit = compute_margins(matrix, targets)
     dtype = "bf16" if args.bf16_emulate else "f32"
-    fileio.write_audit(args.out, records, dtype=dtype, seed=args.seed)
-    q = margin_quantiles([r.margin for r in records])
+    fileio.write_audit(args.out, audit, dtype=dtype, seed=args.seed)
+    q = margin_quantiles(audit.margin)
     print(
-        f"audited {len(records)} positions -> {args.out} "
+        f"audited {len(audit)} positions -> {args.out} "
         f"(median margin {q.median:.4f}, Pr(m<0.5) {q.pr_below_half:.4f})"
     )
     return 0
 
 
 def _cmd_gap_fit(args) -> int:
-    records, _ = fileio.read_audit(args.audit)
-    margins = np.array([r.margin for r in records])
+    audit, _ = fileio.read_audit(args.audit)
     fit = fit_gap_curve(
-        margins,
+        audit.margin,
         GridSpec(count=args.grid_count, quantile_lo=args.grid_qlo, quantile_hi=args.grid_qhi),
     )
     report = {
@@ -124,7 +120,7 @@ def _cmd_gap_fit(args) -> int:
         "grid": {"epsilon": fit.epsilon_grid, "eta_hat": fit.eta_hat},
         "provenance": {
             "audit": fileio.file_digest(args.audit),
-            "positions": len(records),
+            "positions": len(audit),
             "created": fileio.created_stamp(),
         },
     }
@@ -136,10 +132,6 @@ def _cmd_gap_fit(args) -> int:
         f"alpha_constrained={fit.alpha_constrained:.6f}"
     )
     return 0
-
-
-def _csv(path: str, lines: list[str]) -> None:
-    fileio.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _cmd_compare(args) -> int:
@@ -169,86 +161,49 @@ def _cmd_compare(args) -> int:
     def out(name: str) -> str:
         return os.path.join(args.out_dir, name)
 
-    _csv(
-        out("churn.csv"),
-        [
-            "total,churned,w2r,r2w,flip_ratio,net_corrected",
-            f"{churn.total},{churn.churned},{churn.w2r},{churn.r2w},"
-            f"{'' if churn.flip_ratio is None else repr(churn.flip_ratio)},"
-            f"{churn.net_corrected}",
-        ],
+    fileio.write_csv(out("churn.csv"), "total,churned,w2r,r2w,flip_ratio,net_corrected", [churn])
+    fileio.write_csv(out("rotation.csv"), "rotated,rotated_wider,mean_margin_delta", [rotation])
+    fileio.write_csv(
+        out("bands.csv"),
+        "audit,lo,hi,count,accuracy",
+        [(name, *astuple(b)) for name, table in (("baseline", bands_base), ("polished", bands_pol))
+         for b in table.bands],
     )
-    _csv(
-        out("rotation.csv"),
-        [
-            "rotated,rotated_wider,mean_margin_delta",
-            f"{rotation.rotated},{rotation.rotated_wider},"
-            f"{'' if rotation.mean_margin_delta is None else repr(rotation.mean_margin_delta)}",
-        ],
-    )
-    band_lines = ["audit,lo,hi,count,accuracy"]
-    for name, table in (("baseline", bands_base), ("polished", bands_pol)):
-        for b in table.bands:
-            band_lines.append(
-                f"{name},{b.lo!r},{'' if b.hi is None else repr(b.hi)},{b.count},"
-                f"{'' if b.accuracy is None else repr(b.accuracy)}"
-            )
-    _csv(out("bands.csv"), band_lines)
-    _csv(
-        out("expansion.csv"),
-        [
-            "pct_wider,mean_delta,median_delta",
-            f"{expansion.pct_wider!r},{expansion.mean_delta!r},{expansion.median_delta!r}",
-        ],
-    )
+    fileio.write_csv(out("expansion.csv"), "pct_wider,mean_delta,median_delta", [expansion])
 
     if args.freq_counts:
-        counts_raw = _read_json_map(args.freq_counts, "frequency counts")
+        counts_raw = _read_json(args.freq_counts, "frequency counts", dict)
         try:
             counts = {int(k): int(v) for k, v in counts_raw.items()}
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise DataError(f"{args.freq_counts}: keys/values must be integers") from e
         freq = frequency_audit(baseline, polished, counts)
         bundle["frequency"] = freq
-        freq_lines = [
-            "bucket,count,baseline_accuracy,polished_accuracy,delta,net_corrected,share_of_net"
-        ]
-        for b in freq.buckets:
-            fields = [
-                b.label,
-                str(b.count),
-                "" if b.baseline_accuracy is None else repr(b.baseline_accuracy),
-                "" if b.polished_accuracy is None else repr(b.polished_accuracy),
-                "" if b.delta is None else repr(b.delta),
-                str(b.net_corrected),
-                "" if b.share_of_net is None else repr(b.share_of_net),
-            ]
-            freq_lines.append(",".join(fields))
-        _csv(out("frequency.csv"), freq_lines)
+        fileio.write_csv(
+            out("frequency.csv"),
+            "bucket,count,baseline_accuracy,polished_accuracy,delta,net_corrected,share_of_net",
+            freq.buckets,
+        )
 
     if args.token_texts:
-        texts_raw = _read_json_map(args.token_texts, "token texts")
+        texts_raw = _read_json(args.token_texts, "token texts", dict)
         try:
             texts = {int(k): str(v) for k, v in texts_raw.items()}
         except ValueError as e:
             raise DataError(f"{args.token_texts}: keys must be integer ids") from e
-        missing = {r.target_id for r in baseline} - set(texts)
+        targets = baseline.target.tolist()
+        missing = set(targets) - set(texts)
         if missing:
             raise DataError(
                 f"{args.token_texts}: no text for target ids {sorted(missing)[:5]}..."
                 if len(missing) > 5
                 else f"{args.token_texts}: no text for target ids {sorted(missing)}"
             )
-        classes = class_audit(baseline, polished, [texts[r.target_id] for r in baseline])
+        classes = class_audit(baseline, polished, [texts[t] for t in targets])
         bundle["classes"] = classes
-        cls_lines = ["class,count,w2r,r2w,net_corrected,share_of_net"]
-        for row in classes.rows:
-            cls_lines.append(
-                f"{row.token_class.value},{row.count},{row.w2r},{row.r2w},"
-                f"{row.net_corrected},"
-                f"{'' if row.share_of_net is None else repr(row.share_of_net)}"
-            )
-        _csv(out("classes.csv"), cls_lines)
+        fileio.write_csv(
+            out("classes.csv"), "class,count,w2r,r2w,net_corrected,share_of_net", classes.rows
+        )
 
     fileio.write_report_json(out("bundle.json"), bundle)
     print(
@@ -296,7 +251,7 @@ def _cmd_train(args) -> int:
     )
     log = train(model, tokens, config)
     fileio.save_checkpoint(args.out_checkpoint, model, step=config.steps,
-                           train_config=config.to_dict())
+                           train_config=asdict(config))
     if args.metrics:
         fileio.write_metrics_csv(args.metrics, log)
     last = log[-1]
@@ -332,16 +287,16 @@ def _cmd_sweep(args) -> int:
     )
     rows, _baseline = dose_response(model, tokens, lambdas, args.loss, run_cfg)
 
-    lines = [
-        "lambda,median_margin,pr_below_half,beta,alpha_constrained,r2,churned,w2r,r2w,net_corrected"
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.lambda_mrp!r},{row.median_margin!r},{row.pr_below_half!r},"
-            f"{row.gap_fit.beta!r},{row.gap_fit.alpha_constrained!r},{row.gap_fit.r2!r},"
-            f"{row.churn.churned},{row.churn.w2r},{row.churn.r2w},{row.churn.net_corrected}"
-        )
-    fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    fileio.write_csv(
+        args.out,
+        "lambda,median_margin,pr_below_half,beta,alpha_constrained,r2,churned,w2r,r2w,net_corrected",
+        [
+            (row.lambda_mrp, row.median_margin, row.pr_below_half, row.gap_fit.beta,
+             row.gap_fit.alpha_constrained, row.gap_fit.r2, row.churn.churned,
+             row.churn.w2r, row.churn.r2w, row.churn.net_corrected)
+            for row in rows
+        ],
+    )
     for row in rows:
         print(
             f"lambda={row.lambda_mrp}: median={row.median_margin:.4f} "
@@ -353,11 +308,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_synth_validate(args) -> int:
     if args.sites:
+        sites = _read_json(args.sites, "sites", list)
         try:
-            with open(args.sites, "r", encoding="utf-8") as f:
-                sites = np.asarray(json.load(f), dtype=np.float64)
-        except (OSError, json.JSONDecodeError) as e:
-            raise DataError(f"{args.sites}: cannot read sites: {e}") from e
+            sites = np.asarray(sites, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{args.sites}: sites must be a 2-D array of numbers: {e}") from e
         if sites.ndim != 2:
             raise DataError(f"{args.sites}: sites must be a 2-D array")
         intrinsic = 1 if args.sampler == "circle_uniform" else 2
@@ -395,11 +350,7 @@ def _cmd_layer_scan(args) -> int:
     model, _ = fileio.load_checkpoint(args.checkpoint)
     tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
     rows = layer_scan(model, tokens, tau=args.tau)
-    lines = ["layer_index,spearman_ce_mrp"]
-    for r in rows:
-        rho = "" if r.spearman_ce_mrp is None else repr(r.spearman_ce_mrp)
-        lines.append(f"{r.layer_index},{rho}")
-    fileio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    fileio.write_csv(args.out, "layer_index,spearman_ce_mrp", rows)
     for r in rows:
         print(f"layer {r.layer_index}: rho="
               f"{'undefined' if r.spearman_ce_mrp is None else f'{r.spearman_ce_mrp:.4f}'}")

@@ -23,13 +23,14 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, is_dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, astuple, is_dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .margins import MarginRecord
+from .margins import Audit, MarginRecord
 from .precision import emulate_bf16
 from .toylm import ToyLm, ToyLmConfig
 
@@ -45,6 +46,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "write_report_json",
+    "write_csv",
     "write_metrics_csv",
     "to_jsonable",
     "AUDIT_VERSION",
@@ -129,37 +131,40 @@ def write_logits(
 def read_logits(path: str) -> tuple[np.ndarray, dict]:
     """Returns (float32 matrix, header).  bf16 payloads widen exactly."""
     with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise DataError(f"{path}: missing header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: unparseable header: {e}") from e
-    for key in ("rows", "cols", "dtype", "layout"):
-        if key not in header:
-            raise DataError(f"{path}: header missing {key!r}")
-    if header["layout"] != "row-major-le":
-        raise DataError(f"{path}: unsupported layout {header['layout']!r}")
-    dtype = header["dtype"]
-    if dtype not in _LOGITS_DTYPES:
-        raise DataError(f"{path}: unsupported dtype {dtype!r}")
-    rows, cols = int(header["rows"]), int(header["cols"])
-    payload = raw[nl + 1 :]
-    expected = rows * cols * _LOGITS_DTYPES[dtype]
-    if len(payload) != expected:
-        raise DataError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    if rows * cols == 0:
-        raise DataError(f"{path}: empty logits container")
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise DataError(f"{path}: missing header line")
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"{path}: unparseable header: {e}") from e
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is not a JSON object")
+        for key in ("rows", "cols", "dtype", "layout"):
+            if key not in header:
+                raise DataError(f"{path}: header missing {key!r}")
+        if header["layout"] != "row-major-le":
+            raise DataError(f"{path}: unsupported layout {header['layout']!r}")
+        dtype = header["dtype"]
+        if dtype not in _LOGITS_DTYPES:
+            raise DataError(f"{path}: unsupported dtype {dtype!r}")
+        rows, cols = header["rows"], header["cols"]
+        if not all(type(v) is int and v >= 0 for v in (rows, cols)):
+            raise DataError(f"{path}: rows and cols must be non-negative integers")
+        size = os.fstat(f.fileno()).st_size - len(line)
+        expected = rows * cols * _LOGITS_DTYPES[dtype]
+        if size != expected:
+            raise DataError(f"{path}: payload is {size} bytes, expected {expected}")
+        if rows * cols == 0:
+            raise DataError(f"{path}: empty logits container")
+        payload = np.empty((rows, cols), dtype="<f4" if dtype == "f32" else "<u2")
+        if f.readinto(payload) != expected:
+            raise DataError(f"{path}: payload shorter than {expected} bytes")
     if dtype == "f32":
-        matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
-    else:
-        bits = np.frombuffer(payload, dtype="<u2").astype(np.uint32) << np.uint32(16)
-        matrix = bits.view(np.float32).reshape(rows, cols).copy()
-    return matrix, header
+        return payload, header
+    bits = payload.astype(np.uint32)
+    bits <<= np.uint32(16)
+    return bits.view(np.float32), header
 
 
 # ---------------------------------------------------------------------------
@@ -167,75 +172,117 @@ def read_logits(path: str) -> tuple[np.ndarray, dict]:
 # ---------------------------------------------------------------------------
 
 
+# One record line, byte for byte what json.dumps(record, sort_keys=True)
+# writes for a record whose margin is finite.
+_RECORD_LINE = (
+    '{"correct": %s, "margin": %r, "position_index": %d, '
+    '"target_id": %d, "top1_id": %d, "top2_id": %d}'
+)
+# Record keys in Audit column order, with the JSON types each accepts.
+_RECORD_KEYS = (
+    ("position_index", (int,)),
+    ("target_id", (int,)),
+    ("top1_id", (int,)),
+    ("top2_id", (int,)),
+    ("margin", (float, int)),
+    ("correct", (bool,)),
+)
+_INVARIANTS = "margin finite and >= 0, top1_id != top2_id, correct == (top1_id == target_id)"
+
+
 def write_audit(
     path: str,
-    records: list[MarginRecord],
+    records: Audit | Sequence[MarginRecord],
     dtype: str = "f32",
     tau: float | None = None,
     seed: int | None = None,
     created: str | None = None,
 ) -> None:
+    """Write an audit as JSONL; a record that breaks an invariant is a
+    ``UsageError``."""
+    audit = Audit.from_records(records)
+    bad = audit.first_invalid()
+    if bad is not None:
+        raise UsageError(f"record {bad} {audit[bad]} breaks {_INVARIANTS}")
     header = {
         "version": AUDIT_VERSION,
-        "count": len(records),
+        "count": len(audit),
         "dtype": dtype,
         "tau": tau,
         "created": created if created is not None else created_stamp(),
         "seed": seed,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "position_index": r.position_index,
-                    "target_id": r.target_id,
-                    "top1_id": r.top1_id,
-                    "top2_id": r.top2_id,
-                    "margin": r.margin,
-                    "correct": r.correct,
-                },
-                sort_keys=True,
-            )
-        )
+    rows = zip(
+        np.where(audit.correct, "true", "false").tolist(),
+        audit.margin.tolist(),
+        audit.position.tolist(),
+        audit.target.tolist(),
+        audit.top1.tolist(),
+        audit.top2.tolist(),
+    )
+    lines = [json.dumps(header, sort_keys=True)] + [_RECORD_LINE % row for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_audit(path: str) -> tuple[list[MarginRecord], dict]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln]
+def _audit_of(objs: list) -> Audit:
+    """The audit of parsed record objects; KeyError, TypeError or
+    UsageError for a record with a missing key or a value of the wrong type."""
+    columns = []
+    for key, types in _RECORD_KEYS:
+        column = [obj[key] for obj in objs]
+        if not set(map(type, column)).issubset(types):
+            raise TypeError(f"{key!r} must be {' or '.join(t.__name__ for t in types)}")
+        columns.append(column)
+    return Audit(*columns)
+
+
+def read_audit(path: str) -> tuple[Audit, dict]:
+    """Returns (audit, header).  All record lines are parsed in one
+    ``json.loads``; only if that fails is the file scanned line by line,
+    to name the bad line in the ``DataError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [ln for ln in f.read().splitlines() if ln]
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
     if not lines:
         raise DataError(f"{path}: empty audit file")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: unparseable audit header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: audit header is not a JSON object")
     if header.get("version") != AUDIT_VERSION:
         raise DataError(
             f"{path}: audit version {header.get('version')!r} is not {AUDIT_VERSION}"
         )
-    if header.get("count") != len(lines) - 1:
+    body = lines[1:]
+    if header.get("count") != len(body):
         raise DataError(
             f"{path}: header count {header.get('count')} does not match "
-            f"{len(lines) - 1} record lines"
+            f"{len(body)} record lines"
         )
-    records = []
-    for i, ln in enumerate(lines[1:]):
-        try:
-            obj = json.loads(ln)
-            records.append(
-                MarginRecord(
-                    position_index=int(obj["position_index"]),
-                    target_id=int(obj["target_id"]),
-                    top1_id=int(obj["top1_id"]),
-                    top2_id=int(obj["top2_id"]),
-                    margin=float(obj["margin"]),
-                    correct=bool(obj["correct"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}: bad record on line {i + 2}: {e}") from e
-    return records, header
+    try:
+        objs = json.loads("[" + ",".join(body) + "]")
+        if len(objs) != len(body):
+            raise ValueError("a line holds more than one record")
+        audit = _audit_of(objs)
+    except (ValueError, KeyError, TypeError, UsageError) as e:
+        for i, ln in enumerate(body):
+            try:
+                _audit_of([json.loads(ln)])
+            except (ValueError, KeyError, TypeError, UsageError) as line_error:
+                raise DataError(
+                    f"{path}: bad record on line {i + 2}: {line_error!r}"
+                ) from line_error
+        raise DataError(f"{path}: bad records: {e!r}") from e
+    bad = audit.first_invalid()
+    if bad is not None:
+        raise DataError(
+            f"{path}: bad record on line {bad + 2}: {audit[bad]} breaks {_INVARIANTS}"
+        )
+    return audit, header
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +298,7 @@ def save_checkpoint(path: str, model: ToyLm, step: int = 0, train_config: dict |
     header = {
         "version": CHECKPOINT_VERSION,
         "kind": "marginlab-checkpoint",
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "seed": model.seed,
         "step": int(step),
         "train_config": train_config,
@@ -329,8 +376,27 @@ def write_report_json(path: str, report: dict) -> None:
     )
 
 
-def write_metrics_csv(path: str, metrics) -> None:
-    lines = ["step,ce,mrp,median_margin"]
-    for m in metrics:
-        lines.append(f"{m.step},{m.ce!r},{m.mrp!r},{m.median_margin!r}")
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, Enum):
+        return str(value.value)
+    return str(value)
+
+
+def write_csv(path: str, header: str, rows) -> None:
+    """A header line, then one line per row.
+
+    A row is a dataclass (its fields in order) or a tuple of values.  None
+    is written as an empty field and a float with ``repr``.
+    """
+    lines = [header] + [
+        ",".join(map(_csv_field, astuple(row) if is_dataclass(row) else row)) for row in rows
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_metrics_csv(path: str, metrics) -> None:
+    write_csv(path, "step,ce,mrp,median_margin", metrics)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DataError, UsageError
 
 __all__ = [
+    "Audit",
     "MarginRecord",
     "MarginQuantiles",
     "compute_margins",
@@ -27,10 +28,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarginRecord:
-    """One audited position.
+    """One audited position: a row of an ``Audit``.
 
-    Invariants: margin >= 0, top1_id != top2_id, and correct is exactly
-    (top1_id == target_id).
+    Invariants: margin is finite and >= 0, top1_id != top2_id, and correct
+    is exactly (top1_id == target_id).
     """
 
     position_index: int
@@ -39,6 +40,105 @@ class MarginRecord:
     top2_id: int
     margin: float
     correct: bool
+
+
+# Audit columns in MarginRecord field order: (name, accepted dtype kinds, dtype).
+_COLUMNS = (
+    ("position", "iu", np.int64),
+    ("target", "iu", np.int64),
+    ("top1", "iu", np.int64),
+    ("top2", "iu", np.int64),
+    ("margin", "fiu", np.float64),
+    ("correct", "b", np.bool_),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Audit:
+    """A margin audit as six aligned columns, one entry per position:
+    int64 ids (``position``, ``target``, ``top1``, ``top2``), float64
+    ``margin`` and bool ``correct`` (other kinds raise ``UsageError``).
+
+    ``len``, iteration and integer indexing give ``MarginRecord`` rows, a
+    slice gives an ``Audit``, and ``==`` (against an ``Audit`` or a
+    sequence of records) compares every column and returns one bool.
+    """
+
+    position: np.ndarray
+    target: np.ndarray
+    top1: np.ndarray
+    top2: np.ndarray
+    margin: np.ndarray
+    correct: np.ndarray
+
+    def __post_init__(self):
+        for name, kinds, dtype in _COLUMNS:
+            col = np.asarray(getattr(self, name))
+            if col.shape != np.shape(self.position) or col.ndim != 1 or (
+                col.size and not (col.dtype.kind in kinds and np.can_cast(col.dtype, dtype))
+            ):
+                raise UsageError(
+                    f"audit column {name!r} must be 1-D {np.dtype(dtype).name} with "
+                    f"one entry per position, got {col.dtype} of shape {col.shape}"
+                )
+            object.__setattr__(self, name, col.astype(dtype, copy=False))
+
+    @classmethod
+    def from_records(cls, records) -> "Audit":
+        """The audit of a sequence of ``MarginRecord``; an ``Audit`` is
+        returned as it is."""
+        if isinstance(records, Audit):
+            return records
+        rows = [
+            (r.position_index, r.target_id, r.top1_id, r.top2_id, r.margin, r.correct)
+            for r in records
+        ]
+        return cls(*(zip(*rows) if rows else [()] * len(_COLUMNS)))
+
+    @classmethod
+    def concat(cls, parts) -> "Audit":
+        """The rows of every part, in order; positions are kept as they are."""
+        parts = [cls.from_records(p) for p in parts]
+        return cls(*(np.concatenate(cols) for cols in zip(*(p.columns() for p in parts))))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.position, self.target, self.top1, self.top2, self.margin, self.correct)
+
+    def first_invalid(self) -> int | None:
+        """Index of the first row that breaks a ``MarginRecord`` invariant
+        (margin finite and >= 0, top1 != top2, correct == (top1 == target)),
+        or None."""
+        bad = (
+            ~np.isfinite(self.margin)
+            | (self.margin < 0)
+            | (self.top1 == self.top2)
+            | (self.correct != (self.top1 == self.target))
+        )
+        return int(np.argmax(bad)) if bad.any() else None
+
+    def __len__(self) -> int:
+        return self.position.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Audit(*(c[index] for c in self.columns()))
+        return MarginRecord(*(c[index].item() for c in self.columns()))
+
+    def __iter__(self):
+        return map(MarginRecord, *(c.tolist() for c in self.columns()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Audit, list, tuple)):
+            return NotImplemented
+        try:
+            other = Audit.from_records(other)
+        except (AttributeError, UsageError):
+            return False
+        return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
+
+    def __radd__(self, other) -> "Audit":
+        """``records + audit``, so ``[record] + audit[1:]`` works as on a list."""
+        return Audit.concat([other, self])
 
 
 @dataclass(frozen=True)
@@ -103,8 +203,8 @@ def top2_stats(logit_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return top1, top2, rows[idx, top1] - rows[idx, top2]
 
 
-def compute_margins(logit_rows: np.ndarray, targets: np.ndarray) -> list[MarginRecord]:
-    """Build one MarginRecord per logit row.
+def compute_margins(logit_rows: np.ndarray, targets: np.ndarray) -> Audit:
+    """The audit of a batch of logit rows, positions numbered from 0.
 
     ``targets[i]`` is the reference token id for row ``i``; ``correct`` is
     whether the top-1 token equals it.
@@ -116,17 +216,14 @@ def compute_margins(logit_rows: np.ndarray, targets: np.ndarray) -> list[MarginR
             f"targets length {targets.shape} does not match {rows.shape[0]} rows"
         )
     top1, top2, margins = top2_stats(rows)
-    return [
-        MarginRecord(
-            position_index=i,
-            target_id=int(targets[i]),
-            top1_id=int(top1[i]),
-            top2_id=int(top2[i]),
-            margin=float(margins[i]),
-            correct=bool(top1[i] == targets[i]),
-        )
-        for i in range(rows.shape[0])
-    ]
+    return Audit(
+        position=np.arange(rows.shape[0]),
+        target=targets,
+        top1=top1,
+        top2=top2,
+        margin=margins,
+        correct=top1 == targets,
+    )
 
 
 def nearest_rank_quantile(sorted_values: np.ndarray, q: float) -> float:

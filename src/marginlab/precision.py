@@ -25,16 +25,19 @@ def emulate_bf16(x):
     """
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     arr = np.asarray(x, dtype=np.float32)
-    bits = arr.view(np.uint32).copy()
-    finite = np.isfinite(arr)
-    # RNE: add 0x7FFF plus the lowest kept bit, then truncate.
-    rounded = bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))
-    rounded &= np.uint32(0xFFFF0000)
-    bits = np.where(finite, rounded, bits)
-    out = bits.view(np.float32)
+    bits = arr.view(np.uint32)
+    # RNE: add 0x7FFF plus the lowest kept bit, then truncate; in place on
+    # one buffer, then non-finite inputs are copied back unchanged.
+    out = bits.copy()
+    out >>= np.uint32(16)
+    out &= np.uint32(1)
+    out += np.uint32(0x7FFF)
+    out += bits
+    out &= np.uint32(0xFFFF0000)
+    np.copyto(out, bits, where=~np.isfinite(arr))
     if scalar:
-        return float(out)
-    return out
+        return float(out.view(np.float32))
+    return out.view(np.float32)
 
 
 def recompute_fp32_logits(hidden_state: np.ndarray, unembedding: np.ndarray) -> np.ndarray:

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .audit import churn_report
+import numpy as np
+
+from .audit import _share, _tally, churn_report
 from .errors import DataError
-from .margins import MarginRecord
+from .margins import Audit, MarginRecord
 
 __all__ = [
     "TokenClass",
@@ -111,42 +114,36 @@ class ClassAudit:
 
 
 def class_audit(
-    baseline: list[MarginRecord],
-    polished: list[MarginRecord],
-    token_texts: list[str],
+    baseline: Sequence[MarginRecord],
+    polished: Sequence[MarginRecord],
+    token_texts: Sequence[str],
 ) -> ClassAudit:
     """Net corrections per token class, with shares of the total.
 
-    ``token_texts[i]`` is the decoded text of position i's target token.
-    The fragment class gets its own row like every other class.
+    ``token_texts[i]`` is the decoded text of position i's target token;
+    each distinct text is classified once.  The fragment class gets its
+    own row like every other class.
     """
+    baseline, polished = Audit.from_records(baseline), Audit.from_records(polished)
     if len(token_texts) != len(baseline):
         raise DataError(
             f"token text count {len(token_texts)} does not match "
             f"{len(baseline)} audit positions"
         )
     overall = churn_report(baseline, polished)
-    per_class: dict[TokenClass, list[int]] = {c: [0, 0, 0] for c in TokenClass}
-    for b, p, text in zip(baseline, polished, token_texts):
-        stats = per_class[classify_token(text)]
-        stats[0] += 1
-        if (not b.correct) and p.correct:
-            stats[1] += 1
-        elif b.correct and not p.correct:
-            stats[2] += 1
+    order = {cls: i for i, cls in enumerate(TokenClass)}
+    class_of = {text: order[classify_token(text)] for text in set(token_texts)}
+    group = np.array([class_of[text] for text in token_texts], dtype=np.intp)
     rows = []
-    for cls in TokenClass:
-        count, w2r, r2w = per_class[cls]
-        net = w2r - r2w
-        share = net / overall.net_corrected if overall.net_corrected != 0 else None
+    for cls, (ww, w2r, r2w, rr) in zip(TokenClass, _tally(baseline, polished, group, len(order))):
         rows.append(
             ClassAuditRow(
                 token_class=cls,
-                count=count,
+                count=ww + w2r + r2w + rr,
                 w2r=w2r,
                 r2w=r2w,
-                net_corrected=net,
-                share_of_net=share,
+                net_corrected=w2r - r2w,
+                share_of_net=_share(w2r - r2w, overall.net_corrected),
             )
         )
     return ClassAudit(rows=tuple(rows), total_net_corrected=overall.net_corrected)

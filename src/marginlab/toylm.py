@@ -40,16 +40,6 @@ class ToyLmConfig:
         if self.layers < 1 or self.context < 2:
             raise UsageError("need at least 1 layer and context >= 2")
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden_dim": self.hidden_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "context": self.context,
-            "tied_embeddings": self.tied_embeddings,
-        }
-
 
 def _norm(x: Tensor, dim: int) -> Tensor:
     """Parameter-free row norm: unit rows rescaled to sqrt(dim)."""

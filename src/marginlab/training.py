@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .audit import ChurnReport, churn_report
 from .errors import NumericalError, UsageError
 from .gapfit import GapFit, GridSpec, fit_gap_curve
-from .margins import MarginRecord, compute_margins, nearest_rank_quantile, top2_stats
+from .margins import Audit, compute_margins, margin_quantiles, nearest_rank_quantile, top2_stats
 # cross_entropy and fisher_loss are unused here but patched here by bench/tracing.py.
 from .objectives import MrpConfig, combined_loss, cross_entropy, fisher_loss  # noqa: F401
 from .rankstats import spearman
@@ -56,24 +56,6 @@ class TrainConfig:
             raise UsageError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise UsageError("weight_decay must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "warmup_fraction": self.warmup_fraction,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "mrp": {
-                "objective": self.mrp.objective,
-                "lambda_mrp": self.mrp.lambda_mrp,
-                "tau": self.mrp.tau,
-                "k": self.mrp.k,
-                "clamp_floor": self.mrp.clamp_floor,
-                "ce_weight": self.mrp.ce_weight,
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -203,23 +185,17 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
     return log
 
 
-def audit_model(model: ToyLm, corpus_tokens) -> list[MarginRecord]:
+def audit_model(model: ToyLm, corpus_tokens) -> Audit:
     """Full-precision margin audit of every loss position in the corpus.
 
     Positions are numbered sequentially across chunks, so two audits of
     the same corpus align position by position.
     """
-    chunks = make_chunks(corpus_tokens, model.config.context)
-    records: list[MarginRecord] = []
-    offset = 0
-    for chunk in chunks:
-        logits, _ = model.forward(chunk)
-        rows = logits.values[:-1]
-        targets = chunk[1:]
-        for rec in compute_margins(rows, targets):
-            records.append(replace(rec, position_index=rec.position_index + offset))
-        offset += rows.shape[0]
-    return records
+    audit = Audit.concat(
+        compute_margins(model.forward(chunk)[0].values[:-1], chunk[1:])
+        for chunk in make_chunks(corpus_tokens, model.config.context)
+    )
+    return replace(audit, position=np.arange(len(audit)))
 
 
 def dose_response(
@@ -229,7 +205,7 @@ def dose_response(
     objective: str,
     train_config: TrainConfig,
     grid_spec: GridSpec | None = None,
-) -> tuple[list[SweepRow], list[MarginRecord]]:
+) -> tuple[list[SweepRow], Audit]:
     """Train one run per lambda from the same base checkpoint and seed,
     audit each run, and compare it against the base model's audit.
 
@@ -252,13 +228,13 @@ def dose_response(
         )
         train(run, corpus_tokens, cfg)
         audit = audit_model(run, corpus_tokens)
-        margins = np.sort(np.array([r.margin for r in audit]))
+        q = margin_quantiles(audit.margin)
         rows.append(
             SweepRow(
                 lambda_mrp=lam,
-                median_margin=nearest_rank_quantile(margins, 0.5),
-                pr_below_half=float(np.count_nonzero(margins < 0.5)) / margins.size,
-                gap_fit=fit_gap_curve(margins, grid_spec),
+                median_margin=q.median,
+                pr_below_half=q.pr_below_half,
+                gap_fit=fit_gap_curve(audit.margin, grid_spec),
                 churn=churn_report(baseline_audit, audit),
             )
         )

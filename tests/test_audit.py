@@ -14,7 +14,8 @@ from marginlab.audit import (
 )
 from marginlab.errors import DataError, UsageError
 from marginlab.fileio import read_audit
-from marginlab.margins import MarginRecord
+from marginlab.margins import Audit, MarginRecord
+from marginlab.tokenclass import class_audit
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -227,3 +228,29 @@ class TestFrequency:
         base = [rec(0, 1, 1, 2, 0.5)]
         with pytest.raises(DataError):
             frequency_audit(base, base, {2: 1})
+
+    def test_count_below_one_is_data_error(self):
+        base = [rec(0, 1, 1, 2, 0.5), rec(1, 3, 3, 2, 0.5)]
+        with pytest.raises(DataError, match="token 3"):
+            frequency_audit(base, base, {1: 4, 3: 0})
+
+    def test_count_beyond_int64_is_top_bucket(self):
+        base = [rec(0, 1, 1, 2, 0.5)]
+        fb = frequency_audit(base, base, {1: 10**20})
+        assert fb.buckets[-1].count == 1
+
+
+class TestAuditInputs:
+    def test_every_report_same_for_audit_and_records(self):
+        rng = np.random.default_rng(77)
+        baseline, polished = random_audit_pair(rng, 3000)
+        b, p = Audit.from_records(baseline), Audit.from_records(polished)
+        counts = {r.target_id: int(rng.integers(1, 300)) for r in baseline}
+        texts = [(",", "the", "Paris", "word", "3.14", "x3")[r.target_id % 6] for r in baseline]
+        for report, args in (
+            (churn_report, ()), (rotation_report, ()), (expansion_report, ()),
+            (frequency_audit, (counts,)), (class_audit, (texts,)),
+        ):
+            assert report(b, p, *args) == report(baseline, polished, *args)
+            assert report(b, polished, *args) == report(baseline, p, *args)
+        assert band_accuracy(b) == band_accuracy(baseline)

@@ -123,6 +123,27 @@ class TestAuditCommand:
             json.dump([1], f)
         assert main(["audit", lp, tp, str(tmp_path / "x.jsonl")]) == 2
 
+    def test_non_utf8_json_inputs_exit_2(self, tmp_path, tiny_logits):
+        lp, tp, _ = tiny_logits
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "wb") as f:
+            f.write(b"\xff\xfe[1, 2, 3]")
+        assert main(["audit", lp, bad, str(tmp_path / "x.jsonl")]) == 2
+        ap = str(tmp_path / "a.jsonl")
+        assert main(["audit", lp, tp, ap]) == 0
+        for flag in ("--freq-counts", "--token-texts"):
+            assert main(["compare", ap, ap, "--out-dir", str(tmp_path / "cmp"), flag, bad]) == 2
+
+    @pytest.mark.parametrize("targets", [
+        ["a", "b", "c"], [1.5, 2, 3], [True, 2, 3], [1, [2], 3], [1, 2, 2**64], {"0": 1},
+    ])
+    def test_non_integer_targets_exit_2(self, tmp_path, tiny_logits, targets):
+        lp, _, _ = tiny_logits
+        tp = str(tmp_path / "bad.json")
+        with open(tp, "w") as f:
+            json.dump(targets, f)
+        assert main(["audit", lp, tp, str(tmp_path / "x.jsonl")]) == 2
+
 
 class TestGapFitCommand:
     def test_uniform_fixture(self, tmp_path, capsys):
@@ -218,6 +239,91 @@ class TestCompareCommand:
         assert main(["compare", ap, bp, "--out-dir", str(tmp_path / "cmp")]) == 2
 
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+# The six CSVs of `compare` on the shipped fixture pair, byte for byte.
+FIXTURE_CSVS = {
+    "churn.csv": "total,churned,w2r,r2w,flip_ratio,net_corrected\n6,4,2,1,2.0,1\n",
+    "rotation.csv": "rotated,rotated_wider,mean_margin_delta\n1,1,0.5\n",
+    "bands.csv": (
+        "audit,lo,hi,count,accuracy\n"
+        "baseline,0.0,0.5,3,0.0\nbaseline,0.5,1.0,1,1.0\nbaseline,1.0,2.0,1,1.0\n"
+        "baseline,2.0,5.0,1,1.0\nbaseline,5.0,,0,\n"
+        "polished,0.0,0.5,4,0.5\npolished,0.5,1.0,0,\npolished,1.0,2.0,1,1.0\n"
+        "polished,2.0,5.0,1,1.0\npolished,5.0,,0,\n"
+    ),
+    "expansion.csv": (
+        "pct_wider,mean_delta,median_delta\n"
+        "0.8333333333333334,0.05833333333333334,0.10000000000000009\n"
+    ),
+    "frequency.csv": (
+        "bucket,count,baseline_accuracy,polished_accuracy,delta,net_corrected,share_of_net\n"
+        "1,2,0.5,1.0,0.5,1,1.0\n2-4,1,1.0,1.0,0.0,0,0.0\n5-19,1,1.0,0.0,-1.0,-1,-1.0\n"
+        "20-99,1,0.0,1.0,1.0,1,1.0\n100+,1,0.0,0.0,0.0,0,0.0\n"
+    ),
+    "classes.csv": (
+        "class,count,w2r,r2w,net_corrected,share_of_net\n"
+        "structural,1,0,0,0,0.0\nnumeric,1,0,0,0,0.0\nfunction_word,1,0,0,0,0.0\n"
+        "entity_like,1,0,1,-1,-1.0\ncontent_word,1,1,0,1,1.0\nfragment,1,1,0,1,1.0\n"
+    ),
+}
+
+
+class TestCompareFixtureBytes:
+    def test_fixture_csvs(self, tmp_path):
+        fc = str(tmp_path / "counts.json")
+        with open(fc, "w") as f:
+            json.dump({"2": 1, "3": 3, "4": 7, "5": 30, "6": 200, "7": 1}, f)
+        tt = str(tmp_path / "texts.json")
+        with open(tt, "w") as f:
+            json.dump({"2": ",", "3": "the", "4": "Paris", "5": "word", "6": "3.14", "7": "x3"}, f)
+        out_dir = str(tmp_path / "cmp")
+        assert main([
+            "compare", os.path.join(FIXTURES, "baseline_6.jsonl"),
+            os.path.join(FIXTURES, "polished_6.jsonl"), "--out-dir", out_dir,
+            "--freq-counts", fc, "--token-texts", tt,
+        ]) == 0
+        for name, text in FIXTURE_CSVS.items():
+            assert open(os.path.join(out_dir, name)).read() == text, name
+
+
+GOOD_RECORD = {"position_index": 0, "target_id": 0, "top1_id": 1, "top2_id": 2,
+               "margin": 0.5, "correct": False}
+BAD_RECORD_CHANGES = {
+    "correct not a bool": {"correct": 0},
+    "id not an int": {"target_id": 0.0},
+    "id a bool": {"top1_id": True},
+    "negative margin": {"margin": -1.0},
+    "non-finite margin": {"margin": float("nan")},
+    "top1 equals top2": {"top2_id": 1},
+    "correct disagrees with top1 == target": {"correct": True},
+}
+
+
+class TestBadAuditRecords:
+    @pytest.fixture
+    def audits(self, tmp_path, request):
+        recs = [MarginRecord(i, 0, 1, 2, float(m), False)
+                for i, m in enumerate(np.random.default_rng(4).exponential(size=2000))]
+        good = str(tmp_path / "good.jsonl")
+        fileio.write_audit(good, recs)
+        lines = open(good).read().splitlines()
+        lines[500] = json.dumps(dict(GOOD_RECORD, position_index=499, **request.param))
+        bad = str(tmp_path / "bad.jsonl")
+        with open(bad, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        return good, bad
+
+    @pytest.mark.parametrize("audits", list(BAD_RECORD_CHANGES.values()),
+                             ids=list(BAD_RECORD_CHANGES), indirect=True)
+    def test_compare_and_gap_fit_exit_2(self, tmp_path, audits, capsys):
+        good, bad = audits
+        assert main(["gap-fit", bad]) == 2
+        assert main(["compare", good, bad, "--out-dir", str(tmp_path / "cmp")]) == 2
+        assert main(["compare", bad, good, "--out-dir", str(tmp_path / "cmp")]) == 2
+        assert "line 501" in capsys.readouterr().err
+
+
 class TestTrainCommands:
     def test_train_and_metrics(self, tmp_path, corpus_file, capsys):
         ckpt = str(tmp_path / "model.ckpt")
@@ -295,6 +401,13 @@ class TestSynthValidate:
         with open(sp, "w") as f:
             json.dump([[1.0, 0.0], [1.0, 0.0]], f)
         assert main(["synth-validate", "--sites", sp, "--samples", "200000"]) == 2
+
+    @pytest.mark.parametrize("content", [b"\xff[[1.0, 0.0]]", b'[[1.0, 0.0], [1.0]]', b'[["a", "b"]]'])
+    def test_unreadable_sites_exit_2(self, tmp_path, content):
+        sp = str(tmp_path / "sites.json")
+        with open(sp, "wb") as f:
+            f.write(content)
+        assert main(["synth-validate", "--sites", sp, "--samples", "2000"]) == 2
 
     def test_circle2_passes(self, tmp_path):
         out = str(tmp_path / "verdict.json")

@@ -8,7 +8,7 @@ import pytest
 
 from marginlab import fileio
 from marginlab.errors import DataError, UsageError
-from marginlab.margins import MarginRecord
+from marginlab.margins import Audit, MarginRecord, compute_margins
 from marginlab.objectives import MrpConfig
 from marginlab.precision import emulate_bf16
 from marginlab.toylm import ToyLm, ToyLmConfig
@@ -81,6 +81,19 @@ class TestLogitsContainer:
         with pytest.raises(UsageError):
             fileio.write_logits(str(tmp_path / "x"), np.ones((2, 2)), dtype="f64")
 
+    @pytest.mark.parametrize("header", [
+        {"rows": "2", "cols": 2, "dtype": "f32", "layout": "row-major-le"},
+        {"rows": 2.0, "cols": 2, "dtype": "f32", "layout": "row-major-le"},
+        {"rows": 2, "cols": -2, "dtype": "f32", "layout": "row-major-le"},
+        [2, 2],
+    ])
+    def test_bad_header_is_data_error(self, tmp_path, header):
+        path = str(tmp_path / "bad.bin")
+        with open(path, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n" + b"\x00" * 16)
+        with pytest.raises(DataError):
+            fileio.read_logits(path)
+
 
 class TestAuditFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -116,6 +129,137 @@ class TestAuditFile:
     def test_source_date_epoch_controls_stamp(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert fileio.created_stamp() == "1970-01-01T00:00:00Z"
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+GOOD_RECORD = {"position_index": 1, "target_id": 4, "top1_id": 4, "top2_id": 5,
+               "margin": 0.5, "correct": True}
+
+
+def oracle_audit_text(header, recs):
+    """Audit JSONL as a per-record json.dumps(sort_keys=True) writer emits it."""
+    lines = [json.dumps(header, sort_keys=True)]
+    for r in recs:
+        lines.append(json.dumps({
+            "position_index": r.position_index, "target_id": r.target_id,
+            "top1_id": r.top1_id, "top2_id": r.top2_id,
+            "margin": r.margin, "correct": r.correct,
+        }, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def audit_with_line(tmp_path, line):
+    """An audit file whose second record (file line 3) is ``line``."""
+    first = dict(GOOD_RECORD, position_index=0)
+    last = dict(GOOD_RECORD, position_index=2)
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w") as f:
+        f.write(json.dumps({"version": 1, "count": 3}) + "\n")
+        f.write("\n".join([json.dumps(first), line, json.dumps(last)]) + "\n")
+    return path
+
+
+# Each breaks one rule of the record format: JSON types, then invariants.
+BAD_RECORD_LINES = {
+    "correct is an int": json.dumps(dict(GOOD_RECORD, correct=1)),
+    "correct is a string": json.dumps(dict(GOOD_RECORD, correct="true")),
+    "id is a float": json.dumps(dict(GOOD_RECORD, target_id=4.0)),
+    "id is a string": json.dumps(dict(GOOD_RECORD, top1_id="4")),
+    "id is a bool": json.dumps(dict(GOOD_RECORD, position_index=True)),
+    "id is null": json.dumps(dict(GOOD_RECORD, top2_id=None)),
+    "id beyond int64": json.dumps(dict(GOOD_RECORD, top2_id=2**63)),
+    "margin is a string": json.dumps(dict(GOOD_RECORD, margin="0.5")),
+    "margin is a bool": json.dumps(dict(GOOD_RECORD, margin=False)),
+    "missing key": json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "margin"}),
+    "not an object": "[1, 4, 4, 5, 0.5, true]",
+    "not JSON": "{position_index: 1}",
+    "two records on a line": json.dumps(GOOD_RECORD) + ", " + json.dumps(GOOD_RECORD),
+    "negative margin": json.dumps(dict(GOOD_RECORD, margin=-0.25)),
+    "NaN margin": json.dumps(dict(GOOD_RECORD, margin=float("nan"))),
+    "infinite margin": json.dumps(dict(GOOD_RECORD, margin=float("inf"))),
+    "top1 equals top2": json.dumps(dict(GOOD_RECORD, top2_id=4)),
+    "correct disagrees with top1 == target": json.dumps(dict(GOOD_RECORD, correct=False)),
+}
+
+
+class TestAuditRecordChecks:
+    @pytest.mark.parametrize("kind", sorted(BAD_RECORD_LINES))
+    def test_reader_names_the_bad_line(self, tmp_path, kind):
+        path = audit_with_line(tmp_path, BAD_RECORD_LINES[kind])
+        with pytest.raises(DataError, match="line 3"):
+            fileio.read_audit(path)
+
+    def test_good_line_reads(self, tmp_path):
+        audit, _ = fileio.read_audit(audit_with_line(tmp_path, json.dumps(GOOD_RECORD)))
+        assert audit[1] == MarginRecord(1, 4, 4, 5, 0.5, True)
+
+    def test_integer_margin_reads_as_float(self, tmp_path):
+        audit, _ = fileio.read_audit(audit_with_line(tmp_path, json.dumps(dict(GOOD_RECORD, margin=2))))
+        assert audit[1].margin == 2.0 and type(audit[1].margin) is float
+
+    def test_header_must_be_an_object(self, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        with open(path, "w") as f:
+            f.write("[1]\n")
+        with pytest.raises(DataError):
+            fileio.read_audit(path)
+
+    def test_non_utf8_is_data_error(self, tmp_path):
+        path = str(tmp_path / "audit.jsonl")
+        with open(path, "wb") as f:
+            f.write(b'{"version": 1, "count": 0}\n\xff\n')
+        with pytest.raises(DataError):
+            fileio.read_audit(path)
+
+    @pytest.mark.parametrize("change", [
+        {"margin": -0.25}, {"margin": float("nan")}, {"margin": float("inf")},
+        {"top2_id": 4}, {"correct": False},
+    ])
+    def test_writer_rejects_broken_invariants(self, tmp_path, change):
+        good = MarginRecord(**dict(GOOD_RECORD, position_index=0))
+        bad = MarginRecord(**dict(GOOD_RECORD, **change))
+        path = str(tmp_path / "audit.jsonl")
+        with pytest.raises(UsageError, match="record 1"):
+            fileio.write_audit(path, [good, bad])
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("change", [{"target_id": 4.5}, {"top1_id": True}, {"correct": 1}])
+    def test_writer_rejects_wrong_types(self, tmp_path, change):
+        bad = MarginRecord(**dict(GOOD_RECORD, **change))
+        with pytest.raises(UsageError):
+            fileio.write_audit(str(tmp_path / "audit.jsonl"), [bad])
+
+
+class TestAuditWriterBytes:
+    """The columnar writer against a per-record json.dumps oracle."""
+
+    @pytest.mark.parametrize("name", ["baseline_6.jsonl", "polished_6.jsonl"])
+    def test_fixture_bytes(self, tmp_path, name):
+        audit, header = fileio.read_audit(os.path.join(FIXTURES, name))
+        path = str(tmp_path / name)
+        fileio.write_audit(path, audit, dtype=header["dtype"], tau=header["tau"],
+                           seed=header["seed"], created=header["created"])
+        text = open(path).read()
+        assert text == oracle_audit_text(header, list(audit))
+        assert text == open(os.path.join(FIXTURES, name)).read()
+
+    def test_seeded_bf16_pair_with_ties_and_zero_margins(self, tmp_path):
+        rng = np.random.default_rng(404)
+        base = emulate_bf16(rng.normal(size=(3000, 64)).astype(np.float32))
+        base[:40, 7] = base[:40].max(axis=1)  # exact ties at the top
+        base[40] = -1.0
+        base[40, :2] = (-0.0, 0.0)  # margin -0.0, which json writes as "-0.0"
+        pol = emulate_bf16(base + np.float32(0.05) * rng.normal(size=base.shape).astype(np.float32))
+        targets = rng.integers(0, 64, size=3000)
+        for i, logits in enumerate((base, pol)):
+            audit = compute_margins(logits, targets)
+            assert np.count_nonzero(audit.margin == 0) >= 40
+            path = str(tmp_path / f"audit{i}.jsonl")
+            fileio.write_audit(path, audit, dtype="bf16", seed=3, created="2026-01-01T00:00:00Z")
+            _, header = fileio.read_audit(path)
+            assert open(path).read() == oracle_audit_text(header, list(audit))
+        assert '"margin": -0.0,' in open(str(tmp_path / "audit0.jsonl")).read()
 
 
 class TestCheckpoint:

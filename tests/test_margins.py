@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from marginlab import autodiff as ad
 from marginlab.errors import DataError, UsageError
 from marginlab.margins import (
+    Audit,
+    MarginRecord,
     compute_margins,
     margin_quantiles,
     nearest_rank_quantile,
@@ -197,3 +199,83 @@ class TestUniqueValueCount:
         rng = np.random.default_rng(5)
         vals = rng.choice([0.1, 0.2, 0.3, 1.5, 2.5], size=1000)
         assert unique_value_count(vals) == len(set(vals.tolist()))
+
+
+def sample_records(n=7):
+    rng = np.random.default_rng(21)
+    out = []
+    for i in range(n):
+        t1 = int(rng.integers(0, 9))
+        target = int(rng.integers(0, 9))
+        out.append(MarginRecord(i, target, t1, (t1 + 1) % 9, float(rng.exponential()), t1 == target))
+    return out
+
+
+class TestAudit:
+    def test_round_trip_through_records(self):
+        recs = sample_records()
+        audit = Audit.from_records(recs)
+        assert list(audit) == recs
+        assert Audit.from_records(audit) is audit
+        assert Audit.from_records(list(audit)) == audit
+
+    def test_column_dtypes(self):
+        audit = Audit.from_records(sample_records())
+        assert [c.dtype for c in audit.columns()] == [np.int64] * 4 + [np.float64, np.bool_]
+        empty = Audit.from_records([])
+        assert len(empty) == 0 and empty.target.dtype == np.int64
+
+    def test_indexing_gives_plain_python_rows(self):
+        recs = sample_records()
+        audit = Audit.from_records(recs)
+        assert audit[0] == recs[0] and audit[-1] == recs[-1]
+        row = audit[2]
+        assert (type(row.top1_id), type(row.margin), type(row.correct)) == (int, float, bool)
+        with pytest.raises(IndexError):
+            audit[len(recs)]
+
+    def test_slice_and_concatenation(self):
+        recs = sample_records()
+        audit = Audit.from_records(recs)
+        assert isinstance(audit[1:3], Audit) and audit[1:3] == recs[1:3]
+        assert [recs[0]] + audit[1:] == recs
+        assert Audit.concat([audit[:3], recs[3:]]) == audit
+
+    def test_eq_is_one_bool(self):
+        recs = sample_records()
+        audit = Audit.from_records(recs)
+        assert (audit == recs) is True
+        assert (recs == audit) is True
+        assert (audit == Audit.from_records(recs)) is True
+        assert (audit == recs[:-1]) is False
+        assert (audit == [1, 2, 3]) is False
+        assert (audit == 3) is False
+
+    @pytest.mark.parametrize("column", ["position", "target", "top1", "top2", "margin", "correct"])
+    def test_unequal_in_any_column(self, column):
+        audit = Audit.from_records(sample_records())
+        cols = {name: getattr(audit, name).copy() for name in
+                ("position", "target", "top1", "top2", "margin", "correct")}
+        cols[column][3] = not cols[column][3] if column == "correct" else cols[column][3] + 1
+        assert (Audit(**cols) == audit) is False
+
+    @pytest.mark.parametrize("change", [
+        {"target": [0.5, 1.0]}, {"top1": [True, False]}, {"correct": [1, 0]},
+        {"margin": ["a", "b"]}, {"position": [0]}, {"top2": [[1, 2]]},
+    ])
+    def test_bad_columns_are_usage_errors(self, change):
+        cols = dict(position=[0, 1], target=[1, 2], top1=[1, 0], top2=[2, 1],
+                    margin=[0.5, 0.25], correct=[True, False])
+        with pytest.raises(UsageError):
+            Audit(**dict(cols, **change))
+
+    def test_first_invalid(self):
+        recs = sample_records()
+        assert Audit.from_records(recs).first_invalid() is None
+        broken = recs[:4] + [MarginRecord(4, 1, 2, 2, 0.5, False)] + recs[5:]
+        assert Audit.from_records(broken).first_invalid() == 4
+
+    def test_compute_margins_columns(self):
+        rows = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 2.0]], dtype=np.float32)
+        audit = compute_margins(rows, [0, 0])
+        assert audit == [MarginRecord(0, 0, 0, 1, 2.0, True), MarginRecord(1, 0, 1, 2, 0.0, False)]

@@ -79,6 +79,22 @@ class TestEmulateBf16:
     def test_scalar_in_scalar_out(self):
         assert isinstance(emulate_bf16(2.5), float)
 
+    def test_every_bit_class_matches_fieldwise_rne(self):
+        """Random float32 bit patterns (NaN payloads, infinities, subnormals,
+        the largest finite values) against field-wise RNE on the integers."""
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2**32, size=200_000, dtype=np.uint64).astype(np.uint32)
+        bits[:4] = (0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0x7FC00001)
+        keep = (bits >> 16).astype(np.uint64)
+        dropped = bits & 0xFFFF
+        up = (dropped > 0x8000) | ((dropped == 0x8000) & (keep & 1 == 1))
+        special = (bits >> 23) & 0xFF == 0xFF
+        want = np.where(special, bits, ((keep + up) << 16).astype(np.uint32))
+        before = bits.copy()
+        got = emulate_bf16(bits.view(np.float32)).view(np.uint32)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(bits, before)  # the input is not written
+
 
 class TestRecomputeFp32:
     def test_identity_projection(self):

@@ -137,3 +137,21 @@ class TestClassAudit:
         base = [rec(0, 1, 1)]
         with pytest.raises(DataError):
             class_audit(base, base, [])
+
+    def test_classifies_each_distinct_text_once(self, monkeypatch):
+        import marginlab.tokenclass as tokenclass
+
+        calls = []
+        original = tokenclass.classify_token
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(tokenclass, "classify_token", counting)
+        pool = [",", "the", "Paris", "word", "3.14", "x3"]
+        base = [rec(i, i % 10, (i * 7) % 10) for i in range(600)]
+        texts = [pool[i % len(pool)] for i in range(600)]
+        audit = class_audit(base, base, texts)
+        assert sorted(calls) == sorted(pool)
+        assert sum(r.count for r in audit.rows) == 600
