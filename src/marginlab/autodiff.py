@@ -16,6 +16,8 @@ Design notes:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalError, UsageError
@@ -32,18 +34,15 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "softmax",
+    "causal_attention",
     "log_softmax_gather",
     "topk_values_gather",
     "gather_rows",
     "l2_normalize_rows",
-    "sqrt_clamped",
     "mean",
     "total",
     "masked_mean",
     "transpose",
-    "slice_cols",
-    "concat_cols",
     "relu",
     "grad_check",
 ]
@@ -215,20 +214,44 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.values * c, (a,), backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis (1-D or 2-D input)."""
-    xv = x.values
-    if xv.ndim not in (1, 2):
-        raise UsageError("softmax supports 1-D and 2-D input")
-    shifted = xv - xv.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head causal self-attention over [T, d] projections, one node.
+
+    Columns are split into ``heads`` blocks of d / heads; every head runs
+    in one [heads, T, T] batch: scores q k^T / sqrt(d / heads), an
+    additive -inf mask above the diagonal, row softmax, then times v.  The
+    output is the heads' results side by side, [T, d].
+    """
+    qv, kv, vv = q.values, k.values, v.values
+    if qv.ndim != 2 or qv.shape != kv.shape or qv.shape != vv.shape:
+        raise UsageError(f"q, k, v must be equal [T, d], got {qv.shape}, {kv.shape}, {vv.shape}")
+    t, d = qv.shape
+    if heads < 1 or d % heads:
+        raise UsageError(f"d={d} does not split into {heads} heads")
+    hd = d // heads
+    c = 1.0 / math.sqrt(hd)
+
+    def split(x):  # [T, d] -> [heads, T, hd] view
+        return x.reshape(t, heads, hd).transpose(1, 0, 2)
+
+    qh, vh = split(qv), split(vv)
+    # A contiguous k^T: each head's q k^T then rounds exactly like a 2-D
+    # matmul of that head's columns (a strided view may take another gemm path).
+    kt = np.ascontiguousarray(kv.T).reshape(heads, hd, t)
+    scores = (qh @ kt) * c + np.triu(np.full((t, t), -np.inf), 1)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
+    out = (p @ vh).transpose(1, 0, 2).reshape(t, d)
 
     def backward(g):
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        _accumulate(x, p * (g - dot))
+        gh = split(g)
+        dp = gh @ vh.transpose(0, 2, 1)
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * c
+        _accumulate(q, (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(t, d))
+        _accumulate(k, (qh.transpose(0, 2, 1) @ ds).reshape(d, t).T)
+        _accumulate(v, (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(t, d))
 
-    return _make(p, (x,), backward)
+    return _make(out, (q, k, v), backward)
 
 
 def log_softmax_gather(x: Tensor, indices) -> Tensor:
@@ -316,24 +339,6 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return _make(u, (x,), backward)
 
 
-def sqrt_clamped(x: Tensor, floor: float) -> Tensor:
-    """Elementwise sqrt(max(x, floor)); floor > 0 keeps gradients finite.
-
-    Where the clamp is active the gradient is exactly zero.
-    """
-    if floor <= 0:
-        raise UsageError("floor must be positive")
-    xv = x.values
-    clamped = np.maximum(xv, floor)
-    out = np.sqrt(clamped)
-    open_region = xv > floor
-
-    def backward(g):
-        _accumulate(x, g * open_region * 0.5 / out)
-
-    return _make(out, (x,), backward)
-
-
 def mean(x: Tensor) -> Tensor:
     n = x.values.size
     if n == 0:
@@ -381,33 +386,6 @@ def transpose(m: Tensor) -> Tensor:
         _accumulate(m, g.T)
 
     return _make(m.values.T.copy(), (m,), backward)
-
-
-def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    xv = x.values
-    if xv.ndim != 2 or not 0 <= lo < hi <= xv.shape[1]:
-        raise UsageError(f"bad column slice [{lo}:{hi}] for shape {xv.shape}")
-
-    def backward(g):
-        dx = np.zeros_like(xv)
-        dx[:, lo:hi] = g
-        _accumulate(x, dx)
-
-    return _make(xv[:, lo:hi].copy(), (x,), backward)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise UsageError("concat_cols of nothing")
-    widths = [p.values.shape[1] for p in parts]
-
-    def backward(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[:, off : off + w])
-            off += w
-
-    return _make(np.concatenate([p.values for p in parts], axis=1), tuple(parts), backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -242,9 +242,14 @@ def read_audit(path: str) -> tuple[Audit, dict]:
     to name the bad line in the ``DataError``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = [ln for ln in f.read().splitlines() if ln]
+            file_lines = f.read().splitlines()
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
+    lines = [ln for ln in file_lines if ln]
+
+    def line_of(record: int) -> int:  # file line number, blank lines counted
+        return [n for n, ln in enumerate(file_lines, 1) if ln][record + 1]
+
     if not lines:
         raise DataError(f"{path}: empty audit file")
     try:
@@ -274,13 +279,13 @@ def read_audit(path: str) -> tuple[Audit, dict]:
                 _audit_of([json.loads(ln)])
             except (ValueError, KeyError, TypeError, UsageError) as line_error:
                 raise DataError(
-                    f"{path}: bad record on line {i + 2}: {line_error!r}"
+                    f"{path}: bad record on line {line_of(i)}: {line_error!r}"
                 ) from line_error
         raise DataError(f"{path}: bad records: {e!r}") from e
     bad = audit.first_invalid()
     if bad is not None:
         raise DataError(
-            f"{path}: bad record on line {bad + 2}: {audit[bad]} breaks {_INVARIANTS}"
+            f"{path}: bad record on line {line_of(bad)}: {audit[bad]} breaks {_INVARIANTS}"
         )
     return audit, header
 
@@ -290,11 +295,14 @@ def read_audit(path: str) -> tuple[Audit, dict]:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path: str, model: ToyLm, step: int = 0, train_config: dict | None = None) -> None:
-    manifest = [
+def _manifest(model: ToyLm) -> list[dict]:
+    return [
         {"name": name, "shape": list(p.values.shape), "dtype": "<f8"}
         for name, p in model.params.items()
     ]
+
+
+def save_checkpoint(path: str, model: ToyLm, step: int = 0, train_config: dict | None = None) -> None:
     header = {
         "version": CHECKPOINT_VERSION,
         "kind": "marginlab-checkpoint",
@@ -302,15 +310,18 @@ def save_checkpoint(path: str, model: ToyLm, step: int = 0, train_config: dict |
         "seed": model.seed,
         "step": int(step),
         "train_config": train_config,
-        "params": manifest,
+        "params": _manifest(model),
     }
     blob = bytearray(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-    for name, p in model.params.items():
+    for p in model.params.values():
         blob += np.ascontiguousarray(p.values, dtype="<f8").tobytes()
     atomic_write_bytes(path, bytes(blob))
 
 
 def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
+    """Returns (model, header).  The config, seed and parameter manifest
+    must be what ``save_checkpoint`` writes for such a model, the payload
+    exactly its parameters' bytes, and every value finite."""
     with open(path, "rb") as f:
         raw = f.read()
     nl = raw.find(b"\n")
@@ -320,31 +331,33 @@ def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: unparseable checkpoint header: {e}") from e
-    if header.get("kind") != "marginlab-checkpoint":
+    if not isinstance(header, dict) or header.get("kind") != "marginlab-checkpoint":
         raise DataError(f"{path}: not a marginlab checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: checkpoint version {header.get('version')!r} is not "
             f"{CHECKPOINT_VERSION}"
         )
-    config = ToyLmConfig(**header["config"])
-    model = ToyLm(config, seed=int(header["seed"]))
-    offset = nl + 1
-    for entry in header["params"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        n_bytes = int(np.prod(shape)) * 8
-        block = raw[offset : offset + n_bytes]
-        if len(block) != n_bytes:
-            raise DataError(f"{path}: truncated parameter block {name!r}")
-        if name not in model.params or model.params[name].values.shape != shape:
-            raise DataError(f"{path}: unexpected parameter {name!r} of shape {shape}")
-        model.params[name].values = (
-            np.frombuffer(block, dtype="<f8").reshape(shape).copy()
-        )
-        offset += n_bytes
-    if offset != len(raw):
-        raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
+    config, seed = header.get("config"), header.get("seed")
+    field_types = {key: type(v) for key, v in asdict(ToyLmConfig()).items()}
+    if not isinstance(config, dict) or {k: type(v) for k, v in config.items()} != field_types:
+        raise DataError(f"{path}: checkpoint config {config!r} does not match ToyLmConfig's fields and types")
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{path}: checkpoint seed {seed!r} is not a non-negative integer")
+    try:
+        model = ToyLm(ToyLmConfig(**config), seed=seed)
+    except UsageError as e:
+        raise DataError(f"{path}: bad checkpoint config: {e}") from e
+    if header.get("params") != _manifest(model):
+        raise DataError(f"{path}: parameter manifest does not match the config's parameters")
+    sizes = [p.values.size for p in model.params.values()]
+    if len(raw) - nl - 1 != 8 * sum(sizes):
+        raise DataError(f"{path}: payload is {len(raw) - nl - 1} bytes, expected {8 * sum(sizes)}")
+    blocks = np.split(np.frombuffer(raw, dtype="<f8", offset=nl + 1), np.cumsum(sizes)[:-1])
+    for (name, p), block in zip(model.params.items(), blocks):
+        if not np.isfinite(block).all():
+            raise DataError(f"{path}: parameter {name!r} has non-finite values")
+        p.values = block.reshape(p.values.shape).copy()
     return model, header
 
 

@@ -101,7 +101,7 @@ def _check_logits(logits: Tensor) -> None:
 def row_margins(logits: Tensor) -> Tensor:
     """Differentiable per-row margin (top-1 minus top-2 logit), shape [R, 1]."""
     top2, _ = ad.topk_values_gather(logits, 2)
-    return ad.sub(ad.slice_cols(top2, 0, 1), ad.slice_cols(top2, 1, 2))
+    return ad.matmul(top2, ad.constant([[1.0], [-1.0]]))
 
 
 def margin_loss(logit_rows, tau: float) -> Tensor:

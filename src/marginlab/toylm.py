@@ -2,6 +2,9 @@
 
 Two blocks of multi-head causal attention plus a ReLU MLP, with
 parameter-free row-normalization layers (unit rows rescaled by sqrt(d)).
+A block's heads are not looped over: ``autodiff.causal_attention`` runs
+them as one [heads, T, T] batch and records one tape node, so a forward
+pass records a fixed 14 nodes per layer plus 7 for the embedding and head.
 With ``tied_embeddings=True`` (the default) the input embedding and the
 output projection are one shared matrix, so its gradient collects
 contributions from both uses.
@@ -108,32 +111,22 @@ class ToyLm:
             bad = int(ids[(ids < 0) | (ids >= cfg.vocab_size)][0])
             raise DataError(f"token id {bad} outside vocabulary of size {cfg.vocab_size}")
 
-        t, d, n_heads = ids.size, cfg.hidden_dim, cfg.heads
-        hd = d // n_heads
+        t, d = ids.size, cfg.hidden_dim
         x = ad.add(
             ad.gather_rows(self.params["embedding"], ids),
             ad.gather_rows(self.params["pos"], np.arange(t)),
         )
-        causal = ad.constant(np.triu(np.full((t, t), -1e9), k=1))
 
         hiddens: list[np.ndarray] = []
         for i in range(cfg.layers):
             h = _norm(x, d)
-            q = ad.matmul(h, self.params[f"layer{i}.wq"])
-            k = ad.matmul(h, self.params[f"layer{i}.wk"])
-            v = ad.matmul(h, self.params[f"layer{i}.wv"])
-            head_outs = []
-            for j in range(n_heads):
-                lo, hi = j * hd, (j + 1) * hd
-                qj = ad.slice_cols(q, lo, hi)
-                kj = ad.slice_cols(k, lo, hi)
-                vj = ad.slice_cols(v, lo, hi)
-                scores = ad.add(
-                    ad.scale(ad.matmul(qj, ad.transpose(kj)), 1.0 / math.sqrt(hd)),
-                    causal,
-                )
-                head_outs.append(ad.matmul(ad.softmax(scores), vj))
-            attn = ad.matmul(ad.concat_cols(head_outs), self.params[f"layer{i}.wo"])
+            attended = ad.causal_attention(
+                ad.matmul(h, self.params[f"layer{i}.wq"]),
+                ad.matmul(h, self.params[f"layer{i}.wk"]),
+                ad.matmul(h, self.params[f"layer{i}.wv"]),
+                cfg.heads,
+            )
+            attn = ad.matmul(attended, self.params[f"layer{i}.wo"])
             x = ad.add(x, attn)
 
             h2 = _norm(x, d)

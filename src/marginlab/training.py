@@ -264,11 +264,8 @@ def layer_scan(model: ToyLm, corpus_tokens, tau: float = 0.5) -> list[LayerScanR
     ce_pool: list[np.ndarray] = []
     for chunk in chunks:
         logits, hiddens = model.forward(chunk)
-        targets = chunk[1:]
-        rows = logits.values[:-1]
-        shifted = rows - rows.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        ce_pool.append(lse - shifted[np.arange(rows.shape[0]), targets])
+        rows = ad.constant(logits.values[:-1])
+        ce_pool.append(-ad.log_softmax_gather(rows, chunk[1:]).values)
         for li, h in enumerate(hiddens):
             virt = model.project_hidden(h[:-1])
             per_layer_margins[li].append(top2_stats(virt)[2])

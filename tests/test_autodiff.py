@@ -35,45 +35,11 @@ class TestPrimitiveGradients:
             [rng.normal(size=5), rng.normal(size=5)],
         )
 
-    def test_softmax_symmetric_two_case(self):
-        with ad.Tape() as tape:
-            x = ad.parameter([0.0, 0.0])
-            p = ad.softmax(x)
-            np.testing.assert_allclose(p.values, [0.5, 0.5])
-            first = ad.matmul(p, ad.constant([1.0, 0.0]))
-            tape.backward(first)
-        # d p0 / d x0 = p0 (1 - p0) = 0.25
-        np.testing.assert_allclose(x.grad, [0.25, -0.25], atol=1e-12)
-
-    def test_softmax_grad(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 6))
-        w = rng.normal(size=6)
-        _finite_diff_ok(
-            lambda p: ad.mean(ad.matmul(p[0], ad.constant(w))), [x]
-        )
-
     def test_log_softmax_gather(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 7))
         idx = rng.integers(0, 7, size=5)
         _finite_diff_ok(lambda p: ad.mean(ad.log_softmax_gather(p[0], idx)), [x])
-
-    def test_sqrt_clamped_at_zero(self):
-        with ad.Tape() as tape:
-            x = ad.parameter([0.0, 4.0])
-            y = ad.sqrt_clamped(x, 1e-8)
-            np.testing.assert_allclose(y.values, [1e-4, 2.0])
-            out = ad.total(y)
-            tape.backward(out)
-        assert np.isfinite(x.grad).all()
-        assert x.grad[0] == 0.0  # clamp active: zero gradient
-        assert x.grad[1] == pytest.approx(0.25)
-
-    def test_sqrt_clamped_grad(self):
-        rng = np.random.default_rng(5)
-        x = rng.uniform(0.5, 3.0, size=(3, 3))
-        _finite_diff_ok(lambda p: ad.mean(ad.sqrt_clamped(p[0], 1e-8)), [x])
 
     def test_l2_normalize_rows_grad(self):
         rng = np.random.default_rng(6)
@@ -87,14 +53,9 @@ class TestPrimitiveGradients:
     def test_masked_mean_and_slicing(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 4))
-        mask = rng.random(size=(5, 1)) > 0.4
-        _finite_diff_ok(
-            lambda p: ad.masked_mean(ad.slice_cols(p[0], 0, 1), mask), [x]
-        )
-        _finite_diff_ok(
-            lambda p: ad.mean(ad.concat_cols([ad.slice_cols(p[0], 2, 4), ad.relu(p[0])])),
-            [x],
-        )
+        mask = rng.random(size=(5, 4)) > 0.4
+        _finite_diff_ok(lambda p: ad.masked_mean(p[0], mask), [x])
+        _finite_diff_ok(lambda p: ad.mean(ad.relu(p[0])), [x])
 
     def test_mul_scale_sub(self):
         rng = np.random.default_rng(10)
@@ -112,8 +73,9 @@ class TestPrimitiveGradients:
 
 
 class TestPrimitiveSweep:
-    """Every primitive, and the fused fisher_loss node, against central
-    differences: 100 seeded instances in double precision."""
+    """Every primitive, and the fused causal_attention and fisher_loss
+    nodes, against central differences: 100 seeded instances in double
+    precision."""
 
     def test_hundred_seeded_instances(self):
         rng = np.random.default_rng(2024)
@@ -124,7 +86,8 @@ class TestPrimitiveSweep:
             b = rng.normal(size=(n, k))
             w = rng.normal(size=n)
             sq = rng.normal(size=(n, n))
-            pos = rng.uniform(0.2, 2.0, size=(m, n))
+            qkv = list(rng.normal(size=(3, m, 2 * n)))
+            w2 = rng.normal(size=2 * n)
             mask = rng.random(size=(m, n)) > 0.5
             idx = rng.integers(0, n, size=m)
             cases.extend(
@@ -134,16 +97,21 @@ class TestPrimitiveSweep:
                     (lambda p: ad.mean(ad.mul(p[0], p[1])), [a, a * 0.5 + 2.0]),
                     (lambda p: ad.total(ad.scale(ad.sub(p[0], p[1]), 1.7)), [a, 2 * a]),
                     (
-                        lambda p, w=w: ad.mean(
-                            ad.matmul(ad.softmax(p[0]), ad.constant(w))
+                        lambda p, w2=w2: ad.mean(
+                            ad.matmul(ad.causal_attention(*p, 1), ad.constant(w2))
                         ),
-                        [a],
+                        qkv,
                     ),
                     (
                         lambda p, idx=idx: ad.mean(ad.log_softmax_gather(p[0], idx)),
                         [a],
                     ),
-                    (lambda p: ad.mean(ad.sqrt_clamped(p[0], 1e-8)), [pos]),
+                    (
+                        lambda p, w2=w2: ad.mean(
+                            ad.matmul(ad.causal_attention(*p, 2), ad.constant(w2))
+                        ),
+                        qkv,
+                    ),
                     (
                         lambda p, w=w: ad.mean(
                             ad.matmul(ad.l2_normalize_rows(p[0]), ad.constant(w))
@@ -159,6 +127,60 @@ class TestPrimitiveSweep:
         for fn, arrays in cases:
             worst = max(worst, ad.grad_check(fn, arrays))
         assert worst < 1e-4, f"worst primitive grad error {worst}"
+
+
+def attention_reference(q, k, v, heads):
+    """Per-head loop over column blocks: masked scores, softmax, times v."""
+    t, d = q.shape
+    hd = d // heads
+    out = np.empty_like(q)
+    for j in range(heads):
+        cols = slice(j * hd, (j + 1) * hd)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(hd)
+        scores[np.triu_indices(t, 1)] = -np.inf
+        p = np.exp(scores - scores.max(axis=1, keepdims=True))
+        out[:, cols] = p / p.sum(axis=1, keepdims=True) @ v[:, cols]
+    return out
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", range(2, 8))
+    def test_gradient_matches_finite_differences(self, t, heads):
+        rng = np.random.default_rng(100 * t + heads)
+        d = heads * int(rng.integers(1, 4))
+        w = rng.normal(size=(t, d))
+        _finite_diff_ok(
+            lambda p: ad.total(ad.mul(ad.causal_attention(*p, heads), ad.constant(w))),
+            list(rng.normal(size=(3, t, d))),
+            step=1e-6,
+        )
+
+    @pytest.mark.parametrize("t,heads", [(1, 1), (2, 4), (9, 3), (96, 2)])
+    def test_matches_per_head_reference(self, t, heads):
+        q, k, v = np.random.default_rng(t).normal(size=(3, t, 8 * heads))
+        out = ad.causal_attention(ad.constant(q), ad.constant(k), ad.constant(v), heads)
+        np.testing.assert_allclose(out.values, attention_reference(q, k, v, heads), rtol=0, atol=1e-12)
+
+    def test_future_rows_get_no_gradient(self):
+        q, k, v = (ad.parameter(a) for a in np.random.default_rng(7).normal(size=(3, 5, 4)))
+        row1 = np.zeros((5, 4))
+        row1[1] = 1.0
+        with ad.Tape() as tape:
+            out = ad.causal_attention(q, k, v, 2)
+            tape.backward(ad.total(ad.mul(out, ad.constant(row1))))
+        # output row 1 attends to positions 0 and 1: later rows get exactly zero
+        assert q.grad[1].all() and k.grad[:2].all() and v.grad[:2].all()
+        assert not q.grad[2:].any() and not k.grad[2:].any() and not v.grad[2:].any()
+
+    def test_bad_shapes_are_usage_errors(self):
+        x = ad.constant(np.ones((4, 6)))
+        with pytest.raises(UsageError):
+            ad.causal_attention(x, x, x, 4)
+        with pytest.raises(UsageError):
+            ad.causal_attention(x, ad.constant(np.ones((3, 6))), x, 2)
+        with pytest.raises(UsageError):
+            ad.causal_attention(ad.constant(np.ones(6)), x, x, 1)
 
 
 class TestTopK:
@@ -203,7 +225,7 @@ class TestTapeSemantics:
         for _ in range(2):
             with ad.Tape() as tape:
                 a = ad.parameter(a0)
-                out = ad.mean(ad.matmul(ad.softmax(a), ad.transpose(a)))
+                out = ad.mean(ad.matmul(ad.causal_attention(a, a, a, 2), ad.transpose(a)))
                 tape.backward(out)
             grads.append(a.grad.copy())
         assert np.array_equal(grads[0], grads[1])

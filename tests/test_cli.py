@@ -9,6 +9,7 @@ import pytest
 from marginlab import fileio
 from marginlab.cli import main
 from marginlab.margins import MarginRecord
+from marginlab.toylm import ToyLm, ToyLmConfig
 
 
 @pytest.fixture(autouse=True)
@@ -459,6 +460,48 @@ class TestLayerScanCommand:
         with open(ckpt, "wb") as f:
             f.write(json.dumps(header, sort_keys=True).encode() + b"\n" + raw[nl + 1:])
         assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 2
+
+
+def _omit_last_param(header, payload):
+    last = header["params"].pop()
+    return header, payload[: -8 * int(np.prod(last["shape"]))]
+
+
+def _nan_first_value(header, payload):
+    return header, np.array([np.nan], "<f8").tobytes() + payload[8:]
+
+
+# Each breaks the checkpoint format one way; all must exit 2 at load time.
+BAD_CHECKPOINTS = {
+    "header is a list": (lambda h, p: ([1], p), "not a marginlab checkpoint"),
+    "unknown config key": (
+        lambda h, p: ({**h, "config": {**h["config"], "dropout": 0.1}}, p),
+        "fields and types",
+    ),
+    "no params": (
+        lambda h, p: ({k: v for k, v in h.items() if k != "params"}, p),
+        "manifest does not match",
+    ),
+    "manifest omits a parameter": (_omit_last_param, "manifest does not match"),
+    "NaN parameter value": (_nan_first_value, "non-finite values"),
+}
+
+
+class TestBadCheckpoints:
+    @pytest.mark.parametrize("kind", sorted(BAD_CHECKPOINTS))
+    def test_layer_scan_exits_2(self, tmp_path, corpus_file, capsys, kind):
+        cfg = ToyLmConfig(vocab_size=16, hidden_dim=16, layers=1, heads=2, context=12)
+        ckpt = str(tmp_path / "model.ckpt")
+        fileio.save_checkpoint(ckpt, ToyLm(cfg, seed=0))
+        raw = open(ckpt, "rb").read()
+        nl = raw.find(b"\n")
+        assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "ok.csv")]) == 0
+        breaker, message = BAD_CHECKPOINTS[kind]
+        header, payload = breaker(json.loads(raw[:nl]), raw[nl + 1 :])
+        with open(ckpt, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n" + payload)
+        assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestUsageErrors:

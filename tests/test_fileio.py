@@ -190,6 +190,16 @@ class TestAuditRecordChecks:
         with pytest.raises(DataError, match="line 3"):
             fileio.read_audit(path)
 
+    @pytest.mark.parametrize("kind", ["not JSON", "top1 equals top2"])
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path, kind):
+        recs = [json.dumps(dict(GOOD_RECORD, position_index=i)) for i in range(2)]
+        path = str(tmp_path / "blanks.jsonl")
+        with open(path, "w") as f:
+            f.write("\n".join([json.dumps({"version": 1, "count": 3}), recs[0], "", "",
+                               recs[1], BAD_RECORD_LINES[kind]]) + "\n")
+        with pytest.raises(DataError, match="on line 6:"):
+            fileio.read_audit(path)
+
     def test_good_line_reads(self, tmp_path):
         audit, _ = fileio.read_audit(audit_with_line(tmp_path, json.dumps(GOOD_RECORD)))
         assert audit[1] == MarginRecord(1, 4, 4, 5, 0.5, True)
@@ -311,6 +321,38 @@ class TestCheckpoint:
         raw = open(path, "rb").read()
         with open(path, "wb") as f:
             f.write(raw[:-16])
+        with pytest.raises(DataError):
+            fileio.load_checkpoint(path)
+
+
+# Header edits that break a checkpoint; each must be a DataError on load.
+BAD_CHECKPOINT_HEADERS = {
+    "config value of the wrong type": lambda h: h["config"].update(heads=2.0),
+    "config bool for an int": lambda h: h["config"].update(layers=True),
+    "config that breaks ToyLmConfig": lambda h: h["config"].update(heads=3),
+    "config missing a key": lambda h: h["config"].pop("context"),
+    "seed is a string": lambda h: h.update(seed="5"),
+    "negative seed": lambda h: h.update(seed=-1),
+    "params is an object": lambda h: h.update(params={}),
+    "param entry not an object": lambda h: h["params"].insert(0, "embedding"),
+    "param name not a string": lambda h: h["params"][0].update(name=["embedding"]),
+    "param repeated": lambda h: h["params"].insert(1, h["params"][0]),
+    "param of another dtype": lambda h: h["params"][0].update(dtype="<f4"),
+}
+
+
+class TestCheckpointHeaderChecks:
+    @pytest.mark.parametrize("kind", sorted(BAD_CHECKPOINT_HEADERS))
+    def test_data_error(self, tmp_path, kind):
+        cfg = ToyLmConfig(vocab_size=32, hidden_dim=16, layers=1, heads=2, context=8)
+        path = str(tmp_path / "model.ckpt")
+        fileio.save_checkpoint(path, ToyLm(cfg, seed=0), step=0)
+        raw = open(path, "rb").read()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        BAD_CHECKPOINT_HEADERS[kind](header)
+        with open(path, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n" + raw[nl + 1 :])
         with pytest.raises(DataError):
             fileio.load_checkpoint(path)
 

@@ -14,7 +14,9 @@ from marginlab.objectives import (
     fisher_distance,
     fisher_loss,
     margin_loss,
+    row_margins,
 )
+from marginlab.margins import top2_stats
 
 FLOOR = 1e-8
 
@@ -92,6 +94,20 @@ class TestMarginLoss:
             assert margin_loss(rows, tau).item() == pytest.approx(
                 oracle_margin_loss(rows, tau), abs=1e-12
             )
+
+    def test_row_margins_exact_with_ties(self):
+        rows = np.round(np.random.default_rng(5).normal(size=(300, 6)), 1)
+        rows[:3] = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]  # tied top pair
+        x = ad.parameter(rows)
+        with ad.Tape() as tape:
+            m = row_margins(x)
+            tape.backward(ad.total(m))
+        top1, top2, margin = top2_stats(rows)
+        assert np.array_equal(m.values[:, 0], margin)
+        expected = np.zeros_like(rows)
+        expected[np.arange(300), top1] = 1.0
+        expected[np.arange(300), top2] = -1.0
+        assert np.array_equal(x.grad, expected)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)

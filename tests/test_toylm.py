@@ -85,6 +85,15 @@ class TestForward:
         with pytest.raises(UsageError):
             ToyLm(CFG, seed=0).forward(np.arange(17) % 60)
 
+    def test_one_attention_node_per_layer(self):
+        model = ToyLm(ToyLmConfig(), seed=0)
+        tokens = np.random.default_rng(0).integers(0, 512, size=96)
+        with ad.Tape() as tape:
+            model.forward(tokens)
+        ops = [backward.__qualname__.split(".")[0] for _, backward in tape._nodes]
+        assert ops.count("causal_attention") == model.config.layers
+        assert len(tape) == 35
+
     def test_causal_masking(self):
         # changing a future token must not change earlier logit rows
         model = ToyLm(CFG, seed=0)
