@@ -6,6 +6,10 @@ the cases where a dense deterministic oracle for the linear coefficient
 is tractable.  Points h on the manifold get logits ``sites @ h``; the
 margin field is then fully known, so the fitted gap curve can be checked
 against direct counting.
+
+Points are ``[d, n]`` blocks, so logits ``sites @ points`` are column-major
+and only their margins are kept.  The oracle streams its grid in blocks
+of ``_CHUNK`` points, so its memory does not grow with grid size.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError, UsageError
 from .gapfit import GapFit, GridSpec, fit_gap_curve
-from .margins import top2_stats
+# top2_stats stays a name of this module: bench/tracing.py patches it here.
+from .margins import column_margins, top2_stats  # noqa: F401
 
 __all__ = [
     "ManifoldSpec",
@@ -34,7 +39,8 @@ __all__ = [
 
 SAMPLERS = ("circle_uniform", "square_uniform")
 
-_CHUNK = 500_000
+# Points per block; blocks of a few MiB ran the oracle faster than 500K-point ones.
+_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,6 @@ class ManifoldSpec:
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
             raise UsageError(f"sampler must be one of {SAMPLERS}")
-        if self.intrinsic_dim not in (1, 2):
-            raise UsageError("intrinsic_dim must be 1 or 2")
         expected = 1 if self.sampler == "circle_uniform" else 2
         if self.intrinsic_dim != expected:
             raise UsageError(
@@ -84,61 +88,59 @@ class ScalingVerdict:
     gradient_floor: float
 
 
-def _embed_circle(theta: np.ndarray, d: int) -> np.ndarray:
-    pts = np.zeros((theta.size, d))
-    pts[:, 0] = np.cos(theta)
-    pts[:, 1] = np.sin(theta)
+def _embed(spec: ManifoldSpec, coords: np.ndarray) -> np.ndarray:
+    """Points ``[d, n]`` at intrinsic coordinates ``[k, n]``: rows (cos theta,
+    sin theta) on the circle or (u, v) on the square, zero-padded to d."""
+    pts = np.zeros((spec.ambient_dim, coords.shape[1]))
+    pts[:2] = (np.cos(coords[0]), np.sin(coords[0])) if spec.intrinsic_dim == 1 else coords
     return pts
 
 
-def _embed_square(uv: np.ndarray, d: int) -> np.ndarray:
-    pts = np.zeros((uv.shape[0], d))
-    pts[:, :2] = uv
-    return pts
-
-
-def _margins_of_points(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _CHUNK):
-        block = points[start : start + _CHUNK]
-        _, _, m = top2_stats(block @ sites.T)
-        out[start : start + block.shape[0]] = m
+def _margins(spec: ManifoldSpec, points: np.ndarray, start: int = 0) -> np.ndarray:
+    """Margins of points ``[d, n]``, ``_CHUNK`` columns at a time; a
+    non-finite logit is named by its index counted from ``start``."""
+    out = np.empty(points.shape[1])
+    # Overflow gives a DataError (non-finite logit) or an inf margin, not a warning.
+    with np.errstate(over="ignore"):
+        for a in range(0, points.shape[1], _CHUNK):
+            out[a : a + _CHUNK] = column_margins(spec.sites @ points[:, a : a + _CHUNK], start + a)
     return out
 
 
 def generate(spec: ManifoldSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sample the manifold; returns (points [n, d], margins [n])."""
     rng = np.random.default_rng(seed)
-    n, d = spec.sample_count, spec.ambient_dim
     if spec.sampler == "circle_uniform":
-        points = _embed_circle(rng.uniform(0.0, 2.0 * math.pi, n), d)
+        coords = rng.uniform(0.0, 2.0 * math.pi, (1, spec.sample_count))
     else:
-        points = _embed_square(rng.uniform(-1.0, 1.0, (n, 2)), d)
-    return points, _margins_of_points(points, spec.sites)
+        coords = rng.uniform(-1.0, 1.0, (spec.sample_count, 2)).T
+    points = _embed(spec, coords)
+    return points.T, _margins(spec, points)
 
 
-def _dense_points(spec: ManifoldSpec, n_points: int) -> np.ndarray:
-    """Deterministic midpoint grid over the manifold's coordinate space."""
-    d = spec.ambient_dim
+def _grid_coords(spec: ManifoldSpec, n_points: int, idx: np.ndarray) -> np.ndarray:
+    """Intrinsic coordinates of points ``idx`` of the midpoint grid: angles
+    ``(i + 0.5) * 2 pi / n_points``, or the cell centres of an m x m square
+    grid, m = ceil(sqrt(n_points)), in ``meshgrid(indexing="ij")`` order."""
     if spec.intrinsic_dim == 1:
-        theta = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points)
-        return _embed_circle(theta, d)
-    m = int(math.ceil(math.sqrt(n_points)))
+        return ((idx + 0.5) * (2.0 * math.pi / n_points))[None]
+    m = math.ceil(math.sqrt(n_points))
     axis = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
-    uu, vv = np.meshgrid(axis, axis, indexing="ij")
-    return _embed_square(np.column_stack([uu.ravel(), vv.ravel()]), d)
+    return axis[np.stack(np.divmod(idx, m))]
+
+
+def _grid_margins(spec: ManifoldSpec, n_points: int):
+    """Yield the grid's margins in order, one block of at most ``_CHUNK``
+    points at a time, each built from its index range."""
+    size = n_points if spec.intrinsic_dim == 1 else math.ceil(math.sqrt(n_points)) ** 2
+    for start in range(0, size, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, size))
+        yield _margins(spec, _embed(spec, _grid_coords(spec, n_points, idx)), start)
 
 
 def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
-    count = 0
-    total = 0
-    pts = _dense_points(spec, n_points)
-    for start in range(0, pts.shape[0], _CHUNK):
-        block = pts[start : start + _CHUNK]
-        _, _, m = top2_stats(block @ spec.sites.T)
-        count += int(np.count_nonzero(m < epsilon))
-        total += block.shape[0]
-    return count / (total * epsilon)
+    counts = [(np.count_nonzero(m < epsilon), m.size) for m in _grid_margins(spec, n_points)]
+    return sum(int(c) for c, _ in counts) / (sum(n for _, n in counts) * epsilon)
 
 
 def oracle_alpha(spec: ManifoldSpec, epsilon: float = 1e-3) -> float:
@@ -152,14 +154,11 @@ def oracle_alpha(spec: ManifoldSpec, epsilon: float = 1e-3) -> float:
         NumericalError: the doubled grid does not confirm convergence.
     """
     base = 10_000_000 if spec.intrinsic_dim == 1 else 9_000_000
-    coarse = _alpha_estimate(spec, base, epsilon)
-    fine = _alpha_estimate(spec, 2 * base, epsilon)
+    coarse, fine = (_alpha_estimate(spec, n, epsilon) for n in (base, 2 * base))
     if fine <= 0:
         raise NumericalError("oracle found no sub-threshold margins")
     if abs(fine - coarse) / fine > 0.005:
-        raise NumericalError(
-            f"oracle did not converge: {coarse} vs {fine} after grid doubling"
-        )
+        raise NumericalError(f"oracle did not converge: {coarse} vs {fine} after grid doubling")
     return fine
 
 
@@ -167,34 +166,13 @@ def gradient_floor(spec: ManifoldSpec, probe_points: int = 1_000_000, h: float =
     """Smallest margin-gradient magnitude near the Voronoi boundary,
     estimated by central differences along the manifold coordinates at
     the probe points closest to the boundary."""
-    d = spec.ambient_dim
-    if spec.intrinsic_dim == 1:
-        theta = (np.arange(probe_points) + 0.5) * (2.0 * math.pi / probe_points)
-        m = _margins_of_points(_embed_circle(theta, d), spec.sites)
-        near = theta[m <= np.quantile(m, 1e-3)]
-        up = _margins_of_points(_embed_circle(near + h, d), spec.sites)
-        dn = _margins_of_points(_embed_circle(near - h, d), spec.sites)
-        grads = np.abs(up - dn) / (2.0 * h)
-        return float(grads.min())
-    side = int(math.ceil(math.sqrt(probe_points)))
-    axis = -1.0 + (np.arange(side) + 0.5) * (2.0 / side)
-    uu, vv = np.meshgrid(axis, axis, indexing="ij")
-    uv = np.column_stack([uu.ravel(), vv.ravel()])
-    m = _margins_of_points(_embed_square(uv, d), spec.sites)
-    near = uv[m <= np.quantile(m, 1e-3)]
-    du = np.zeros_like(near)
-    du[:, 0] = h
-    dv = np.zeros_like(near)
-    dv[:, 1] = h
-    gu = (
-        _margins_of_points(_embed_square(near + du, d), spec.sites)
-        - _margins_of_points(_embed_square(near - du, d), spec.sites)
-    ) / (2.0 * h)
-    gv = (
-        _margins_of_points(_embed_square(near + dv, d), spec.sites)
-        - _margins_of_points(_embed_square(near - dv, d), spec.sites)
-    ) / (2.0 * h)
-    return float(np.sqrt(gu * gu + gv * gv).min())
+    m = np.concatenate(list(_grid_margins(spec, probe_points)))
+    near = _grid_coords(spec, probe_points, np.flatnonzero(m <= np.quantile(m, 1e-3)))
+    squares = 0.0
+    for step in np.eye(spec.intrinsic_dim)[:, :, None] * h:
+        g = _margins(spec, _embed(spec, near + step)) - _margins(spec, _embed(spec, near - step))
+        squares = squares + (g / (2.0 * h)) ** 2
+    return float(np.sqrt(squares).min())
 
 
 def validate_scaling(
@@ -207,15 +185,10 @@ def validate_scaling(
     """
     if spec.sample_count < 100_000:
         raise UsageError("validate_scaling needs sample_count >= 1e5")
-    _, margins = generate(spec, seed)
-    fit = fit_gap_curve(margins, grid_spec)
+    fit = fit_gap_curve(generate(spec, seed)[1], grid_spec)
     oracle = oracle_alpha(spec)
-    return ScalingVerdict(
-        fit=fit,
-        oracle_alpha=oracle,
-        relative_alpha_error=abs(fit.alpha_constrained - oracle) / oracle,
-        gradient_floor=gradient_floor(spec),
-    )
+    return ScalingVerdict(fit=fit, oracle_alpha=oracle, gradient_floor=gradient_floor(spec),
+                          relative_alpha_error=abs(fit.alpha_constrained - oracle) / oracle)
 
 
 def circle_two_sites(sample_count: int = 1_000_000) -> ManifoldSpec:

@@ -20,6 +20,7 @@ __all__ = [
     "compute_margins",
     "topk_ids",
     "top2_stats",
+    "column_margins",
     "margin_quantiles",
     "unique_value_count",
     "nearest_rank_quantile",
@@ -201,6 +202,29 @@ def top2_stats(logit_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     top1, top2 = topk_ids(rows, 2).T
     idx = np.arange(rows.shape[0])
     return top1, top2, rows[idx, top1] - rows[idx, top2]
+
+
+def column_margins(logits: np.ndarray, start: int = 0) -> np.ndarray:
+    """Margins of column-major logits ``[V, n]`` without ids: ``|x1 - x0|``
+    at V = 2, else a running top and runner-up over the V rows.  Equal
+    under ``==`` to ``top2_stats(logits.T)[2]`` (a zero margin between
+    -0.0 and +0.0 logits may differ in sign).  Raises ``UsageError`` unless
+    2-D with V >= 2, and ``DataError`` naming the column (counted from
+    ``start``) of a non-finite logit.
+    """
+    logits = np.asarray(logits)
+    if logits.ndim != 2 or logits.shape[0] < 2:
+        raise UsageError(f"need column-major logits [V >= 2, n], got shape {logits.shape}")
+    if not np.isfinite(logits).all():
+        pos = int(np.nonzero(~np.isfinite(logits).all(axis=0))[0][0])
+        raise DataError(f"non-finite logit at position {start + pos}")
+    if logits.shape[0] == 2:
+        return np.abs(logits[1] - logits[0])
+    top, second = np.maximum(logits[0], logits[1]), np.minimum(logits[0], logits[1])
+    for row in logits[2:]:
+        np.maximum(second, np.minimum(top, row), out=second)
+        np.maximum(top, row, out=top)
+    return np.subtract(top, second, out=top)
 
 
 def compute_margins(logit_rows: np.ndarray, targets: np.ndarray) -> Audit:

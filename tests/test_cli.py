@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, file outputs, determinism."""
 
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +411,24 @@ class TestSynthValidate:
         with open(sp, "wb") as f:
             f.write(content)
         assert main(["synth-validate", "--sites", sp, "--samples", "2000"]) == 2
+
+    def test_overflowing_logit_exit_2_names_sample(self, tmp_path, monkeypatch, capsys):
+        from marginlab import manifold
+
+        monkeypatch.setattr(manifold, "_CHUNK", 3)
+        sites = np.array([[1.0, 0.0], [-1.5e308, 1e308]])
+        sp = str(tmp_path / "sites.json")
+        with open(sp, "w") as f:
+            json.dump(sites.tolist(), f)
+        theta = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 100_000)
+        with np.errstate(over="ignore"):
+            logits = np.column_stack([np.cos(theta), np.sin(theta)]) @ sites.T
+        first = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
+        assert first >= 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synth-validate", "--sites", sp, "--samples", "100000"]) == 2
+        assert capsys.readouterr().err.endswith(f"non-finite logit at position {first}\n")
 
     def test_circle2_passes(self, tmp_path):
         out = str(tmp_path / "verdict.json")

@@ -7,10 +7,12 @@ eps, giving eta(eps) = 2 eps / (2 pi).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from marginlab import manifold
 from marginlab.errors import DataError, UsageError
 from marginlab.manifold import (
     ManifoldSpec,
@@ -94,6 +96,63 @@ class TestOracleAlpha:
         a1 = oracle_alpha(spec1)
         a2 = oracle_alpha(spec2)
         assert a2 == pytest.approx(a1 / 2.0, rel=0.01)
+
+
+class TestStreamedGrid:
+    """The oracle's grid is built block by block from index ranges; its
+    count must equal brute force over the fully built grid."""
+
+    @staticmethod
+    def full_grid(spec, n_points):
+        d = spec.ambient_dim
+        if spec.intrinsic_dim == 1:
+            theta = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points)
+            pts = np.zeros((n_points, d))
+            pts[:, 0], pts[:, 1] = np.cos(theta), np.sin(theta)
+            return pts
+        m = int(math.ceil(math.sqrt(n_points)))
+        axis = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
+        uu, vv = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.zeros((m * m, d))
+        pts[:, 0], pts[:, 1] = uu.ravel(), vv.ravel()
+        return pts
+
+    @pytest.mark.parametrize("v", [2, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("sampler", ["circle_uniform", "square_uniform"])
+    def test_count_matches_bruteforce(self, monkeypatch, sampler, d, v):
+        monkeypatch.setattr(manifold, "_CHUNK", 997)
+        k = 1 if sampler == "circle_uniform" else 2
+        sites = np.random.default_rng(10 * d + v).normal(size=(v, d))
+        spec = ManifoldSpec(k, d, sites, sampler, 1000)
+        n_points, eps = 5000, 0.05
+        logits = np.sort(self.full_grid(spec, n_points) @ sites.T, axis=1)
+        margins = logits[:, -1] - logits[:, -2]
+        count = np.count_nonzero(margins < eps)
+        assert margins.size > 997 and margins.size % 997 and count > 0
+        assert manifold._alpha_estimate(spec, n_points, eps) == count / (margins.size * eps)
+
+    @pytest.mark.parametrize(
+        "factory, alpha",
+        [(circle_two_sites, 0.3184), (circle_three_sites, 0.5513),
+         (square_eight_sites, 3.38909259203816)],
+        ids=["circle2", "circle3", "square8"],
+    )
+    def test_preset_oracle_values_pinned(self, factory, alpha):
+        assert oracle_alpha(factory()) == alpha
+
+    def test_overflow_names_grid_index(self, monkeypatch):
+        monkeypatch.setattr(manifold, "_CHUNK", 97)
+        sites = np.array([[1.5e308, 1.5e308], [-1.5e308, 1e308]])
+        spec = ManifoldSpec(1, 2, sites, "circle_uniform", 1000)
+        with np.errstate(over="ignore"):
+            logits = self.full_grid(spec, 20_000) @ sites.T
+        first = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
+        assert first >= 97
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=rf"position {first}$"):
+                manifold._alpha_estimate(spec, 20_000, 1e-3)
 
 
 class TestShippedConfigVerdicts:

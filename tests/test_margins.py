@@ -10,6 +10,7 @@ from marginlab.errors import DataError, UsageError
 from marginlab.margins import (
     Audit,
     MarginRecord,
+    column_margins,
     compute_margins,
     margin_quantiles,
     nearest_rank_quantile,
@@ -146,6 +147,45 @@ class TestSelectionMatchesStableSort:
         margins = top2_stats(rows["zeros"])[2]
         assert np.signbit(margins[:10]).any() and not np.signbit(margins[:10]).all()
 
+
+
+class TestColumnMargins:
+    """The margins-only helper equals top2_stats' margins on the transposed
+    logits: random rows, exact ties and signed zeros, V from 2 to 50."""
+
+    @pytest.mark.parametrize("v", [2, 3, 8, 50])
+    def test_equals_top2_stats(self, v):
+        for kind, rows in _selection_inputs(v).items():
+            got, want = column_margins(np.ascontiguousarray(rows.T)), top2_stats(rows)[2]
+            assert got.dtype == want.dtype, kind
+            assert np.array_equal(got, want), kind
+
+    @pytest.mark.parametrize("v", [8, 50])
+    def test_ties_and_zeros_occur(self, v):
+        rows = _selection_inputs(v)
+        assert (column_margins(rows["tied"].T) == 0.0).any()
+        assert (column_margins(rows["zeros"].T) == 0.0).any()
+
+    def test_integer_and_strided_logits(self):
+        rows = np.random.default_rng(5).integers(-3, 4, size=(200, 6))
+        assert np.array_equal(column_margins(rows.T), top2_stats(rows)[2])
+        assert np.array_equal(column_margins(rows.T[:, ::3]), top2_stats(rows[::3])[2])
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5,), (2, 3, 4)])
+    def test_bad_shape_is_usage_error(self, shape):
+        with pytest.raises(UsageError):
+            column_margins(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("v", [2, 8])
+    def test_nonfinite_names_column_from_start(self, bad, v):
+        logits = np.ones((v, 10))
+        logits[v - 1, 7] = bad
+        logits[0, 9] = bad
+        with pytest.raises(DataError, match=r"position 7$"):
+            column_margins(logits)
+        with pytest.raises(DataError, match=r"position 1007$"):
+            column_margins(logits, start=1000)
 
 class TestMarginQuantiles:
     def test_median_of_five(self):
