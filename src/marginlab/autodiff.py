@@ -31,8 +31,6 @@ __all__ = [
     "as_tensor",
     "matmul",
     "add",
-    "sub",
-    "mul",
     "scale",
     "causal_attention",
     "log_softmax_gather",
@@ -40,7 +38,6 @@ __all__ = [
     "gather_rows",
     "l2_normalize_rows",
     "mean",
-    "total",
     "masked_mean",
     "transpose",
     "relu",
@@ -107,19 +104,18 @@ class Tape:
                 backward(out.grad)
 
 
-def _tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.values)
-        t.grad += g
+            # A copy, not g itself: one g may reach two parents (add), and
+            # a stored gradient is later added to in place.
+            t.grad = np.array(g, dtype=t.values.dtype)
+        else:
+            t.grad += g
 
 
 def _make(values, parents: tuple[Tensor, ...], backward) -> Tensor:
-    tape = _tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     needs = tape is not None and any(p.requires_grad for p in parents)
     out = Tensor(values, requires_grad=needs)
     if needs:
@@ -182,29 +178,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.values + b.values, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.shape != b.values.shape:
-        raise UsageError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _make(a.values - b.values, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.shape != b.values.shape:
-        raise UsageError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
-
-    def backward(g):
-        _accumulate(a, g * bv)
-        _accumulate(b, g * av)
-
-    return _make(av * bv, (a, b), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -214,42 +187,54 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.values * c, (a,), backward)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head causal self-attention over [T, d] projections, one node.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, batch: int = 1) -> Tensor:
+    """Multi-head causal self-attention over [b·T, d] projections, one node.
 
-    Columns are split into ``heads`` blocks of d / heads; every head runs
-    in one [heads, T, T] batch: scores q k^T / sqrt(d / heads), an
-    additive -inf mask above the diagonal, row softmax, then times v.  The
-    output is the heads' results side by side, [T, d].
+    Rows are ``batch`` equal-length sequences stacked in order; each
+    attends only to itself.  Columns are split into ``heads`` blocks of
+    d / heads, and all sequences and heads run as one [b, heads, T, T]
+    batch: scores q k^T / sqrt(d / heads), masked above the diagonal,
+    row softmax, then times v.  The output is the heads' results side by
+    side, [b·T, d].
     """
     qv, kv, vv = q.values, k.values, v.values
     if qv.ndim != 2 or qv.shape != kv.shape or qv.shape != vv.shape:
-        raise UsageError(f"q, k, v must be equal [T, d], got {qv.shape}, {kv.shape}, {vv.shape}")
-    t, d = qv.shape
+        raise UsageError(f"q, k, v must be equal [b*T, d], got {qv.shape}, {kv.shape}, {vv.shape}")
+    rows, d = qv.shape
+    if batch < 1 or rows % batch:
+        raise UsageError(f"{rows} rows do not split into {batch} sequences")
     if heads < 1 or d % heads:
         raise UsageError(f"d={d} does not split into {heads} heads")
-    hd = d // heads
+    b, t, hd = batch, rows // batch, d // heads
     c = 1.0 / math.sqrt(hd)
 
-    def split(x):  # [T, d] -> [heads, T, hd] view
-        return x.reshape(t, heads, hd).transpose(1, 0, 2)
+    def split(x):  # [b*T, d] -> [b, heads, T, hd] view
+        return x.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x):  # [b, heads, T, hd] -> [b*T, d]
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
 
     qh, vh = split(qv), split(vv)
     # A contiguous k^T: each head's q k^T then rounds exactly like a 2-D
     # matmul of that head's columns (a strided view may take another gemm path).
-    kt = np.ascontiguousarray(kv.T).reshape(heads, hd, t)
-    scores = (qh @ kt) * c + np.triu(np.full((t, t), -np.inf), 1)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = (p @ vh).transpose(1, 0, 2).reshape(t, d)
+    kt = np.ascontiguousarray(kv.reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
+    raw = (qh @ kt) * c
+    causal = np.tri(t, dtype=bool)
+    # The row maximum over causal entries only.  Clamping the masked
+    # entries at 0 before exp and zeroing them after gives the same bits
+    # as exp(-inf) but keeps exp off its slow path for infinite input.
+    top = np.max(raw, axis=-1, keepdims=True, where=causal, initial=-np.inf)
+    p = np.exp(np.minimum(raw - top, 0.0)) * causal
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
 
     def backward(g):
         gh = split(g)
-        dp = gh @ vh.transpose(0, 2, 1)
+        dp = gh @ vh.transpose(0, 1, 3, 2)
         ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * c
-        _accumulate(q, (ds @ kt.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(t, d))
-        _accumulate(k, (qh.transpose(0, 2, 1) @ ds).reshape(d, t).T)
-        _accumulate(v, (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(t, d))
+        _accumulate(q, merge(ds @ kt.transpose(0, 1, 3, 2)))
+        _accumulate(k, (qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 3, 1, 2).reshape(rows, d))
+        _accumulate(v, merge(p.transpose(0, 1, 3, 2) @ gh))
 
     return _make(out, (q, k, v), backward)
 
@@ -350,17 +335,10 @@ def mean(x: Tensor) -> Tensor:
     return _make(x.values.mean(), (x,), backward)
 
 
-def total(x: Tensor) -> Tensor:
-    """Sum of all entries."""
-
-    def backward(g):
-        _accumulate(x, np.full_like(x.values, float(g)))
-
-    return _make(x.values.sum(), (x,), backward)
-
-
-def masked_mean(x: Tensor, mask) -> Tensor:
-    """Mean of the entries where mask is True; 0.0 for an empty mask.
+def masked_mean(x: Tensor, mask, groups: int = 1) -> Tensor:
+    """Mean over ``groups`` equal consecutive blocks of x of each block's
+    mean over the entries where mask is True; a block with an empty mask
+    counts 0.0.
 
     The mask is a plain boolean array, frozen at forward time; masked-out
     entries receive exactly zero gradient.
@@ -368,12 +346,16 @@ def masked_mean(x: Tensor, mask) -> Tensor:
     m = np.asarray(mask, dtype=bool)
     if m.shape != x.values.shape:
         raise UsageError(f"mask shape {m.shape} does not match {x.shape}")
-    count = int(np.count_nonzero(m))
-    value = float(x.values[m].mean()) if count else 0.0
+    if groups < 1 or m.size % groups:
+        raise UsageError(f"{m.size} entries do not split into {groups} groups")
+    xg, mg = x.values.reshape(groups, -1), m.reshape(groups, -1)
+    counts = np.count_nonzero(mg, axis=1)
+    value = float(np.mean([xg[i][mg[i]].mean() if n else 0.0 for i, n in enumerate(counts)]))
 
     def backward(g):
-        if count:
-            _accumulate(x, m * (float(g) / count))
+        if counts.any():
+            w = float(g) / groups / np.maximum(counts, 1)
+            _accumulate(x, (mg * w[:, None]).reshape(x.values.shape))
 
     return _make(value, (x,), backward)
 

@@ -174,8 +174,10 @@ def _cmd_compare(args) -> int:
     if args.freq_counts:
         counts_raw = _read_json(args.freq_counts, "frequency counts", dict)
         try:
-            counts = {int(k): int(v) for k, v in counts_raw.items()}
-        except (TypeError, ValueError) as e:
+            if not all(type(v) is int for v in counts_raw.values()):
+                raise ValueError("a count is not an integer")
+            counts = {int(k): v for k, v in counts_raw.items()}
+        except ValueError as e:
             raise DataError(f"{args.freq_counts}: keys/values must be integers") from e
         freq = frequency_audit(baseline, polished, counts)
         bundle["frequency"] = freq
@@ -229,26 +231,20 @@ def _model_from_args(args) -> ToyLm:
     if getattr(args, "base_checkpoint", None):
         model, _ = fileio.load_checkpoint(args.base_checkpoint)
         return model
-    config = ToyLmConfig(
-        vocab_size=args.vocab_size,
-        hidden_dim=args.hidden_dim,
-        layers=args.layers,
-        heads=args.heads,
-        context=args.context,
-    )
+    config = ToyLmConfig(vocab_size=args.vocab_size, hidden_dim=args.hidden_dim,
+                         layers=args.layers, heads=args.heads, context=args.context)
     return ToyLm(config, seed=args.seed)
+
+
+def _train_config(args, steps: int, mrp: MrpConfig) -> TrainConfig:
+    return TrainConfig(steps=steps, learning_rate=args.lr, batch_size=args.batch_size,
+                       seed=args.seed, mrp=mrp)
 
 
 def _cmd_train(args) -> int:
     model = _model_from_args(args)
     tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
-    config = TrainConfig(
-        steps=args.steps,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        mrp=_mrp_from_args(args),
-    )
+    config = _train_config(args, args.steps, _mrp_from_args(args))
     log = train(model, tokens, config)
     fileio.save_checkpoint(args.out_checkpoint, model, step=config.steps,
                            train_config=asdict(config))
@@ -270,21 +266,9 @@ def _cmd_sweep(args) -> int:
     model = _model_from_args(args)
     tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
     if not getattr(args, "base_checkpoint", None) and args.base_steps > 0:
-        base_cfg = TrainConfig(
-            steps=args.base_steps,
-            learning_rate=args.lr,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            mrp=MrpConfig(objective=args.loss, lambda_mrp=0.0, ce_weight=1.0),
-        )
-        train(model, tokens, base_cfg)
-    run_cfg = TrainConfig(
-        steps=args.steps,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        mrp=_mrp_from_args(args),
-    )
+        # The base run is plain CE: lambda 0, ce_weight 1.
+        train(model, tokens, _train_config(args, args.base_steps, MrpConfig(objective=args.loss)))
+    run_cfg = _train_config(args, args.steps, _mrp_from_args(args))
     rows, _baseline = dose_response(model, tokens, lambdas, args.loss, run_cfg)
 
     fileio.write_csv(
@@ -318,8 +302,7 @@ def _cmd_synth_validate(args) -> int:
         intrinsic = 1 if args.sampler == "circle_uniform" else 2
         spec = ManifoldSpec(intrinsic, sites.shape[1], sites, args.sampler, args.samples)
     else:
-        spec_factory = PRESETS[args.config]
-        spec = spec_factory(args.samples)
+        spec = PRESETS[args.config](args.samples)
     verdict = validate_scaling(spec, seed=args.seed)
     report = {
         "beta": verdict.fit.beta,

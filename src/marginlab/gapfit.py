@@ -94,7 +94,7 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None) -> Gap
         )
 
     grid = np.geomspace(eps_lo, eps_hi, grid_spec.count)
-    eta = empirical_gap(s, grid)
+    eta = np.searchsorted(s, grid, side="left") / s.size  # empirical_gap on sorted s
 
     usable = eta > 0.0
     dropped = int(np.count_nonzero(~usable))

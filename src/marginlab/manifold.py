@@ -108,14 +108,22 @@ def _margins(spec: ManifoldSpec, points: np.ndarray, start: int = 0) -> np.ndarr
 
 
 def generate(spec: ManifoldSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the manifold; returns (points [n, d], margins [n])."""
+    """Sample the manifold; returns (points [n, d], margins [n]).
+
+    Raises:
+        DataError: a non-finite logit, or finite logits whose margin
+            overflows, naming the first such sample.
+    """
     rng = np.random.default_rng(seed)
     if spec.sampler == "circle_uniform":
         coords = rng.uniform(0.0, 2.0 * math.pi, (1, spec.sample_count))
     else:
         coords = rng.uniform(-1.0, 1.0, (spec.sample_count, 2)).T
     points = _embed(spec, coords)
-    return points.T, _margins(spec, points)
+    margins = _margins(spec, points)
+    if margins.max() == np.inf:  # argmax finds the first inf
+        raise DataError(f"margin overflows at sample {int(np.argmax(margins))}")
+    return points.T, margins
 
 
 def _grid_coords(spec: ManifoldSpec, n_points: int, idx: np.ndarray) -> np.ndarray:

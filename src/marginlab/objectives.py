@@ -117,8 +117,8 @@ def margin_loss(logit_rows, tau: float) -> Tensor:
     return _gated_margin_loss(row_margins(logits), tau)
 
 
-def _gated_margin_loss(m: Tensor, tau: float) -> Tensor:
-    return ad.scale(ad.masked_mean(m, m.values < tau), -1.0)
+def _gated_margin_loss(m: Tensor, tau: float, segments: int = 1) -> Tensor:
+    return ad.scale(ad.masked_mean(m, m.values < tau, segments), -1.0)
 
 
 def cross_entropy(logit_rows, targets) -> Tensor:
@@ -248,7 +248,7 @@ def fisher_loss(
 
 
 def combined_loss(
-    logit_rows, targets, config: MrpConfig, unembedding=None, *, with_parts=False
+    logit_rows, targets, config: MrpConfig, unembedding=None, *, with_parts=False, segments=1
 ):
     """ce_weight * cross-entropy + lambda_mrp * refinement objective.
 
@@ -257,6 +257,10 @@ def combined_loss(
     result is ``(loss, LossParts)``.  A term whose weight is 0 is
     evaluated on constants (cross-entropy always, the objective only for
     the parts), so it records no tape node.
+
+    The rows may be ``segments`` equal-length sequences stacked in order;
+    the loss is then the mean of their losses.  Row means already are, and
+    the margin objective gates and averages each segment on its own.
     """
     logits = ad.as_tensor(logit_rows)
     frozen = ad.constant(logits.values)
@@ -266,7 +270,7 @@ def combined_loss(
         source = logits if config.lambda_mrp else frozen
         if config.objective == "margin":
             m = row_margins(source)
-            objective = _gated_margin_loss(m, config.tau)
+            objective = _gated_margin_loss(m, config.tau, segments)
             margins = m.values[:, 0]
         else:
             if unembedding is None:

@@ -2,9 +2,11 @@
 
 Two blocks of multi-head causal attention plus a ReLU MLP, with
 parameter-free row-normalization layers (unit rows rescaled by sqrt(d)).
-A block's heads are not looped over: ``autodiff.causal_attention`` runs
-them as one [heads, T, T] batch and records one tape node, so a forward
-pass records a fixed 14 nodes per layer plus 7 for the embedding and head.
+A forward pass takes b equal-length sequences at once: the dense layers
+are [b·T, d] GEMMs, and ``autodiff.causal_attention`` runs every sequence
+and head as one [b, heads, T, T] batch and records one tape node.  So a
+pass records a fixed 14 nodes per layer plus 8 for the embedding, the
+predicting-row selection and the head, whatever b is.
 With ``tied_embeddings=True`` (the default) the input embedding and the
 output projection are one shared matrix, so its gradient collects
 contributions from both uses.
@@ -36,6 +38,8 @@ class ToyLmConfig:
     def __post_init__(self):
         if self.vocab_size < 2:
             raise UsageError("vocab_size must be at least 2")
+        if self.hidden_dim < 1 or self.heads < 1:
+            raise UsageError("hidden_dim and heads must be at least 1")
         if self.hidden_dim % self.heads != 0:
             raise UsageError(
                 f"hidden_dim ({self.hidden_dim}) must be divisible by heads ({self.heads})"
@@ -93,31 +97,38 @@ class ToyLm:
             p.zero_grad()
 
     def forward(self, tokens) -> tuple[Tensor, list[np.ndarray]]:
-        """Per-position logit rows plus per-layer hidden states.
+        """Logit rows of every predicting position, plus per-layer hidden states.
 
-        ``tokens`` is a 1-D id sequence of length <= context.  Row t of
-        the returned [T, V] logits predicts token t+1 (the final row has
-        no target and is excluded from losses by the training harness).
-        Hidden states are the residual-stream values after each block,
-        returned as plain arrays for layer-wise analysis.
+        ``tokens`` is one id sequence [T] or b equal-length sequences
+        [b, T], with 2 <= T <= context, run as one pass: the dense layers
+        see [b·T, d] rows and each sequence attends only to itself.  A
+        sequence's final position predicts nothing, so it is dropped
+        before the output head: row s·(T-1) + t of the returned
+        [b·(T-1), V] logits is sequence s's position t and predicts its
+        token t+1.  Hidden states are the residual-stream values after
+        each block at the same rows, returned as plain arrays for
+        layer-wise analysis.
         """
-        ids = np.asarray(tokens, dtype=np.int64).ravel()
+        ids = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
         cfg = self.config
-        if ids.size < 2:
+        if ids.ndim != 2 or ids.shape[0] < 1:
+            raise UsageError(f"tokens must be [T] or [b, T], got shape {ids.shape}")
+        b, t = ids.shape
+        if t < 2:
             raise UsageError("sequence must have at least 2 tokens")
-        if ids.size > cfg.context:
-            raise UsageError(f"sequence length {ids.size} exceeds context {cfg.context}")
+        if t > cfg.context:
+            raise UsageError(f"sequence length {t} exceeds context {cfg.context}")
         if (ids < 0).any() or (ids >= cfg.vocab_size).any():
             bad = int(ids[(ids < 0) | (ids >= cfg.vocab_size)][0])
             raise DataError(f"token id {bad} outside vocabulary of size {cfg.vocab_size}")
 
-        t, d = ids.size, cfg.hidden_dim
+        d = cfg.hidden_dim
         x = ad.add(
-            ad.gather_rows(self.params["embedding"], ids),
-            ad.gather_rows(self.params["pos"], np.arange(t)),
+            ad.gather_rows(self.params["embedding"], ids.ravel()),
+            ad.gather_rows(self.params["pos"], np.tile(np.arange(t), b)),
         )
 
-        hiddens: list[np.ndarray] = []
+        hiddens: list[Tensor] = []
         for i in range(cfg.layers):
             h = _norm(x, d)
             attended = ad.causal_attention(
@@ -125,6 +136,7 @@ class ToyLm:
                 ad.matmul(h, self.params[f"layer{i}.wk"]),
                 ad.matmul(h, self.params[f"layer{i}.wv"]),
                 cfg.heads,
+                b,
             )
             attn = ad.matmul(attended, self.params[f"layer{i}.wo"])
             x = ad.add(x, attn)
@@ -135,11 +147,12 @@ class ToyLm:
                 self.params[f"layer{i}.w2"],
             )
             x = ad.add(x, mlp)
-            hiddens.append(x.values.copy())
+            hiddens.append(x)
 
-        final = _norm(x, d)
+        predicting = np.arange(b * t).reshape(b, t)[:, :-1].ravel()
+        final = _norm(ad.gather_rows(x, predicting), d)
         logits = ad.matmul(final, ad.transpose(self.unembedding))
-        return logits, hiddens
+        return logits, [h.values[predicting] for h in hiddens]
 
     def project_hidden(self, hidden: np.ndarray) -> np.ndarray:
         """Virtual logits: a hidden-state matrix pushed through the final

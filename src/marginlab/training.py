@@ -89,12 +89,8 @@ def make_chunks(token_ids: np.ndarray, context: int) -> list[np.ndarray]:
     ids = np.asarray(token_ids, dtype=np.int64).ravel()
     if ids.size < 2:
         raise UsageError("corpus must contain at least 2 tokens")
-    chunks = []
-    for start in range(0, ids.size, context):
-        piece = ids[start : start + context]
-        if piece.size >= 2:
-            chunks.append(piece)
-    return chunks
+    chunks = (ids[start : start + context] for start in range(0, ids.size, context))
+    return [c for c in chunks if c.size >= 2]
 
 
 class _AdamW:
@@ -141,6 +137,7 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
         NumericalError: non-finite loss, naming the step.
     """
     chunks = make_chunks(corpus_tokens, model.config.context)
+    sizes = np.array([c.size for c in chunks])
     rng = np.random.default_rng(config.seed)
     opt = _AdamW()
     warmup_steps = max(1, int(round(config.warmup_fraction * config.steps)))
@@ -149,23 +146,31 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
     for step in range(config.steps):
         picks = rng.integers(0, len(chunks), size=config.batch_size)
         model.zero_grad()
-        ce_vals, mrp_vals, margin_pool = [], [], []
+        ce = mrp = 0.0
+        margin_pool = []
         with ad.Tape() as tape:
             loss_acc = None
-            for ci in picks:
-                chunk = chunks[int(ci)]
-                logits, _ = model.forward(chunk)
+            # Only the corpus remainder is short, so grouping the picks by
+            # length gives at most two [b, T] batches, one pass each.
+            lengths = sizes[picks]
+            for size in np.unique(lengths):
+                batch = np.stack([chunks[i] for i in picks[lengths == size]])
+                logits, _ = model.forward(batch)
                 if not np.isfinite(logits.values).all():
                     raise NumericalError(f"non-finite logits at step {step}")
-                rows = ad.gather_rows(logits, np.arange(chunk.size - 1))
                 loss, parts = combined_loss(
-                    rows, chunk[1:], config.mrp, model.unembedding, with_parts=True
+                    logits, batch[:, 1:].ravel(), config.mrp, model.unembedding,
+                    with_parts=True, segments=len(batch),
                 )
+                # A batch's loss is the mean of its chunks' losses, so
+                # weighting it by its share of the picks keeps the step's
+                # loss the mean of per-chunk losses.
+                weight = len(batch) / config.batch_size
+                loss = ad.scale(loss, weight)
                 loss_acc = loss if loss_acc is None else ad.add(loss_acc, loss)
-                ce_vals.append(parts.ce)
-                mrp_vals.append(parts.objective)
+                ce += weight * parts.ce
+                mrp += weight * parts.objective
                 margin_pool.append(parts.margins)
-            loss_acc = ad.scale(loss_acc, 1.0 / config.batch_size)
             if not np.isfinite(loss_acc.values).all():
                 raise NumericalError(f"non-finite loss at step {step}")
             tape.backward(loss_acc)
@@ -176,13 +181,24 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
         margins = np.sort(np.concatenate(margin_pool))
         log.append(
             StepMetrics(
-                step=step,
-                ce=float(np.mean(ce_vals)),
-                mrp=float(np.mean(mrp_vals)),
-                median_margin=nearest_rank_quantile(margins, 0.5),
+                step=step, ce=ce, mrp=mrp, median_margin=nearest_rank_quantile(margins, 0.5)
             )
         )
     return log
+
+
+# Full-length chunks per forward pass in audit_model and layer_scan, a CE
+# batch's worth; larger blocks ran barely faster and cost more peak memory.
+_AUDIT_BLOCK = 4
+
+
+def _blocks(corpus_tokens, context: int) -> list[np.ndarray]:
+    """The corpus chunks in order as [b, T] id blocks of at most
+    ``_AUDIT_BLOCK`` full-length chunks, then the short remainder alone."""
+    chunks = make_chunks(corpus_tokens, context)
+    full = [c for c in chunks if c.size == context]
+    blocks = [np.stack(full[i : i + _AUDIT_BLOCK]) for i in range(0, len(full), _AUDIT_BLOCK)]
+    return blocks + [c[None] for c in chunks[len(full) :]]
 
 
 def audit_model(model: ToyLm, corpus_tokens) -> Audit:
@@ -192,8 +208,8 @@ def audit_model(model: ToyLm, corpus_tokens) -> Audit:
     the same corpus align position by position.
     """
     audit = Audit.concat(
-        compute_margins(model.forward(chunk)[0].values[:-1], chunk[1:])
-        for chunk in make_chunks(corpus_tokens, model.config.context)
+        compute_margins(model.forward(block)[0].values, block[:, 1:].ravel())
+        for block in _blocks(corpus_tokens, model.config.context)
     )
     return replace(audit, position=np.arange(len(audit)))
 
@@ -258,25 +274,13 @@ def layer_scan(model: ToyLm, corpus_tokens, tau: float = 0.5) -> list[LayerScanR
     A layer's hidden states are projected through the final output head
     to get virtual margins; the penalty is the margin deficit below tau.
     """
-    chunks = make_chunks(corpus_tokens, model.config.context)
-    n_layers = model.config.layers
-    per_layer_margins: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-    ce_pool: list[np.ndarray] = []
-    for chunk in chunks:
-        logits, hiddens = model.forward(chunk)
-        rows = ad.constant(logits.values[:-1])
-        ce_pool.append(-ad.log_softmax_gather(rows, chunk[1:]).values)
-        for li, h in enumerate(hiddens):
-            virt = model.project_hidden(h[:-1])
-            per_layer_margins[li].append(top2_stats(virt)[2])
-    ce = np.concatenate(ce_pool)
-    out = []
-    for li in range(n_layers):
-        margins = np.concatenate(per_layer_margins[li])
-        out.append(
-            LayerScanRow(
-                layer_index=li,
-                spearman_ce_mrp=virtual_penalty_ce_rho(margins, ce, tau),
-            )
-        )
-    return out
+    ce, margins = [], []
+    for block in _blocks(corpus_tokens, model.config.context):
+        logits, hiddens = model.forward(block)
+        ce.append(-ad.log_softmax_gather(logits, block[:, 1:].ravel()).values)
+        margins.append([top2_stats(model.project_hidden(h))[2] for h in hiddens])
+    ce = np.concatenate(ce)
+    return [
+        LayerScanRow(li, virtual_penalty_ce_rho(np.concatenate(layer), ce, tau))
+        for li, layer in enumerate(zip(*margins))
+    ]

@@ -23,11 +23,11 @@ class TestPrimitiveGradients:
     def test_matmul_vector_cases(self):
         rng = np.random.default_rng(1)
         _finite_diff_ok(
-            lambda p: ad.total(ad.matmul(p[0], p[1])),
+            lambda p: ad.mean(ad.matmul(p[0], p[1])),
             [rng.normal(size=5), rng.normal(size=(5, 3))],
         )
         _finite_diff_ok(
-            lambda p: ad.total(ad.matmul(p[0], p[1])),
+            lambda p: ad.mean(ad.matmul(p[0], p[1])),
             [rng.normal(size=(3, 5)), rng.normal(size=5)],
         )
         _finite_diff_ok(
@@ -57,13 +57,30 @@ class TestPrimitiveGradients:
         _finite_diff_ok(lambda p: ad.masked_mean(p[0], mask), [x])
         _finite_diff_ok(lambda p: ad.mean(ad.relu(p[0])), [x])
 
-    def test_mul_scale_sub(self):
+    def test_scale_add_transpose(self):
+        # (2.5 a) (a - b)^T: a reaches the product through two paths
         rng = np.random.default_rng(10)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         _finite_diff_ok(
-            lambda p: ad.mean(ad.mul(ad.scale(p[0], 2.5), ad.sub(p[0], p[1]))), [a, b]
+            lambda p: ad.mean(
+                ad.matmul(ad.scale(p[0], 2.5), ad.transpose(ad.add(p[0], ad.scale(p[1], -1.0))))
+            ),
+            [a, b],
         )
+
+    def test_masked_mean_groups(self):
+        # mean of per-group masked means; a group with an empty mask counts 0
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(12, 1))
+        mask = rng.random(size=(12, 1)) > 0.5
+        mask[8:] = False
+        got = ad.masked_mean(ad.constant(x), mask, 3).item()
+        want = np.mean([x[:4][mask[:4]].mean(), x[4:8][mask[4:8]].mean(), 0.0])
+        assert got == pytest.approx(want, rel=1e-15)
+        _finite_diff_ok(lambda p: ad.masked_mean(p[0], mask, 3), [x])
+        with pytest.raises(UsageError):
+            ad.masked_mean(ad.constant(x), mask, 5)
 
     def test_gather_rows_scatter_grad(self):
         rng = np.random.default_rng(11)
@@ -94,8 +111,14 @@ class TestPrimitiveSweep:
                 [
                     (lambda p, b=b: ad.mean(ad.matmul(p[0], ad.constant(b))), [a]),
                     (lambda p: ad.mean(ad.add(p[0], p[1])), [a, a + 1.0]),
-                    (lambda p: ad.mean(ad.mul(p[0], p[1])), [a, a * 0.5 + 2.0]),
-                    (lambda p: ad.total(ad.scale(ad.sub(p[0], p[1]), 1.7)), [a, 2 * a]),
+                    (
+                        lambda p: ad.mean(ad.matmul(p[0], ad.transpose(p[1]))),
+                        [a, a * 0.5 + 2.0],
+                    ),
+                    (
+                        lambda p: ad.mean(ad.scale(ad.add(p[0], ad.scale(p[1], -1.0)), 1.7)),
+                        [a, 2 * a],
+                    ),
                     (
                         lambda p, w2=w2: ad.mean(
                             ad.matmul(ad.causal_attention(*p, 1), ad.constant(w2))
@@ -143,18 +166,56 @@ def attention_reference(q, k, v, heads):
     return out
 
 
+def _weighted_attention(a, w, heads, batch):
+    """The scalar a^T attention(q, k, v) w: every output entry gets its own weight."""
+    return lambda p: ad.matmul(
+        ad.matmul(ad.constant(a), ad.causal_attention(*p, heads, batch)), ad.constant(w)
+    )
+
+
 class TestCausalAttention:
     @pytest.mark.parametrize("heads", [1, 2, 3, 4])
     @pytest.mark.parametrize("t", range(2, 8))
     def test_gradient_matches_finite_differences(self, t, heads):
         rng = np.random.default_rng(100 * t + heads)
         d = heads * int(rng.integers(1, 4))
-        w = rng.normal(size=(t, d))
         _finite_diff_ok(
-            lambda p: ad.total(ad.mul(ad.causal_attention(*p, heads), ad.constant(w))),
+            _weighted_attention(rng.normal(size=t), rng.normal(size=d), heads, 1),
             list(rng.normal(size=(3, t, d))),
             step=1e-6,
         )
+
+    @pytest.mark.parametrize("b,t,heads", [(2, 2, 1), (2, 5, 2), (3, 4, 3), (4, 3, 2)])
+    def test_batched_gradient_matches_finite_differences(self, b, t, heads):
+        rng = np.random.default_rng(1000 * b + 10 * t + heads)
+        d = heads * int(rng.integers(1, 4))
+        _finite_diff_ok(
+            _weighted_attention(rng.normal(size=b * t), rng.normal(size=d), heads, b),
+            list(rng.normal(size=(3, b * t, d))),
+            step=1e-6,
+        )
+
+    @pytest.mark.parametrize("b,t,heads", [(2, 1, 1), (3, 9, 3), (4, 96, 2)])
+    def test_batch_equals_one_sequence_at_a_time(self, b, t, heads):
+        q, k, v = np.random.default_rng(b + t).normal(size=(3, b * t, 8 * heads))
+        out = ad.causal_attention(ad.constant(q), ad.constant(k), ad.constant(v), heads, b)
+        for s in range(b):
+            rows = slice(s * t, (s + 1) * t)
+            one = ad.causal_attention(
+                ad.constant(q[rows]), ad.constant(k[rows]), ad.constant(v[rows]), heads
+            )
+            assert np.array_equal(out.values[rows], one.values)
+
+    def test_sequences_do_not_see_each_other(self):
+        b, t, d = 3, 6, 4
+        q, k, v = np.random.default_rng(3).normal(size=(3, b * t, d))
+        before = ad.causal_attention(ad.constant(q), ad.constant(k), ad.constant(v), 2, b)
+        for x in (q, k, v):
+            x[t : 2 * t] += 1.0  # change sequence 1 only
+        after = ad.causal_attention(ad.constant(q), ad.constant(k), ad.constant(v), 2, b)
+        assert np.array_equal(after.values[:t], before.values[:t])
+        assert np.array_equal(after.values[2 * t :], before.values[2 * t :])
+        assert not np.allclose(after.values[t : 2 * t], before.values[t : 2 * t])
 
     @pytest.mark.parametrize("t,heads", [(1, 1), (2, 4), (9, 3), (96, 2)])
     def test_matches_per_head_reference(self, t, heads):
@@ -164,11 +225,11 @@ class TestCausalAttention:
 
     def test_future_rows_get_no_gradient(self):
         q, k, v = (ad.parameter(a) for a in np.random.default_rng(7).normal(size=(3, 5, 4)))
-        row1 = np.zeros((5, 4))
+        row1 = np.zeros(5)
         row1[1] = 1.0
         with ad.Tape() as tape:
             out = ad.causal_attention(q, k, v, 2)
-            tape.backward(ad.total(ad.mul(out, ad.constant(row1))))
+            tape.backward(ad.mean(ad.matmul(ad.constant(row1), out)))
         # output row 1 attends to positions 0 and 1: later rows get exactly zero
         assert q.grad[1].all() and k.grad[:2].all() and v.grad[:2].all()
         assert not q.grad[2:].any() and not k.grad[2:].any() and not v.grad[2:].any()
@@ -181,6 +242,8 @@ class TestCausalAttention:
             ad.causal_attention(x, ad.constant(np.ones((3, 6))), x, 2)
         with pytest.raises(UsageError):
             ad.causal_attention(ad.constant(np.ones(6)), x, x, 1)
+        with pytest.raises(UsageError):
+            ad.causal_attention(x, x, x, 2, 3)  # 4 rows are not 3 sequences
 
 
 class TestTopK:
@@ -194,11 +257,11 @@ class TestTopK:
         with ad.Tape() as tape:
             x = ad.parameter([[1.0, 5.0, 3.0, 2.0], [7.0, 0.0, 6.0, 1.0]])
             vals, idx = ad.topk_values_gather(x, 2)
-            out = ad.total(vals)
+            out = ad.mean(vals)
             tape.backward(out)
         expected = np.zeros((2, 4))
-        expected[0, 1] = expected[0, 2] = 1.0
-        expected[1, 0] = expected[1, 2] = 1.0
+        expected[0, 1] = expected[0, 2] = 0.25
+        expected[1, 0] = expected[1, 2] = 0.25
         np.testing.assert_array_equal(x.grad, expected)
 
     def test_gradient_matches_finite_differences(self):
@@ -238,7 +301,7 @@ class TestTapeSemantics:
     def test_grad_accumulates_across_uses(self):
         with ad.Tape() as tape:
             a = ad.parameter(np.ones(3))
-            out = ad.total(ad.add(a, a))
+            out = ad.matmul(ad.add(a, a), ad.constant(np.ones(3)))
             tape.backward(out)
         np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
 
@@ -250,18 +313,18 @@ class TestTapeSemantics:
                 tape.backward(out)
 
     def test_visits_each_node_once(self):
-        # diamond graph: y = sum(a + a * a); gradient 1 + 2a
+        # diamond graph: y = mean(a) + a . a; gradient 1 + 2a
         with ad.Tape() as tape:
             a = ad.parameter([3.0])
-            sq = ad.mul(a, a)
-            out = ad.total(ad.add(a, sq))
+            sq = ad.matmul(a, a)
+            out = ad.add(ad.mean(a), sq)
             tape.backward(out)
         np.testing.assert_allclose(a.grad, [7.0])
 
 
 class TestGradCheck:
     def test_quadratic_tight(self):
-        err = ad.grad_check(lambda p: ad.total(ad.mul(p[0], p[0])), [np.array([3.0])])
+        err = ad.grad_check(lambda p: ad.matmul(p[0], p[0]), [np.array([3.0])])
         assert err < 1e-8
 
     def test_nonfinite_raises(self):

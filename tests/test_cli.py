@@ -137,6 +137,18 @@ class TestAuditCommand:
         for flag in ("--freq-counts", "--token-texts"):
             assert main(["compare", ap, ap, "--out-dir", str(tmp_path / "cmp"), flag, bad]) == 2
 
+    @pytest.mark.parametrize("counts", ['{"1": 1e999}', '{"1": -Infinity}', '{"1": 1.5}',
+                                        '{"1": true}', '{"x": 1}'])
+    def test_non_integer_freq_counts_exit_2(self, tmp_path, tiny_logits, counts):
+        lp, tp, _ = tiny_logits
+        ap = str(tmp_path / "a.jsonl")
+        assert main(["audit", lp, tp, ap]) == 0
+        fc = str(tmp_path / "counts.json")
+        with open(fc, "w") as f:
+            f.write(counts)
+        assert main(["compare", ap, ap, "--out-dir", str(tmp_path / "cmp"),
+                     "--freq-counts", fc]) == 2
+
     @pytest.mark.parametrize("targets", [
         ["a", "b", "c"], [1.5, 2, 3], [True, 2, 3], [1, [2], 3], [1, 2, 2**64], {"0": 1},
     ])
@@ -429,6 +441,22 @@ class TestSynthValidate:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["synth-validate", "--sites", sp, "--samples", "100000"]) == 2
         assert capsys.readouterr().err.endswith(f"non-finite logit at position {first}\n")
+
+    def test_overflowing_margin_exit_2_names_sample(self, tmp_path, capsys):
+        # finite logits +-1e308 cos(theta) whose difference overflows
+        sites = np.array([[1e308, 0.0], [-1e308, 0.0]])
+        sp = str(tmp_path / "sites.json")
+        with open(sp, "w") as f:
+            json.dump(sites.tolist(), f)
+        theta = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 100_000)
+        logits = np.column_stack([np.cos(theta), np.sin(theta)]) @ sites.T
+        assert np.isfinite(logits).all()
+        with np.errstate(over="ignore"):
+            first = int(np.flatnonzero(np.isinf(logits[:, 0] - logits[:, 1]))[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synth-validate", "--sites", sp, "--samples", "100000"]) == 2
+        assert capsys.readouterr().err.endswith(f"margin overflows at sample {first}\n")
 
     def test_circle2_passes(self, tmp_path):
         out = str(tmp_path / "verdict.json")

@@ -330,6 +330,9 @@ BAD_CHECKPOINT_HEADERS = {
     "config value of the wrong type": lambda h: h["config"].update(heads=2.0),
     "config bool for an int": lambda h: h["config"].update(layers=True),
     "config that breaks ToyLmConfig": lambda h: h["config"].update(heads=3),
+    "config with zero heads": lambda h: h["config"].update(heads=0),
+    "config with zero hidden_dim": lambda h: h["config"].update(hidden_dim=0),
+    "config with negative hidden_dim": lambda h: h["config"].update(hidden_dim=-16),
     "config missing a key": lambda h: h["config"].pop("context"),
     "seed is a string": lambda h: h.update(seed="5"),
     "negative seed": lambda h: h.update(seed=-1),

@@ -7,10 +7,17 @@ import pytest
 
 from marginlab import autodiff as ad
 from marginlab.errors import DataError, UsageError
-from marginlab.margins import nearest_rank_quantile, top2_stats
-from marginlab.objectives import MrpConfig, cross_entropy, fisher_loss, margin_loss
+from marginlab.margins import Audit, compute_margins, nearest_rank_quantile, top2_stats
+from marginlab.objectives import (
+    MrpConfig,
+    combined_loss,
+    cross_entropy,
+    fisher_loss,
+    margin_loss,
+)
 from marginlab.toylm import ToyLm, ToyLmConfig
 from marginlab.training import (
+    LayerScanRow,
     TrainConfig,
     audit_model,
     dose_response,
@@ -46,15 +53,19 @@ class TestForward:
         assert np.array_equal(a.values, b.values)
 
     def test_shapes_and_hidden_count(self):
+        # the final position predicts nothing and gets no row
         logits, hiddens = ToyLm(CFG, seed=0).forward(np.array([1, 2, 3]))
-        assert logits.values.shape == (3, 64)
+        assert logits.values.shape == (2, 64)
         assert len(hiddens) == 2
-        assert hiddens[0].shape == (3, 32)
+        assert hiddens[0].shape == (2, 32)
+        logits, hiddens = ToyLm(CFG, seed=0).forward(np.array([[1, 2, 3], [4, 5, 6]]))
+        assert logits.values.shape == (4, 64)
+        assert hiddens[1].shape == (4, 32)
 
     def test_three_tokens_two_loss_positions(self):
         tokens = np.array([5, 6, 7])
         logits, _ = ToyLm(CFG, seed=0).forward(tokens)
-        rows = logits.values[:-1]
+        rows = logits.values
         targets = tokens[1:]
         assert rows.shape[0] == 2
         assert targets.shape[0] == 2
@@ -86,21 +97,26 @@ class TestForward:
             ToyLm(CFG, seed=0).forward(np.arange(17) % 60)
 
     def test_one_attention_node_per_layer(self):
+        # 14 nodes per layer plus 8, whatever the number of sequences
         model = ToyLm(ToyLmConfig(), seed=0)
-        tokens = np.random.default_rng(0).integers(0, 512, size=96)
-        with ad.Tape() as tape:
-            model.forward(tokens)
-        ops = [backward.__qualname__.split(".")[0] for _, backward in tape._nodes]
-        assert ops.count("causal_attention") == model.config.layers
-        assert len(tape) == 35
+        for b in (1, 4):
+            tokens = np.random.default_rng(0).integers(0, 512, size=(b, 96))
+            with ad.Tape() as tape:
+                model.forward(tokens)
+            ops = [backward.__qualname__.split(".")[0] for _, backward in tape._nodes]
+            assert ops.count("causal_attention") == model.config.layers
+            assert len(tape) == 36
 
     def test_causal_masking(self):
         # changing a future token must not change earlier logit rows
         model = ToyLm(CFG, seed=0)
         a, _ = model.forward(np.array([1, 2, 3, 4]))
-        b, _ = model.forward(np.array([1, 2, 3, 9]))
-        np.testing.assert_allclose(a.values[:3], b.values[:3], atol=1e-12)
-        assert not np.allclose(a.values[3], b.values[3])
+        b, _ = model.forward(np.array([1, 2, 9, 4]))
+        c, _ = model.forward(np.array([1, 2, 3, 9]))
+        np.testing.assert_allclose(a.values[:2], b.values[:2], atol=1e-12)
+        assert not np.allclose(a.values[2], b.values[2])
+        # the final token is only ever a target
+        assert np.array_equal(a.values, c.values)
 
 
 class TestTrain:
@@ -163,8 +179,7 @@ class TestTrain:
             model.zero_grad()
             with ad.Tape() as tape:
                 logits, _ = model.forward(chunk)
-                rows = ad.gather_rows(logits, np.arange(chunk.size - 1))
-                loss = cross_entropy(rows, chunk[1:])
+                loss = cross_entropy(logits, chunk[1:])
                 tape.backward(loss)
             grads[name] = model.params["embedding"].grad.copy()
         # same forward function, same loss, but the tied model's embedding
@@ -188,7 +203,7 @@ class TestTrain:
             ce, obj, margins = [], [], []
             for ci in rng.integers(0, len(chunks), size=cfg.batch_size):
                 chunk = chunks[int(ci)]
-                rows = model.forward(chunk)[0].values[:-1]
+                rows = model.forward(chunk)[0].values
                 ce.append(cross_entropy(rows, chunk[1:]).item())
                 if objective == "margin":
                     obj.append(margin_loss(rows, mrp.tau).item())
@@ -287,3 +302,94 @@ class TestLayerScan:
         rows = layer_scan(model, tiny_corpus, tau=1.0)
         final = rows[-1].spearman_ce_mrp
         assert final is not None and final > 0
+
+
+class TestBatching:
+    """A [b, T] forward, a training step's length groups and the blocked
+    audit against one chunk at a time."""
+
+    def test_batch_rows_equal_single_forwards(self, tiny_corpus):
+        model = ToyLm(CFG, seed=3)
+        seqs = tiny_corpus[:48].reshape(3, 16)
+        logits, hiddens = model.forward(seqs)
+        for s, seq in enumerate(seqs):
+            one, one_hiddens = model.forward(seq)
+            rows = slice(15 * s, 15 * (s + 1))
+            assert np.array_equal(logits.values[rows], one.values)
+            for h, h1 in zip(hiddens, one_hiddens):
+                assert np.array_equal(h[rows], h1)
+        # changing one sequence leaves the others' rows as they were
+        changed = seqs.copy()
+        changed[1, :5] = (changed[1, :5] + 1) % 60
+        again, _ = model.forward(changed)
+        assert np.array_equal(again.values[:15], logits.values[:15])
+        assert np.array_equal(again.values[30:], logits.values[30:])
+        assert not np.allclose(again.values[15:30], logits.values[15:30])
+
+    def test_bad_batch_shape(self):
+        with pytest.raises(UsageError):
+            ToyLm(CFG, seed=0).forward(np.ones((2, 2, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("objective", ["margin", "fisher"])
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    def test_step_with_short_chunk_matches_per_chunk_loop(self, tiny_corpus, objective, lam):
+        corpus = tiny_corpus[:16 * 12 + 5]  # 12 full chunks and a 5-token remainder
+        chunks = make_chunks(corpus, CFG.context)
+        batch = 6
+        seed = next(
+            s for s in range(100)
+            if (np.random.default_rng(s).integers(0, len(chunks), size=batch)
+                == len(chunks) - 1).any()
+        )
+        # tau near the median margin, so chunks gate different row counts
+        mrp = MrpConfig(objective=objective, lambda_mrp=lam, tau=0.08, k=4)
+        model = ToyLm(CFG, seed=4)
+        entry = train(model, corpus, TrainConfig(steps=1, batch_size=batch, seed=seed, mrp=mrp))[0]
+
+        ref = ToyLm(CFG, seed=4)
+        picks = np.random.default_rng(seed).integers(0, len(chunks), size=batch)
+        assert len({chunks[i].size for i in picks}) == 2
+        ce, obj, margins = [], [], []
+        with ad.Tape() as tape:
+            total = None
+            for i in picks:
+                logits, _ = ref.forward(chunks[i])
+                loss, parts = combined_loss(
+                    logits, chunks[i][1:], mrp, ref.unembedding, with_parts=True
+                )
+                total = loss if total is None else ad.add(total, loss)
+                ce.append(parts.ce)
+                obj.append(parts.objective)
+                margins.append(parts.margins)
+            tape.backward(ad.scale(total, 1.0 / batch))
+        assert entry.ce == pytest.approx(np.mean(ce), rel=1e-12, abs=0.0)
+        assert entry.mrp == pytest.approx(np.mean(obj), rel=1e-12, abs=0.0)
+        assert entry.median_margin == nearest_rank_quantile(np.sort(np.concatenate(margins)), 0.5)
+        for name, p in ref.params.items():
+            got = model.params[name].grad
+            assert np.abs(got - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
+
+    def test_audit_and_scan_equal_per_chunk_forwards(self, tiny_corpus):
+        corpus = tiny_corpus[:16 * 9 + 7]  # blocks of 4, 4 and 1 chunks, then 7 tokens
+        model = ToyLm(CFG, seed=5)
+        chunks = make_chunks(corpus, CFG.context)
+        per_chunk = [model.forward(c) for c in chunks]
+        expected = Audit.concat(
+            compute_margins(logits.values, c[1:]) for (logits, _), c in zip(per_chunk, chunks)
+        )
+        assert audit_model(model, corpus) == replace(
+            expected, position=np.arange(len(expected))
+        )
+
+        ce = np.concatenate([
+            -ad.log_softmax_gather(logits, c[1:]).values
+            for (logits, _), c in zip(per_chunk, chunks)
+        ])
+        rows = [
+            LayerScanRow(li, virtual_penalty_ce_rho(
+                np.concatenate([top2_stats(model.project_hidden(h[li]))[2] for _, h in per_chunk]),
+                ce, 0.5,
+            ))
+            for li in range(CFG.layers)
+        ]
+        assert layer_scan(model, corpus, tau=0.5) == rows
