@@ -22,9 +22,9 @@ from .audit import band_accuracy, churn_report, expansion_report, frequency_audi
 from .errors import DataError, MarginLabError, NumericalError, UsageError
 from .gapfit import GridSpec, fit_gap_curve
 from .manifold import PRESETS, ManifoldSpec, validate_scaling
-from .margins import compute_margins, margin_quantiles
+from .margins import Audit, compute_margins, margin_quantiles
 from .objectives import MrpConfig
-from .precision import emulate_bf16, recompute_fp32_logits
+from .precision import emulate_bf16
 from .tokenclass import class_audit
 from .tokenizer import Vocab, tokenize
 from .toylm import ToyLm, ToyLmConfig
@@ -58,13 +58,18 @@ def _read_json(path: str, what: str, kind: type):
     return data
 
 
-def _read_targets(path: str, expected: int) -> np.ndarray:
+def _read_targets(path: str, expected: int, vocab: int) -> np.ndarray:
     data = _read_json(path, "targets", list)
     if not all(type(t) is int and abs(t) < 2**63 for t in data):
         raise DataError(f"{path}: targets must be integer token ids")
     if len(data) != expected:
         raise DataError(f"{path}: {len(data)} targets for {expected} logit rows")
-    return np.asarray(data, dtype=np.int64)
+    targets = np.asarray(data, dtype=np.int64)
+    outside = np.flatnonzero((targets < 0) | (targets >= vocab))
+    if outside.size:
+        raise DataError(f"{path}: target {targets[outside[0]]} at index {outside[0]} "
+                        f"is outside [0, {vocab})")
+    return targets
 
 
 def _load_corpus(path: str, vocab_size: int) -> tuple[np.ndarray, Vocab]:
@@ -86,16 +91,32 @@ def _load_corpus(path: str, vocab_size: int) -> tuple[np.ndarray, Vocab]:
 
 
 def _cmd_audit(args) -> int:
-    matrix, _header = fileio.read_logits(args.logits)
+    header, blocks = fileio.read_logits_blocks(args.logits)
+    vocab = header["cols"]
     if args.fp32_recompute:
         if not args.unembedding:
             raise UsageError("--fp32-recompute requires --unembedding")
         unemb, _ = fileio.read_logits(args.unembedding)
-        matrix = recompute_fp32_logits(matrix, unemb)
-    if args.bf16_emulate:
-        matrix = emulate_bf16(matrix)
-    targets = _read_targets(args.targets, matrix.shape[0])
-    audit = compute_margins(matrix, targets)
+        if unemb.shape[1] != vocab or not np.isfinite(unemb).all():
+            raise DataError(f"{args.unembedding}: unembedding must be finite and as wide as "
+                            f"the {vocab}-wide hidden states in {args.logits}")
+        vocab = unemb.shape[0]
+    targets = _read_targets(args.targets, header["rows"], vocab)
+    parts, start = [], 0
+    for block in blocks:
+        if args.fp32_recompute:
+            bad = start + np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if bad.size:
+                raise DataError(f"{args.logits}: non-finite hidden state at position {bad[0]}")
+            # recompute_fp32_logits' product, without re-checking unemb per block; an
+            # overflow is a non-finite logit, which compute_margins reports as data.
+            with np.errstate(over="ignore"):
+                block = block @ unemb.T
+        if args.bf16_emulate:
+            block = emulate_bf16(block)
+        parts.append(compute_margins(block, targets[start : start + len(block)], start))
+        start += len(block)
+    audit = Audit.concat(parts)
     dtype = "bf16" if args.bf16_emulate else "f32"
     fileio.write_audit(args.out, audit, dtype=dtype, seed=args.seed)
     q = margin_quantiles(audit.margin)

@@ -21,9 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, astuple, is_dataclass
 from enum import Enum
 
@@ -41,6 +42,7 @@ __all__ = [
     "file_digest",
     "write_logits",
     "read_logits",
+    "read_logits_blocks",
     "write_audit",
     "read_audit",
     "save_checkpoint",
@@ -128,43 +130,64 @@ def write_logits(
     )
 
 
-def read_logits(path: str) -> tuple[np.ndarray, dict]:
-    """Returns (float32 matrix, header).  bf16 payloads widen exactly."""
+# A block of about 512 KiB of float32 rows (256 at V = 512) keeps its selection
+# passes in cache; the row floor keeps a wide vocabulary from tiny blocks.
+_BLOCK_BYTES = 1 << 19
+_MIN_BLOCK_ROWS = 32
+
+
+def read_logits_blocks(path: str, block_rows: int | None = None) -> tuple[dict, Iterator[np.ndarray]]:
+    """Checks the header and payload size, then returns (header, float32
+    blocks of ``block_rows`` rows, default about _BLOCK_BYTES).  bf16 widens
+    exactly.  Blocks share one buffer: each is valid until the next is read."""
     with open(path, "rb") as f:
         line = f.readline()
-        if not line.endswith(b"\n"):
-            raise DataError(f"{path}: missing header line")
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise DataError(f"{path}: unparseable header: {e}") from e
-        if not isinstance(header, dict):
-            raise DataError(f"{path}: header is not a JSON object")
-        for key in ("rows", "cols", "dtype", "layout"):
-            if key not in header:
-                raise DataError(f"{path}: header missing {key!r}")
-        if header["layout"] != "row-major-le":
-            raise DataError(f"{path}: unsupported layout {header['layout']!r}")
-        dtype = header["dtype"]
-        if dtype not in _LOGITS_DTYPES:
-            raise DataError(f"{path}: unsupported dtype {dtype!r}")
-        rows, cols = header["rows"], header["cols"]
-        if not all(type(v) is int and v >= 0 for v in (rows, cols)):
-            raise DataError(f"{path}: rows and cols must be non-negative integers")
         size = os.fstat(f.fileno()).st_size - len(line)
-        expected = rows * cols * _LOGITS_DTYPES[dtype]
-        if size != expected:
-            raise DataError(f"{path}: payload is {size} bytes, expected {expected}")
-        if rows * cols == 0:
-            raise DataError(f"{path}: empty logits container")
-        payload = np.empty((rows, cols), dtype="<f4" if dtype == "f32" else "<u2")
-        if f.readinto(payload) != expected:
-            raise DataError(f"{path}: payload shorter than {expected} bytes")
-    if dtype == "f32":
-        return payload, header
-    bits = payload.astype(np.uint32)
-    bits <<= np.uint32(16)
-    return bits.view(np.float32), header
+    if not line.endswith(b"\n"):
+        raise DataError(f"{path}: missing header line")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}: unparseable header: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
+    for key in ("rows", "cols", "dtype", "layout"):
+        if key not in header:
+            raise DataError(f"{path}: header missing {key!r}")
+    if header["layout"] != "row-major-le":
+        raise DataError(f"{path}: unsupported layout {header['layout']!r}")
+    dtype = header["dtype"]
+    if dtype not in _LOGITS_DTYPES:
+        raise DataError(f"{path}: unsupported dtype {dtype!r}")
+    rows, cols = header["rows"], header["cols"]
+    if not all(type(v) is int and v >= 0 for v in (rows, cols)):
+        raise DataError(f"{path}: rows and cols must be non-negative integers")
+    expected = rows * cols * _LOGITS_DTYPES[dtype]
+    if size != expected:
+        raise DataError(f"{path}: payload is {size} bytes, expected {expected}")
+    if rows * cols == 0:
+        raise DataError(f"{path}: empty logits container")
+    block_rows = min(block_rows or max(_BLOCK_BYTES // (4 * cols), _MIN_BLOCK_ROWS), rows)
+
+    def blocks() -> Iterator[np.ndarray]:
+        buf = np.empty((block_rows, cols), dtype="<f4" if dtype == "f32" else "<u2")
+        with open(path, "rb") as f:
+            f.seek(len(line))
+            for lo in range(0, rows, block_rows):
+                part = buf[: min(block_rows, rows - lo)]
+                if f.readinto(part) != part.nbytes:
+                    raise DataError(f"{path}: payload shorter than {expected} bytes")
+                if dtype == "bf16":
+                    part = np.left_shift(part, np.uint32(16), dtype=np.uint32).view(np.float32)
+                yield part
+
+    return header, blocks()
+
+
+def read_logits(path: str) -> tuple[np.ndarray, dict]:
+    """Returns (float32 matrix, header): ``read_logits_blocks`` in one block."""
+    header, blocks = read_logits_blocks(path, block_rows=sys.maxsize)
+    return next(blocks), header
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def topk_ids(rows: np.ndarray, k: int) -> np.ndarray:
     return ids
 
 
-def top2_stats(logit_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def top2_stats(logit_rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-1/top-2 ids and margins for a batch of logit rows.
 
     Lower token id wins ties.  Returns (top1_ids, top2_ids, margins) as
@@ -181,7 +181,7 @@ def top2_stats(logit_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Raises:
         UsageError: fewer than 2 columns.
-        DataError: any non-finite logit (the message names the position).
+        DataError: any non-finite logit (the message names its row + ``start``).
     """
     rows = np.atleast_2d(np.asarray(logit_rows))
     if rows.ndim != 2:
@@ -191,7 +191,7 @@ def top2_stats(logit_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     finite = np.isfinite(rows)
     if not finite.all():
         pos = int(np.nonzero(~finite.all(axis=1))[0][0])
-        raise DataError(f"non-finite logit at position {pos}")
+        raise DataError(f"non-finite logit at position {start + pos}")
 
     if rows.shape[1] == 2:
         # Closed form: column 1 wins only when strictly larger.
@@ -227,8 +227,8 @@ def column_margins(logits: np.ndarray, start: int = 0) -> np.ndarray:
     return np.subtract(top, second, out=top)
 
 
-def compute_margins(logit_rows: np.ndarray, targets: np.ndarray) -> Audit:
-    """The audit of a batch of logit rows, positions numbered from 0.
+def compute_margins(logit_rows: np.ndarray, targets: np.ndarray, start: int = 0) -> Audit:
+    """The audit of a batch of logit rows, positions numbered from ``start``.
 
     ``targets[i]`` is the reference token id for row ``i``; ``correct`` is
     whether the top-1 token equals it.
@@ -239,9 +239,9 @@ def compute_margins(logit_rows: np.ndarray, targets: np.ndarray) -> Audit:
         raise UsageError(
             f"targets length {targets.shape} does not match {rows.shape[0]} rows"
         )
-    top1, top2, margins = top2_stats(rows)
+    top1, top2, margins = top2_stats(rows, start)
     return Audit(
-        position=np.arange(rows.shape[0]),
+        position=np.arange(start, start + rows.shape[0]),
         target=targets,
         top1=top1,
         top2=top2,

@@ -207,11 +207,12 @@ def audit_model(model: ToyLm, corpus_tokens) -> Audit:
     Positions are numbered sequentially across chunks, so two audits of
     the same corpus align position by position.
     """
-    audit = Audit.concat(
-        compute_margins(model.forward(block)[0].values, block[:, 1:].ravel())
-        for block in _blocks(corpus_tokens, model.config.context)
+    blocks = _blocks(corpus_tokens, model.config.context)
+    starts = np.cumsum([0] + [block[:, 1:].size for block in blocks])
+    return Audit.concat(
+        compute_margins(model.forward(block)[0].values, block[:, 1:].ravel(), start)
+        for block, start in zip(blocks, starts)
     )
-    return replace(audit, position=np.arange(len(audit)))
 
 
 def dose_response(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from marginlab import fileio
 from marginlab.cli import main
-from marginlab.margins import MarginRecord
+from marginlab.margins import MarginRecord, compute_margins
+from marginlab.precision import emulate_bf16, recompute_fp32_logits
 from marginlab.toylm import ToyLm, ToyLmConfig
 
 
@@ -158,6 +160,148 @@ class TestAuditCommand:
         with open(tp, "w") as f:
             json.dump(targets, f)
         assert main(["audit", lp, tp, str(tmp_path / "x.jsonl")]) == 2
+
+    @pytest.mark.parametrize("bad", [-1, 6, 2**62])
+    def test_target_outside_vocabulary_exits_2(self, tmp_path, tiny_logits, bad, capsys):
+        lp, _, _ = tiny_logits
+        tp = str(tmp_path / "bad.json")
+        with open(tp, "w") as f:
+            json.dump([1, bad, 3], f)
+        out = str(tmp_path / "x.jsonl")
+        assert main(["audit", lp, tp, out]) == 2
+        assert f"target {bad} at index 1 is outside [0, 6)" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+def _recompute_inputs(tmp_path, hidden, unemb):
+    hp, up, tp = (str(tmp_path / n) for n in ("hidden.bin", "unemb.bin", "targets.json"))
+    fileio.write_logits(hp, hidden)
+    fileio.write_logits(up, unemb)
+    with open(tp, "w") as f:
+        json.dump([0] * hidden.shape[0], f)
+    return hp, up, tp
+
+
+class TestFp32RecomputeData:
+    @pytest.mark.parametrize("case", ["nan hidden", "inf unembedding", "width mismatch"])
+    def test_bad_container_exits_2(self, tmp_path, case, capsys):
+        hidden = np.ones((5, 4), dtype=np.float32)
+        unemb = np.ones((7, 3 if case == "width mismatch" else 4), dtype=np.float32)
+        if case == "nan hidden":
+            hidden[3, 1] = np.nan
+        if case == "inf unembedding":
+            unemb[2, 0] = np.inf
+        hp, up, tp = _recompute_inputs(tmp_path, hidden, unemb)
+        out = str(tmp_path / "a.jsonl")
+        assert main(["audit", hp, tp, out, "--fp32-recompute", "--unembedding", up]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert ("position 3" in err) == (case == "nan hidden")
+        assert not os.path.exists(out)
+
+    def test_overflowing_product_exits_2_without_warning(self, tmp_path, capsys):
+        hidden = np.full((3, 4), 1e30, dtype=np.float32)
+        unemb = np.full((5, 4), 1e30, dtype=np.float32)
+        hp, up, tp = _recompute_inputs(tmp_path, hidden, unemb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["audit", hp, tp, str(tmp_path / "a.jsonl"),
+                         "--fp32-recompute", "--unembedding", up])
+        assert code == 2
+        assert "non-finite logit at position 0" in capsys.readouterr().err
+
+
+@pytest.fixture
+def three_row_blocks(monkeypatch):
+    """Streamed audits read 3-row blocks, so 10 rows end in a 1-row block."""
+    monkeypatch.setattr(fileio, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(fileio, "_MIN_BLOCK_ROWS", 3)
+
+
+class TestStreamedAudit:
+    ROWS, V = 10, 6
+
+    def _audit(self, tmp_path, logits, targets, *flags, dtype="f32"):
+        lp, tp, out = (str(tmp_path / n) for n in ("logits.bin", "targets.json", "a.jsonl"))
+        fileio.write_logits(lp, logits, dtype=dtype)
+        with open(tp, "w") as f:
+            json.dump(targets.tolist(), f)
+        return main(["audit", lp, tp, out, *flags]), out
+
+    @pytest.mark.parametrize("dtype", ["f32", "bf16"])
+    def test_blocks_equal_whole_matrix(self, tmp_path, three_row_blocks, dtype):
+        rng = np.random.default_rng(11)
+        logits = rng.normal(size=(self.ROWS, self.V)).astype(np.float32)
+        targets = rng.integers(0, self.V, self.ROWS)
+        code, out = self._audit(tmp_path, logits, targets, dtype=dtype)
+        assert code == 0
+        whole = logits if dtype == "f32" else emulate_bf16(logits)
+        assert fileio.read_audit(out)[0] == compute_margins(whole, targets)
+
+    def test_bf16_emulate_ties_lower_id_wins(self, tmp_path, three_row_blocks):
+        rng = np.random.default_rng(12)
+        # Integers 1..4 plus less than half a bf16 step: distinct in f32,
+        # exact ties once rounded to bf16.
+        logits = (rng.integers(1, 5, (self.ROWS, self.V))
+                  + rng.uniform(0, 2**-9, (self.ROWS, self.V))).astype(np.float32)
+        targets = rng.integers(0, self.V, self.ROWS)
+        code, out = self._audit(tmp_path, logits, targets, "--bf16-emulate")
+        assert code == 0
+        audit = fileio.read_audit(out)[0]
+        assert audit == compute_margins(emulate_bf16(logits), targets)
+        ties = audit.margin == 0
+        assert ties.sum() >= 3 and (audit.top1[ties] < audit.top2[ties]).all()
+
+    def test_fp32_recompute(self, tmp_path, three_row_blocks):
+        rng = np.random.default_rng(13)
+        # Multiples of 1/8 with small sums: every product order gives the same float32.
+        hidden = (rng.integers(-8, 9, (self.ROWS, 5)) / 8).astype(np.float32)
+        unemb = (rng.integers(-8, 9, (self.V, 5)) / 8).astype(np.float32)
+        hp, up, _ = _recompute_inputs(tmp_path, hidden, unemb)
+        targets = rng.integers(0, self.V, self.ROWS)
+        tp, out = str(tmp_path / "t.json"), str(tmp_path / "a.jsonl")
+        with open(tp, "w") as f:
+            json.dump(targets.tolist(), f)
+        assert main(["audit", hp, tp, out, "--fp32-recompute", "--unembedding", up]) == 0
+        expected = compute_margins(recompute_fp32_logits(hidden, unemb), targets)
+        assert fileio.read_audit(out)[0] == expected
+
+    @pytest.mark.parametrize("flags", [[], ["--bf16-emulate"]])
+    def test_non_finite_in_later_block_names_global_position(
+        self, tmp_path, three_row_blocks, flags, capsys
+    ):
+        logits = np.ones((self.ROWS, self.V), dtype=np.float32)
+        logits[:, 0] = 2.0
+        logits[7, 2] = np.inf
+        code, out = self._audit(tmp_path, logits, np.zeros(self.ROWS, dtype=int), *flags)
+        assert code == 2
+        assert "non-finite logit at position 7" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["logits.bin", "targets.json"]
+
+
+@pytest.fixture(scope="module")
+def big_container(tmp_path_factory):
+    """A 20,000 x 512 f32 container (41 MB payload) and in-range targets."""
+    root = tmp_path_factory.mktemp("big")
+    rng = np.random.default_rng(21)
+    lp, tp = str(root / "big.logits"), str(root / "targets.json")
+    fileio.write_logits(lp, rng.standard_normal((20_000, 512), dtype=np.float32))
+    with open(tp, "w") as f:
+        json.dump(rng.integers(0, 512, 20_000).tolist(), f)
+    return lp, tp, 20_000 * 512 * 4
+
+
+class TestAuditMemory:
+    @pytest.mark.parametrize("flags", [[], ["--bf16-emulate"]])
+    def test_peak_below_half_the_payload(self, tmp_path, big_container, flags):
+        lp, tp, payload = big_container
+        tracemalloc.start()
+        try:
+            assert main(["audit", lp, tp, str(tmp_path / "a.jsonl"), *flags]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 2, f"peak {peak / 1e6:.1f} MB for a {payload / 1e6:.1f} MB payload"
 
 
 class TestGapFitCommand:

@@ -61,6 +61,36 @@ class TestLogitsContainer:
             raw = f.read()
         assert len(raw) - raw.find(b"\n") - 1 == m.size * 2
 
+    @pytest.mark.parametrize("dtype", ["f32", "bf16"])
+    def test_blocks_concatenate_to_read_logits(self, tmp_path, monkeypatch, dtype):
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", 4 * 7 * 4)  # four 7-wide f32 rows
+        m = np.random.default_rng(2).normal(size=(10, 7)).astype(np.float32)
+        path = str(tmp_path / "logits.bin")
+        fileio.write_logits(path, m, dtype=dtype)
+        monkeypatch.setattr(fileio, "_MIN_BLOCK_ROWS", 1)
+        header, blocks = fileio.read_logits_blocks(path)
+        parts = [block.copy() for block in blocks]
+        assert [len(p) for p in parts] == [4, 4, 2]
+        assert all(p.dtype == np.float32 for p in parts)
+        assert np.array_equal(np.concatenate(parts), fileio.read_logits(path)[0])
+        assert header == fileio.read_logits(path)[1]
+
+    def test_wide_rows_keep_the_block_floor(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", 16)  # less than one 8-wide f32 row
+        monkeypatch.setattr(fileio, "_MIN_BLOCK_ROWS", 3)
+        path = str(tmp_path / "wide.bin")
+        fileio.write_logits(path, np.zeros((4, 8)))
+        _, blocks = fileio.read_logits_blocks(path)
+        assert [len(b) for b in blocks] == [3, 1]
+
+    def test_short_read_after_checks_is_data_error(self, tmp_path):
+        path = str(tmp_path / "logits.bin")
+        fileio.write_logits(path, np.ones((3, 4)))
+        _, blocks = fileio.read_logits_blocks(path)
+        os.truncate(path, os.path.getsize(path) - 1)
+        with pytest.raises(DataError, match="payload shorter"):
+            next(blocks)
+
     def test_corrupt_payload_length(self, tmp_path):
         path = str(tmp_path / "bad.bin")
         header = json.dumps({"rows": 2, "cols": 2, "dtype": "f32", "layout": "row-major-le"})
