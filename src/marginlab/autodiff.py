@@ -6,9 +6,6 @@ Design notes:
   recording order is a topological order, and the backward pass walks it
   exactly once in reverse, so gradient accumulation order is fixed and
   results are bit-reproducible.
-* Top-k selection and boolean gates are hard: indices and masks are
-  frozen at forward time, gradients flow only through the selected
-  values, never through the discrete choice itself.
 * Everything defaults to float64.  float32 inputs are preserved for
   callers that want speed over precision, but the verification tests run
   in double precision.
@@ -21,7 +18,6 @@ import math
 import numpy as np
 
 from .errors import NumericalError, UsageError
-from .margins import topk_ids
 
 __all__ = [
     "Tensor",
@@ -34,11 +30,9 @@ __all__ = [
     "scale",
     "causal_attention",
     "log_softmax_gather",
-    "topk_values_gather",
     "gather_rows",
     "l2_normalize_rows",
     "mean",
-    "masked_mean",
     "transpose",
     "relu",
     "grad_check",
@@ -105,13 +99,9 @@ class Tape:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # Stored grads are never modified in place: one g may reach two parents (add).
     if t.requires_grad:
-        if t.grad is None:
-            # A copy, not g itself: one g may reach two parents (add), and
-            # a stored gradient is later added to in place.
-            t.grad = np.array(g, dtype=t.values.dtype)
-        else:
-            t.grad += g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _make(values, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -263,32 +253,6 @@ def log_softmax_gather(x: Tensor, indices) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def topk_values_gather(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
-    """Hard top-k per row of finite input: values sorted descending, lower id wins ties.
-
-    Returns (values [rows, k], indices [rows, k]).  The index choice is
-    frozen at forward time; backward scatters gradient onto the selected
-    entries only, all other entries receive exactly zero.
-    """
-    xv = np.atleast_2d(x.values)
-    if xv.ndim != 2:
-        raise UsageError("topk_values_gather expects a 1-D or 2-D input")
-    if not 1 <= k <= xv.shape[1]:
-        raise UsageError(f"k={k} out of range for V={xv.shape[1]}")
-    if not np.isfinite(xv).all():
-        raise UsageError("topk_values_gather needs finite input")
-    order = topk_ids(xv, k)
-    rows = np.arange(xv.shape[0])[:, None]
-    values = xv[rows, order]
-
-    def backward(g):
-        dx = np.zeros_like(xv)
-        np.add.at(dx, (rows, order), g)
-        _accumulate(x, dx.reshape(x.values.shape))
-
-    return _make(values, (x,), backward), order
-
-
 def gather_rows(m: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor; backward scatter-adds into them."""
     mv = m.values
@@ -333,31 +297,6 @@ def mean(x: Tensor) -> Tensor:
         _accumulate(x, np.full_like(x.values, float(g) / n))
 
     return _make(x.values.mean(), (x,), backward)
-
-
-def masked_mean(x: Tensor, mask, groups: int = 1) -> Tensor:
-    """Mean over ``groups`` equal consecutive blocks of x of each block's
-    mean over the entries where mask is True; a block with an empty mask
-    counts 0.0.
-
-    The mask is a plain boolean array, frozen at forward time; masked-out
-    entries receive exactly zero gradient.
-    """
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != x.values.shape:
-        raise UsageError(f"mask shape {m.shape} does not match {x.shape}")
-    if groups < 1 or m.size % groups:
-        raise UsageError(f"{m.size} entries do not split into {groups} groups")
-    xg, mg = x.values.reshape(groups, -1), m.reshape(groups, -1)
-    counts = np.count_nonzero(mg, axis=1)
-    value = float(np.mean([xg[i][mg[i]].mean() if n else 0.0 for i, n in enumerate(counts)]))
-
-    def backward(g):
-        if counts.any():
-            w = float(g) / groups / np.maximum(counts, 1)
-            _accumulate(x, (mg * w[:, None]).reshape(x.values.shape))
-
-    return _make(value, (x,), backward)
 
 
 def transpose(m: Tensor) -> Tensor:

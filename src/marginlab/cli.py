@@ -478,21 +478,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"marginlab: usage error: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"marginlab: data error: {e}", file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"marginlab: numerical failure: {e}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as e:
-        print(f"marginlab: data error: {e}", file=sys.stderr)
-        return 2
     except MarginLabError as e:
-        print(f"marginlab: error: {e}", file=sys.stderr)
-        return 1
+        print(f"marginlab: {e.label}: {e}", file=sys.stderr)
+        return e.exit_code
+    except FileNotFoundError as e:
+        print(f"marginlab: {DataError.label}: {e}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

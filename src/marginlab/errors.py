@@ -2,17 +2,23 @@
 
 The three leaf classes map one-to-one onto the command-line exit codes:
 usage errors exit 1, data-format errors exit 2, numerical failures exit 3.
+Each class also carries the label the command line prints before its
+message.
 """
 
 
 class MarginLabError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+    label = "error"
+
 
 class UsageError(MarginLabError, ValueError):
     """The caller violated an API contract (bad shapes, bad parameters)."""
 
     exit_code = 1
+    label = "usage error"
 
 
 class DataError(MarginLabError, ValueError):
@@ -20,6 +26,7 @@ class DataError(MarginLabError, ValueError):
     misaligned audits, unparseable files)."""
 
     exit_code = 2
+    label = "data error"
 
 
 class NumericalError(MarginLabError, ArithmeticError):
@@ -27,3 +34,4 @@ class NumericalError(MarginLabError, ArithmeticError):
     undefined statistic)."""
 
     exit_code = 3
+    label = "numerical failure"

@@ -192,13 +192,6 @@ def top2_stats(logit_rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.n
     if not finite.all():
         pos = int(np.nonzero(~finite.all(axis=1))[0][0])
         raise DataError(f"non-finite logit at position {start + pos}")
-
-    if rows.shape[1] == 2:
-        # Closed form: column 1 wins only when strictly larger.
-        x0, x1 = rows[:, 0], rows[:, 1]
-        second_wins = x1 > x0
-        top1 = second_wins.astype(np.intp)
-        return top1, 1 - top1, np.where(second_wins, x1 - x0, x0 - x1)
     top1, top2 = topk_ids(rows, 2).T
     idx = np.arange(rows.shape[0])
     return top1, top2, rows[idx, top1] - rows[idx, top2]

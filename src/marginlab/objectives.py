@@ -10,9 +10,14 @@ Two refinement losses are provided:
   diag(p_k) - p_k p_k^T; token embedding rows are L2-normalized so the
   distance measures directional separation rather than norm differences.
 
+Each objective is one tape node with a hand-written backward, and
+``combined_loss`` feeds whichever is active from one top-k selection,
+which also gives the logged margins.
+
 Gradient semantics are hard throughout: top-k index sets and the margin
-gate are frozen per forward pass, and sqrt(clamp(., floor)) keeps
-gradients finite at near-zero distances.
+gate are frozen at forward time, so gradients flow only through the
+selected values, never through the discrete choice itself, and
+sqrt(clamp(., floor)) keeps gradients finite at near-zero distances.
 
 Pair sums run over ordered pairs (i != j), so each unordered pair counts
 twice; its weight is 2 p_i p_j.
@@ -33,7 +38,6 @@ from .margins import topk_ids
 __all__ = [
     "MrpConfig",
     "LossParts",
-    "row_margins",
     "margin_loss",
     "cross_entropy",
     "fisher_distance",
@@ -98,27 +102,43 @@ def _check_logits(logits: Tensor) -> None:
         raise DataError("non-finite logits")
 
 
-def row_margins(logits: Tensor) -> Tensor:
-    """Differentiable per-row margin (top-1 minus top-2 logit), shape [R, 1]."""
-    top2, _ = ad.topk_values_gather(logits, 2)
-    return ad.matmul(top2, ad.constant([[1.0], [-1.0]]))
+def margin_loss(logit_rows, tau: float, segments: int = 1, *, top_ids=None) -> Tensor:
+    """Negative mean margin (top1 - top2 logit) over rows whose margin is
+    below tau.
 
-
-def margin_loss(logit_rows, tau: float) -> Tensor:
-    """Negative mean margin over rows whose margin is below tau.
-
-    The gate is a hard boolean mask.  An empty gate yields exactly 0 (no
-    refinement signal).
+    The rows may be ``segments`` equal-length blocks; each block's gated
+    mean is taken on its own (an empty gate counts 0) and the blocks'
+    values are averaged.  The gate is a hard boolean mask, so ungated
+    rows get exactly zero gradient.  ``top_ids`` ([rows, >= 2], largest
+    first) passes in a selection the caller already made.  Recorded as
+    one tape node.
     """
     logits = ad.as_tensor(logit_rows)
     _check_logits(logits)
     if tau <= 0:
         raise UsageError("tau must be positive")
-    return _gated_margin_loss(row_margins(logits), tau)
+    n_rows = logits.values.shape[0]
+    if segments < 1 or n_rows % segments:
+        raise UsageError(f"{n_rows} rows do not split into {segments} segments")
+    ids = topk_ids(logits.values, 2) if top_ids is None else top_ids
+    rows, top1, top2 = np.arange(n_rows), ids[:, 0], ids[:, 1]
+    m = logits.values[rows, top1] - logits.values[rows, top2]
+    gate = m < tau
+    mg, gg = m.reshape(segments, -1), gate.reshape(segments, -1)
+    counts = np.count_nonzero(gg, axis=1)
+    value = float(np.mean([mg[s][gg[s]].mean() if n else 0.0 for s, n in enumerate(counts)]))
 
+    def backward(g):
+        if counts.any():
+            w = float(g * -1.0) / segments / np.maximum(counts, 1)
+            r = rows[gate]
+            w_r = w[r // (n_rows // segments)]
+            dx = np.zeros_like(logits.values)
+            dx[r, top1[r]] = w_r
+            dx[r, top2[r]] = -w_r
+            _accumulate(logits, dx)
 
-def _gated_margin_loss(m: Tensor, tau: float, segments: int = 1) -> Tensor:
-    return ad.scale(ad.masked_mean(m, m.values < tau, segments), -1.0)
+    return _make(value * -1.0, (logits,), backward)
 
 
 def cross_entropy(logit_rows, targets) -> Tensor:
@@ -268,19 +288,18 @@ def combined_loss(
     objective = margins = None
     if config.lambda_mrp != 0.0 or with_parts:
         source = logits if config.lambda_mrp else frozen
-        if config.objective == "margin":
-            m = row_margins(source)
-            objective = _gated_margin_loss(m, config.tau, segments)
-            margins = m.values[:, 0]
-        else:
-            if unembedding is None:
-                raise UsageError("fisher objective requires the unembedding matrix")
+        fisher = config.objective == "fisher"
+        if fisher and unembedding is None:
+            raise UsageError("fisher objective requires the unembedding matrix")
+        ids = topk_ids(source.values, config.k if fisher else 2)
+        if fisher:
             w = ad.as_tensor(unembedding)
             w = w if config.lambda_mrp else ad.constant(w.values)
-            ids = topk_ids(source.values, config.k)
             objective = fisher_loss(source, w, config.k, config.clamp_floor, top_ids=ids)
-            r = np.arange(ids.shape[0])
-            margins = source.values[r, ids[:, 0]] - source.values[r, ids[:, 1]]
+        else:
+            objective = margin_loss(source, config.tau, segments, top_ids=ids)
+        r = np.arange(ids.shape[0])
+        margins = source.values[r, ids[:, 0]] - source.values[r, ids[:, 1]]
     terms = [
         t if c == 1.0 else ad.scale(t, c)
         for t, c in ((ce, config.ce_weight), (objective, config.lambda_mrp))

@@ -19,8 +19,7 @@ def midranks(values: np.ndarray) -> np.ndarray:
     boundaries = np.nonzero(np.diff(sv))[0] + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [v.size]))
-    for a, b in zip(starts, ends):
-        ranks[order[a:b]] = 0.5 * (a + 1 + b)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
 
 

@@ -150,14 +150,14 @@ class ToyLm:
             hiddens.append(x)
 
         predicting = np.arange(b * t).reshape(b, t)[:, :-1].ravel()
-        final = _norm(ad.gather_rows(x, predicting), d)
-        logits = ad.matmul(final, ad.transpose(self.unembedding))
+        logits = self._head(ad.gather_rows(x, predicting))
         return logits, [h.values[predicting] for h in hiddens]
 
+    def _head(self, x: Tensor) -> Tensor:
+        """The output head: final normalization, then the unembedding."""
+        return ad.matmul(_norm(x, self.config.hidden_dim), ad.transpose(self.unembedding))
+
     def project_hidden(self, hidden: np.ndarray) -> np.ndarray:
-        """Virtual logits: a hidden-state matrix pushed through the final
-        normalization and output projection (plain arrays, no gradients)."""
-        h = np.asarray(hidden, dtype=np.float64)
-        norms = np.maximum(np.sqrt((h * h).sum(axis=-1, keepdims=True)), 1e-30)
-        unit = h / norms * math.sqrt(self.config.hidden_dim)
-        return unit @ self.unembedding.values.T
+        """Virtual logits: a hidden-state matrix pushed through the output
+        head (plain arrays, no gradients)."""
+        return self._head(ad.constant(np.asarray(hidden, dtype=np.float64))).values

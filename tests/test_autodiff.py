@@ -5,7 +5,8 @@ import pytest
 
 from marginlab import autodiff as ad
 from marginlab.errors import NumericalError, UsageError
-from marginlab.objectives import fisher_loss
+from marginlab.margins import topk_ids
+from marginlab.objectives import fisher_loss, margin_loss
 
 
 def _finite_diff_ok(fn, arrays, tol=1e-4, step=1e-5):
@@ -50,11 +51,8 @@ class TestPrimitiveGradients:
             [x],
         )
 
-    def test_masked_mean_and_slicing(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(5, 4))
-        mask = rng.random(size=(5, 4)) > 0.4
-        _finite_diff_ok(lambda p: ad.masked_mean(p[0], mask), [x])
+    def test_relu(self):
+        x = np.random.default_rng(9).normal(size=(5, 4))
         _finite_diff_ok(lambda p: ad.mean(ad.relu(p[0])), [x])
 
     def test_scale_add_transpose(self):
@@ -69,19 +67,6 @@ class TestPrimitiveGradients:
             [a, b],
         )
 
-    def test_masked_mean_groups(self):
-        # mean of per-group masked means; a group with an empty mask counts 0
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(12, 1))
-        mask = rng.random(size=(12, 1)) > 0.5
-        mask[8:] = False
-        got = ad.masked_mean(ad.constant(x), mask, 3).item()
-        want = np.mean([x[:4][mask[:4]].mean(), x[4:8][mask[4:8]].mean(), 0.0])
-        assert got == pytest.approx(want, rel=1e-15)
-        _finite_diff_ok(lambda p: ad.masked_mean(p[0], mask, 3), [x])
-        with pytest.raises(UsageError):
-            ad.masked_mean(ad.constant(x), mask, 5)
-
     def test_gather_rows_scatter_grad(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(6, 3))
@@ -90,8 +75,8 @@ class TestPrimitiveGradients:
 
 
 class TestPrimitiveSweep:
-    """Every primitive, and the fused causal_attention and fisher_loss
-    nodes, against central differences: 100 seeded instances in double
+    """Every primitive, and the fused causal_attention, fisher_loss and
+    margin_loss nodes, against central differences: 100 seeded instances in double
     precision."""
 
     def test_hundred_seeded_instances(self):
@@ -105,7 +90,7 @@ class TestPrimitiveSweep:
             sq = rng.normal(size=(n, n))
             qkv = list(rng.normal(size=(3, m, 2 * n)))
             w2 = rng.normal(size=2 * n)
-            mask = rng.random(size=(m, n)) > 0.5
+            gaps = rng.random(size=(m, n))
             idx = rng.integers(0, n, size=m)
             cases.extend(
                 [
@@ -141,7 +126,7 @@ class TestPrimitiveSweep:
                         ),
                         [a + 0.3],
                     ),
-                    (lambda p, mask=mask: ad.masked_mean(p[0], mask), [a]),
+                    (lambda p, m=m: margin_loss(p[0], 0.5, m), [gaps]),
                     (lambda p, k=min(k + 1, n): fisher_loss(p[0], p[1], k), [a, sq]),
                 ]
             )
@@ -247,37 +232,40 @@ class TestCausalAttention:
 
 
 class TestTopK:
+    """Hard top-k in the fused objective nodes: the selection is frozen at
+    forward time, the lower id wins ties, and entries outside it get
+    exactly zero gradient."""
+
     def test_values_and_frozen_indices(self):
-        x = ad.constant([[1.0, 5.0, 3.0, 5.0]])
-        vals, idx = ad.topk_values_gather(x, 2)
-        np.testing.assert_array_equal(vals.values, [[5.0, 5.0]])
-        np.testing.assert_array_equal(idx, [[1, 3]])  # lower id wins the tie
+        # row 0's top pair is tied at 5.0: ids 1 and 3, margin 0
+        x = ad.parameter([[1.0, 5.0, 3.0, 5.0], [7.0, 0.0, 6.0, 1.0]])
+        with ad.Tape() as tape:
+            out = margin_loss(x, 2.0)
+            tape.backward(out)
+        assert out.item() == -0.5
+        np.testing.assert_array_equal(x.grad, [[0.0, -0.5, 0.0, 0.5], [-0.5, 0.0, 0.5, 0.0]])
 
     def test_backward_zero_outside_selection(self):
-        with ad.Tape() as tape:
-            x = ad.parameter([[1.0, 5.0, 3.0, 2.0], [7.0, 0.0, 6.0, 1.0]])
-            vals, idx = ad.topk_values_gather(x, 2)
-            out = ad.mean(vals)
-            tape.backward(out)
-        expected = np.zeros((2, 4))
-        expected[0, 1] = expected[0, 2] = 0.25
-        expected[1, 0] = expected[1, 2] = 0.25
-        np.testing.assert_array_equal(x.grad, expected)
+        rng = np.random.default_rng(12)
+        rows, w = rng.normal(size=(4, 8)), rng.normal(size=(8, 3))
+        for k, loss in ((2, lambda x: margin_loss(x, 10.0)), (3, lambda x: fisher_loss(x, w, 3))):
+            x = ad.parameter(rows)
+            with ad.Tape() as tape:
+                tape.backward(loss(x))
+            outside = np.ones(rows.shape, dtype=bool)
+            np.put_along_axis(outside, topk_ids(rows, k), False, axis=1)
+            assert x.grad[~outside].all()
+            assert not x.grad[outside].any() and not np.signbit(x.grad[outside]).any()
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(4, 8))
-        _finite_diff_ok(
-            lambda p: ad.mean(ad.topk_values_gather(p[0], 3)[0]), [x]
-        )
+        x = np.random.default_rng(12).normal(size=(4, 8))
+        _finite_diff_ok(lambda p: margin_loss(p[0], 1.0, 2), [x])
 
     def test_k_out_of_range(self):
         with pytest.raises(UsageError):
-            ad.topk_values_gather(ad.constant([[1.0, 2.0]]), 3)
-
-    def test_nonfinite_is_usage_error(self):
+            fisher_loss(ad.constant([[1.0, 2.0]]), np.ones((2, 3)), 3)
         with pytest.raises(UsageError):
-            ad.topk_values_gather(ad.constant([[1.0, -np.inf, -np.inf]]), 2)
+            margin_loss(ad.constant([[1.0]]), 0.5)  # V = 1 has no runner-up
 
 
 class TestTapeSemantics:
@@ -304,6 +292,15 @@ class TestTapeSemantics:
             out = ad.matmul(ad.add(a, a), ad.constant(np.ones(3)))
             tape.backward(out)
         np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+
+    def test_shared_gradient_is_not_aliased(self):
+        # add hands one array to both parents; b's later contribution must
+        # not change what a already holds
+        with ad.Tape() as tape:
+            a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
+            tape.backward(ad.mean(ad.add(ad.add(a, b), b)))
+        np.testing.assert_array_equal(a.grad, [0.5, 0.5])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_backward_needs_scalar(self):
         with ad.Tape() as tape:

@@ -14,9 +14,8 @@ from marginlab.objectives import (
     fisher_distance,
     fisher_loss,
     margin_loss,
-    row_margins,
 )
-from marginlab.margins import top2_stats
+from marginlab.margins import top2_stats, topk_ids
 
 FLOOR = 1e-8
 
@@ -96,18 +95,63 @@ class TestMarginLoss:
             )
 
     def test_row_margins_exact_with_ties(self):
+        # Each segment's gated rows get -+1 / (segments * count) times the
+        # upstream gradient on their top pair; every other entry is +0.0.
         rows = np.round(np.random.default_rng(5).normal(size=(300, 6)), 1)
         rows[:3] = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]  # tied top pair
         x = ad.parameter(rows)
         with ad.Tape() as tape:
-            m = row_margins(x)
-            tape.backward(ad.scale(ad.mean(m), 300.0))
+            out = margin_loss(x, 0.4, 3)
+            tape.backward(ad.scale(out, 2.0))
         top1, top2, margin = top2_stats(rows)
-        assert np.array_equal(m.values[:, 0], margin)
+        assert (top1[:3] == 0).all() and (top2[:3] == 1).all()
+        gate = margin < 0.4
+        counts = gate.reshape(3, 100).sum(axis=1)
+        assert counts.all() and not gate.all()
+        r = np.nonzero(gate)[0]
+        w = (-2.0 / 3 / counts)[r // 100]
         expected = np.zeros_like(rows)
-        expected[np.arange(300), top1] = 1.0
-        expected[np.arange(300), top2] = -1.0
+        expected[r, top1[r]] = w
+        expected[r, top2[r]] = -w
         assert np.array_equal(x.grad, expected)
+        assert not np.signbit(x.grad[~gate]).any()
+        segment_means = [margin[s * 100 : (s + 1) * 100][gate.reshape(3, 100)[s]].mean()
+                         for s in range(3)]
+        assert out.item() == -float(np.mean(segment_means))
+
+    def test_segments_with_an_empty_gate(self):
+        # the mean of per-segment gated means; a segment whose gate is empty counts 0
+        rows = np.random.default_rng(14).normal(size=(12, 5))
+        rows[8:, 0] += 10.0
+        gated = top2_stats(rows)[2] < 1.0
+        assert gated[:4].any() and gated[4:8].any() and not gated[8:].any()
+        want = np.mean([oracle_margin_loss(rows[:4], 1.0), oracle_margin_loss(rows[4:8], 1.0), 0.0])
+        assert margin_loss(rows, 1.0, 3).item() == pytest.approx(want, rel=1e-15)
+        assert ad.grad_check(lambda p: margin_loss(p[0], 1.0, 3), [rows]) < 1e-4
+
+    @pytest.mark.parametrize("tau,segments", [(0.5, 5), (0.5, 0), (0.5, -2), (0.0, 1)])
+    def test_bad_arguments_are_usage_errors(self, tau, segments):
+        with pytest.raises(UsageError):
+            margin_loss(np.ones((12, 3)), tau, segments)
+
+    def test_top_ids_passed_in(self):
+        rows = np.round(np.random.default_rng(8).normal(size=(40, 7)), 1)
+        results = []
+        for top_ids in (None, topk_ids(rows, 2), topk_ids(rows, 5)):
+            x = ad.parameter(rows)
+            with ad.Tape() as tape:
+                out = margin_loss(x, 0.6, 4, top_ids=top_ids)
+                tape.backward(out)
+            results.append((out.item(), x.grad))
+        for value, grad in results[1:]:
+            assert value == results[0][0]
+            assert np.array_equal(grad, results[0][1])
+
+    def test_one_tape_node(self):
+        rows = np.random.default_rng(3).normal(size=(6, 5))
+        with ad.Tape() as tape:
+            margin_loss(ad.parameter(rows), 1.0, 2)
+        assert len(tape) == 1
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
@@ -347,6 +391,18 @@ class TestCombinedLoss:
             else:
                 obj = fisher_loss(rows, w, 3).item()
             assert got == pytest.approx(0.8 * ce + 0.37 * obj, abs=1e-12)
+
+    @pytest.mark.parametrize("objective", ["margin", "fisher"])
+    def test_parts_come_from_one_selection(self, objective):
+        rng = np.random.default_rng(15)
+        rows = np.round(rng.normal(size=(12, 8)), 1)  # exact ties occur
+        w = rng.normal(size=(8, 4))
+        cfg = MrpConfig(objective=objective, lambda_mrp=0.5, tau=0.7, k=3)
+        _, parts = combined_loss(rows, rng.integers(0, 8, size=12), cfg, unembedding=w,
+                                 with_parts=True, segments=3)
+        assert np.array_equal(parts.margins, top2_stats(rows)[2])
+        want = margin_loss(rows, 0.7, 3) if objective == "margin" else fisher_loss(rows, w, 3)
+        assert parts.objective == want.item()
 
     def test_fisher_requires_unembedding(self):
         cfg = MrpConfig(objective="fisher", lambda_mrp=0.5)
