@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marginlab import autodiff as ad
-from marginlab.errors import NumericalError, UsageError
+from marginlab.errors import DataError, NumericalError, UsageError
 from marginlab.margins import topk_ids
 from marginlab.objectives import fisher_loss, margin_loss
 
@@ -266,6 +266,14 @@ class TestTopK:
             fisher_loss(ad.constant([[1.0, 2.0]]), np.ones((2, 3)), 3)
         with pytest.raises(UsageError):
             margin_loss(ad.constant([[1.0]]), 0.5)  # V = 1 has no runner-up
+
+    def test_nonfinite_is_data_error(self):
+        # the -inf runner-up would otherwise be selected as a top-k value
+        x = ad.constant([[1.0, -np.inf, -np.inf]])
+        with pytest.raises(DataError):
+            margin_loss(x, 0.5)
+        with pytest.raises(DataError):
+            fisher_loss(x, np.ones((3, 2)), 2)
 
 
 class TestTapeSemantics:
