@@ -24,7 +24,7 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, astuple, is_dataclass
 from enum import Enum
 
@@ -61,12 +61,15 @@ CHECKPOINT_VERSION = 1
 _LOGITS_DTYPES = {"f32": 4, "bf16": 2}
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
+    """Write ``data``, or its chunks one after another, to a temp file in
+    the target directory, then rename that over ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-marginlab-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in (data,) if isinstance(data, bytes) else data:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -211,6 +214,8 @@ _RECORD_KEYS = (
     ("correct", (bool,)),
 )
 _INVARIANTS = "margin finite and >= 0, top1_id != top2_id, correct == (top1_id == target_id)"
+# Records per encoded chunk of an audit file: bounds the writer's memory.
+_WRITE_BLOCK = 16_384
 
 
 def write_audit(
@@ -235,16 +240,22 @@ def write_audit(
         "created": created if created is not None else created_stamp(),
         "seed": seed,
     }
-    rows = zip(
-        np.where(audit.correct, "true", "false").tolist(),
-        audit.margin.tolist(),
-        audit.position.tolist(),
-        audit.target.tolist(),
-        audit.top1.tolist(),
-        audit.top2.tolist(),
-    )
-    lines = [json.dumps(header, sort_keys=True)] + [_RECORD_LINE % row for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
+        for a in range(0, len(audit), _WRITE_BLOCK):
+            part = audit[a : a + _WRITE_BLOCK]
+            rows = zip(
+                np.where(part.correct, "true", "false").tolist(),
+                part.margin.tolist(),
+                part.position.tolist(),
+                part.target.tolist(),
+                part.top1.tolist(),
+                part.top2.tolist(),
+            )
+            yield ("\n".join([_RECORD_LINE % row for row in rows]) + "\n").encode("utf-8")
+
+    atomic_write_bytes(path, chunks())
 
 
 def _audit_of(objs: list) -> Audit:

@@ -197,20 +197,22 @@ def top2_stats(logit_rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.n
     return top1, top2, rows[idx, top1] - rows[idx, top2]
 
 
-def column_margins(logits: np.ndarray, start: int = 0) -> np.ndarray:
+def column_margins(logits: np.ndarray, start: int | np.ndarray = 0) -> np.ndarray:
     """Margins of column-major logits ``[V, n]`` without ids: ``|x1 - x0|``
     at V = 2, else a running top and runner-up over the V rows.  Equal
     under ``==`` to ``top2_stats(logits.T)[2]`` (a zero margin between
     -0.0 and +0.0 logits may differ in sign).  Raises ``UsageError`` unless
     2-D with V >= 2, and ``DataError`` naming the column (counted from
-    ``start``) of a non-finite logit.
+    ``start``, or ``start[column]`` when ``start`` is an array) of a
+    non-finite logit.
     """
     logits = np.asarray(logits)
     if logits.ndim != 2 or logits.shape[0] < 2:
         raise UsageError(f"need column-major logits [V >= 2, n], got shape {logits.shape}")
     if not np.isfinite(logits).all():
         pos = int(np.nonzero(~np.isfinite(logits).all(axis=0))[0][0])
-        raise DataError(f"non-finite logit at position {start + pos}")
+        name = start[pos] if np.ndim(start) else start + pos
+        raise DataError(f"non-finite logit at position {name}")
     if logits.shape[0] == 2:
         return np.abs(logits[1] - logits[0])
     top, second = np.maximum(logits[0], logits[1]), np.minimum(logits[0], logits[1])

@@ -102,6 +102,25 @@ def _check_logits(logits: Tensor) -> None:
         raise DataError("non-finite logits")
 
 
+def _top_ids(values: np.ndarray, k: int, top_ids, *, wider: bool = False) -> np.ndarray:
+    """The rows' own top-k ids, or a caller's ``top_ids`` checked to be
+    [rows, k] integers (at least k columns when ``wider``) that are
+    distinct within each row and lie in [0, V)."""
+    if top_ids is None:
+        return topk_ids(values, k)
+    ids = np.asarray(top_ids)
+    n, v = values.shape
+    if (ids.ndim != 2 or ids.shape[0] != n or ids.dtype.kind not in "iu"
+            or not (ids.shape[1] >= k if wider else ids.shape[1] == k)):
+        raise UsageError(f"top_ids {ids.dtype} {ids.shape} do not match {n} rows and k={k}")
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise UsageError(f"top_ids outside [0, {v})")
+    ordered = np.sort(ids, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise UsageError("top_ids repeat an id within a row")
+    return ids
+
+
 def margin_loss(logit_rows, tau: float, segments: int = 1, *, top_ids=None) -> Tensor:
     """Negative mean margin (top1 - top2 logit) over rows whose margin is
     below tau.
@@ -110,8 +129,8 @@ def margin_loss(logit_rows, tau: float, segments: int = 1, *, top_ids=None) -> T
     mean is taken on its own (an empty gate counts 0) and the blocks'
     values are averaged.  The gate is a hard boolean mask, so ungated
     rows get exactly zero gradient.  ``top_ids`` ([rows, >= 2], largest
-    first) passes in a selection the caller already made.  Recorded as
-    one tape node.
+    first) passes in a selection the caller already made; malformed ids
+    are a ``UsageError``.  Recorded as one tape node.
     """
     logits = ad.as_tensor(logit_rows)
     _check_logits(logits)
@@ -120,7 +139,7 @@ def margin_loss(logit_rows, tau: float, segments: int = 1, *, top_ids=None) -> T
     n_rows = logits.values.shape[0]
     if segments < 1 or n_rows % segments:
         raise UsageError(f"{n_rows} rows do not split into {segments} segments")
-    ids = topk_ids(logits.values, 2) if top_ids is None else top_ids
+    ids = _top_ids(logits.values, 2, top_ids, wider=True)
     rows, top1, top2 = np.arange(n_rows), ids[:, 0], ids[:, 1]
     m = logits.values[rows, top1] - logits.values[rows, top2]
     gate = m < tau
@@ -200,7 +219,8 @@ def fisher_loss(
     is sum over ordered pairs i != j of p_i p_j d_F(i, j).  Gradients flow
     through the probabilities, the normalized rows, and the quadratic
     form; the top-k index set itself is frozen.  ``top_ids`` ([rows, k],
-    largest first) passes in a selection the caller already made.
+    largest first) passes in a selection the caller already made;
+    malformed ids are a ``UsageError``.
 
     All rows are computed as one [rows, k, k] batch and recorded as one
     tape node with a hand-written backward.
@@ -219,7 +239,7 @@ def fisher_loss(
         raise UsageError(f"k={k} exceeds V={logits.values.shape[1]}")
     if k < 2:
         raise UsageError("k must be at least 2")
-    ids = topk_ids(logits.values, k) if top_ids is None else top_ids
+    ids = _top_ids(logits.values, k, top_ids)
 
     n_rows = ids.shape[0]
     rows, diag = np.arange(n_rows)[:, None], np.arange(k)

@@ -94,7 +94,8 @@ def make_chunks(token_ids: np.ndarray, context: int) -> list[np.ndarray]:
 
 
 class _AdamW:
-    """Decoupled-weight-decay Adam in float64."""
+    """Decoupled-weight-decay Adam in float64, updating in place through
+    two scratch arrays per parameter."""
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -116,12 +117,18 @@ class _AdamW:
                 self.v[name] = np.zeros_like(p.values)
             m = self.m[name]
             v = self.v[name]
+            a, b = np.empty_like(m), np.empty_like(m)
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+            # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p), operation for
+            # operation, so the parameters match the out-of-place form bit for bit.
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=a)
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.values -= lr * (update + weight_decay * p.values)
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), self.eps, out=a)
+            np.divide(np.divide(m, bc1, out=b), a, out=b)
+            b += np.multiply(p.values, weight_decay, out=a)
+            p.values -= np.multiply(b, lr, out=b)
 
 
 def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]:

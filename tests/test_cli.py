@@ -586,6 +586,29 @@ class TestSynthValidate:
             assert main(["synth-validate", "--sites", sp, "--samples", "100000"]) == 2
         assert capsys.readouterr().err.endswith(f"non-finite logit at position {first}\n")
 
+    def test_overflowing_grid_exit_2_names_grid_index(self, tmp_path, capsys):
+        # |x_0| passes the float64 maximum only within about 5e-6 rad of pi/4
+        # and 5 pi/4: no sample lands there, but points of the oracle's grid do.
+        c = np.finfo(float).max / math.sqrt(2.0) * (1 + 1.25e-11)
+        sites = np.array([[c, c], [1.0, 0.0]])
+        sp = str(tmp_path / "sites.json")
+        with open(sp, "w") as f:
+            json.dump(sites.tolist(), f)
+        theta = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 100_000)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.column_stack([np.cos(theta), np.sin(theta)]) @ sites.T).all()
+            n, block = 10_000_000, 1_000_000
+            for start in range(0, n, block):
+                grid = (np.arange(start, start + block) + 0.5) * (2.0 * math.pi / n)
+                bad = ~np.isfinite(np.column_stack([np.cos(grid), np.sin(grid)]) @ sites.T)
+                if bad.any():
+                    first = start + int(np.flatnonzero(bad.any(axis=1))[0])
+                    break
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synth-validate", "--sites", sp, "--samples", "100000"]) == 2
+        assert capsys.readouterr().err.endswith(f"non-finite logit at position {first}\n")
+
     def test_overflowing_margin_exit_2_names_sample(self, tmp_path, capsys):
         # finite logits +-1e308 cos(theta) whose difference overflows
         sites = np.array([[1e308, 0.0], [-1e308, 0.0]])

@@ -302,6 +302,35 @@ class TestAuditWriterBytes:
         assert '"margin": -0.0,' in open(str(tmp_path / "audit0.jsonl")).read()
 
 
+class TestStreamedAuditWriter:
+    """write_audit encodes ``_WRITE_BLOCK`` records at a time into its temp file."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 30, 35])
+    def test_bytes_equal_oracle_across_blocks(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7)
+        audit = Audit.from_records(records(n, np.random.default_rng(n)))
+        path = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(path, audit, dtype="bf16", tau=0.5, seed=2, created="2026-01-01T00:00:00Z")
+        _, header = fileio.read_audit(path)
+        assert open(path).read() == oracle_audit_text(header, list(audit))
+        assert os.listdir(tmp_path) == ["audit.jsonl"]
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        import tracemalloc
+
+        n = 200_000
+        rng = np.random.default_rng(6)
+        audit = compute_margins(rng.normal(size=(n, 16)), rng.integers(0, 16, n))
+        tracemalloc.start()
+        try:
+            fileio.write_audit(str(tmp_path / "audit.jsonl"), audit, created="x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Building the whole text at once would peak at about 510 bytes per position.
+        assert peak < 100 * n
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = ToyLmConfig(vocab_size=32, hidden_dim=16, layers=1, heads=2, context=8)

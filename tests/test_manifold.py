@@ -155,6 +155,91 @@ class TestStreamedGrid:
                 manifold._alpha_estimate(spec, 20_000, 1e-3)
 
 
+class TestCertifiedOracle:
+    """The oracle evaluates only the tiles its Lipschitz certificate cannot
+    clear; the count must still equal brute force over the whole grid."""
+
+    @staticmethod
+    def bruteforce(spec, n_points, eps):
+        logits = np.sort(TestStreamedGrid.full_grid(spec, n_points) @ spec.sites.T, axis=1)
+        margins = logits[:, -1] - logits[:, -2]
+        return np.count_nonzero(margins < eps), margins.size
+
+    @pytest.mark.parametrize("chunk", [65_536, 5])
+    @pytest.mark.parametrize("n_points", [37, 5003])
+    @pytest.mark.parametrize("v", [2, 5, 8])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("sampler", ["circle_uniform", "square_uniform"])
+    def test_count_matches_bruteforce_over_scales(self, monkeypatch, sampler, d, v, n_points,
+                                                  chunk):
+        # 37 points is under one tile; 5003 is no multiple of 64, and its
+        # 71 x 71 square is no multiple of 8.
+        monkeypatch.setattr(manifold, "_CHUNK", chunk)
+        k = 1 if sampler == "circle_uniform" else 2
+        rng = np.random.default_rng([d, v, n_points, k])
+        for scale, eps in zip(10.0 ** rng.uniform(-3, 3, 4), 10.0 ** rng.uniform(-4, math.log10(0.5), 4)):
+            spec = ManifoldSpec(k, d, scale * rng.normal(size=(v, d)), sampler, 1000)
+            count, size = self.bruteforce(spec, n_points, eps)
+            assert manifold._alpha_estimate(spec, n_points, eps) == count / (size * eps)
+
+    def test_counts_match_where_tiles_are_skipped(self, monkeypatch):
+        # One grid per sampler with both skipped and evaluated tiles.
+        evaluated = []
+        real = manifold.column_margins
+        monkeypatch.setattr(manifold, "column_margins",
+                            lambda x, start=0: evaluated.append(x.shape[1]) or real(x, start))
+        for k, sampler in ((1, "circle_uniform"), (2, "square_uniform")):
+            spec = ManifoldSpec(k, 3, np.random.default_rng(k).normal(size=(5, 3)), sampler, 1000)
+            count, size = self.bruteforce(spec, 250_000, 0.01)
+            evaluated.clear()
+            assert manifold._alpha_estimate(spec, 250_000, 0.01) == count / (size * 0.01)
+            assert count < sum(evaluated) < size / 2
+
+    @pytest.mark.parametrize("factory", [circle_two_sites, circle_three_sites, square_eight_sites],
+                             ids=["circle2", "circle3", "square8"])
+    def test_preset_oracle_evaluates_under_5_percent(self, monkeypatch, factory):
+        evaluated = []
+        real = manifold.column_margins
+        monkeypatch.setattr(manifold, "column_margins",
+                            lambda x, start=0: evaluated.append(x.shape[1]) or real(x, start))
+        spec = factory()
+        base = 10_000_000 if spec.intrinsic_dim == 1 else 9_000_000
+        for n_points in (base, 2 * base):
+            evaluated.clear()
+            manifold._alpha_estimate(spec, n_points, 1e-3)
+            size = n_points if spec.intrinsic_dim == 1 else math.ceil(math.sqrt(n_points)) ** 2
+            assert sum(evaluated) < 0.05 * size
+
+    @pytest.mark.parametrize("k, sampler", [(1, "circle_uniform"), (2, "square_uniform")])
+    def test_memory_is_bounded_when_no_tile_clears(self, k, sampler):
+        import tracemalloc
+
+        # Margins of at most 2e-3 everywhere: every tile is evaluated.
+        spec = ManifoldSpec(k, 2, 1e-3 * square_eight_sites().sites, sampler, 1000)
+        tracemalloc.start()
+        try:
+            alpha = manifold._alpha_estimate(spec, 4_000_000, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alpha == 100.0
+        assert peak < 16 * 2**20  # gathering a whole 65,536-tile block at once takes ~50 MiB
+
+    def test_overflow_on_square_names_grid_index(self, monkeypatch):
+        monkeypatch.setattr(manifold, "_CHUNK", 97)
+        # Only the corners near (-1, 1) and (1, -1) overflow.
+        sites = np.array([[0.95e308, -0.95e308], [0.1e308, 0.2e308]])
+        spec = ManifoldSpec(2, 2, sites, "square_uniform", 1000)
+        with np.errstate(over="ignore"):
+            logits = TestStreamedGrid.full_grid(spec, 20_000) @ sites.T
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+        assert bad[0] > 97 and bad[0] % 142 % 8  # past the first piece, inside a tile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=rf"position {bad[0]}$"):
+                manifold._alpha_estimate(spec, 20_000, 1e-3)
+
+
 class TestShippedConfigVerdicts:
     """Fitted slope within [0.9, 1.1] and solid r2 for every shipped
     configuration (the acceptance suite pins the tighter antipodal-circle

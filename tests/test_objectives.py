@@ -76,6 +76,24 @@ def unit_rows(rng, k, d):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def bad_top_ids(rows, k, case):
+    """A [rows, k] top-k selection of ``rows`` spoiled in one way."""
+    ids = topk_ids(rows, k)
+    if case == "rows":
+        return ids[:-1]
+    if case == "columns":
+        return ids[:, :1]
+    if case == "negative":
+        ids[1, 0] = -1
+    elif case == "beyond_v":
+        ids[2, 1] = rows.shape[1]
+    elif case == "repeat":
+        ids[3, 1] = ids[3, 0]
+    elif case == "float":
+        return ids.astype(float)
+    return ids
+
+
 class TestMarginLoss:
     def test_single_gated_row(self):
         rows = np.array([[1.0, 0.8, 0.0], [2.0, 1.2, 0.0]])  # margins 0.2, 0.8
@@ -152,6 +170,13 @@ class TestMarginLoss:
         with ad.Tape() as tape:
             margin_loss(ad.parameter(rows), 1.0, 2)
         assert len(tape) == 1
+
+    @pytest.mark.parametrize("case", ["rows", "columns", "negative", "beyond_v", "repeat", "float"])
+    def test_malformed_top_ids_are_usage_errors(self, case):
+        rows = np.random.default_rng(9).normal(size=(4, 5))
+        ids = bad_top_ids(rows, 2, case)
+        with pytest.raises(UsageError, match="top_ids"):
+            margin_loss(rows, 0.5, top_ids=ids)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
@@ -258,6 +283,15 @@ class TestFisherLoss:
     def test_k_exceeds_v(self):
         with pytest.raises(UsageError):
             fisher_loss(np.zeros((1, 3)), np.zeros((3, 4)), k=4)
+
+    @pytest.mark.parametrize(
+        "case", ["rows", "columns", "wide", "negative", "beyond_v", "repeat", "float"])
+    def test_malformed_top_ids_are_usage_errors(self, case):
+        rng = np.random.default_rng(11)
+        rows, w = rng.normal(size=(4, 6)), rng.normal(size=(6, 5))
+        ids = topk_ids(rows, 4) if case == "wide" else bad_top_ids(rows, 3, case)
+        with pytest.raises(UsageError, match="top_ids"):
+            fisher_loss(rows, w, k=3, top_ids=ids)
 
     def test_gradient(self):
         rng = np.random.default_rng(10)
