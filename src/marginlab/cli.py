@@ -46,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a decimal integer in [0, 2**63)."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**63):
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**63), got {text!r}")
+    return int(text)
+
+
 def _read_json(path: str, what: str, kind: type):
     """The JSON value in ``path``, which must be a ``kind`` (list or dict)."""
     try:
@@ -398,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fp32-recompute", action="store_true",
                    help="treat the input as hidden states and recompute logits at fp32")
     p.add_argument("--unembedding", help="unembedding container for --fp32-recompute")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser(
@@ -430,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--lr", type=float, default=3e-4)
     p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_model_flags(p)
     _add_loss_flags(p)
     p.set_defaults(func=_cmd_train)
@@ -446,7 +453,7 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--lr", type=float, default=3e-4)
     p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_model_flags(p)
     _add_loss_flags(p)
     p.set_defaults(func=_cmd_sweep)
@@ -458,7 +465,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sampler", choices=("circle_uniform", "square_uniform"),
                    default="circle_uniform")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="verdict JSON path")
     p.set_defaults(func=_cmd_synth_validate)
 

@@ -3,8 +3,10 @@
 The three leaf classes map one-to-one onto the command-line exit codes:
 usage errors exit 1, data-format errors exit 2, numerical failures exit 3.
 Each class also carries the label the command line prints before its
-message.
+message.  ``check_finite`` is the one NaN/infinity check of config values.
 """
+
+import math
 
 
 class MarginLabError(Exception):
@@ -35,3 +37,11 @@ class NumericalError(MarginLabError, ArithmeticError):
 
     exit_code = 3
     label = "numerical failure"
+
+
+def check_finite(**values: float) -> None:
+    """Raise ``UsageError`` naming the first of ``values`` that is NaN or
+    infinite (``x < 0`` and ``x <= 0`` checks let NaN through)."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")

@@ -20,6 +20,15 @@ whose centre margin exceeds ``epsilon + L r`` by a rounding slack, and
 whose logits are provably finite, holds no point below epsilon and is
 not evaluated.  The points of the other tiles are evaluated exactly as
 a dense pass would, so the count is unchanged.
+
+The gradient floor is exact.  Logits have no bias and points are
+zero-padded, so only ``sites[:, :2]`` matter and each (top, runner-up)
+region is a cone from the origin, where ``m = (s_top - s_runner-up) . h``.
+The order changes only at directions perpendicular to some ``s_i - s_j``,
+so the midpoints of the arcs between them find every pair.  On the square
+every cone reaches the origin, where m = 0.  On the circle ``{m < epsilon}``
+shrinks to where the top changes; there each adjacent arc's pair ties, so
+its gradient along the circle is ``|s_top - s_runner-up|``.
 """
 
 from __future__ import annotations
@@ -31,8 +40,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, UsageError
 from .gapfit import GapFit, GridSpec, fit_gap_curve
-# top2_stats stays a name of this module: bench/tracing.py patches it here.
-from .margins import column_margins, top2_stats  # noqa: F401
+from .margins import column_margins, top2_stats
 
 __all__ = [
     "ManifoldSpec",
@@ -84,11 +92,10 @@ class ManifoldSpec:
             raise UsageError("need ambient_dim >= 2 and at least 2 sites")
         if not np.isfinite(sites).all():
             raise DataError("sites must be finite")
-        # Duplicate site rows make the margin field identically zero
-        # between them; reject outright.
-        uniq = np.unique(sites, axis=0)
-        if uniq.shape[0] != sites.shape[0]:
-            raise DataError("degenerate sites: duplicate rows")
+        # Points are zero-padded, so sites equal in their first two coordinates
+        # have identical logits and a margin identically zero; reject outright.
+        if np.unique(sites[:, :2], axis=0).shape[0] != sites.shape[0]:
+            raise DataError("degenerate sites: duplicate rows in the first two coordinates")
         if self.sample_count < 1:
             raise UsageError("sample_count must be positive")
 
@@ -141,26 +148,6 @@ def generate(spec: ManifoldSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]
     return points.T, margins
 
 
-def _grid_coords(spec: ManifoldSpec, n_points: int, idx: np.ndarray) -> np.ndarray:
-    """Intrinsic coordinates of points ``idx`` of the midpoint grid: angles
-    ``(i + 0.5) * 2 pi / n_points``, or the cell centres of an m x m square
-    grid, m = ceil(sqrt(n_points)), in ``meshgrid(indexing="ij")`` order."""
-    if spec.intrinsic_dim == 1:
-        return ((idx + 0.5) * (2.0 * math.pi / n_points))[None]
-    m = math.ceil(math.sqrt(n_points))
-    axis = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
-    return axis[np.stack(np.divmod(idx, m))]
-
-
-def _grid_margins(spec: ManifoldSpec, n_points: int):
-    """Yield the grid's margins in order, one block of at most ``_CHUNK``
-    points at a time, each built from its index range."""
-    size = n_points if spec.intrinsic_dim == 1 else math.ceil(math.sqrt(n_points)) ** 2
-    for start in range(0, size, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, size))
-        yield _margins(spec, _embed(spec, _grid_coords(spec, n_points, idx)), idx)
-
-
 def _tile_centres(tiles: np.ndarray, side: int, length: int) -> np.ndarray:
     """Centre index of each tile when ``range(length)`` is cut into runs of
     ``side`` (the last run may be short)."""
@@ -200,13 +187,16 @@ def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
     # so each block's points come after the previous block's.
     per_block = _CHUNK if th == 1 else max(1, _CHUNK // n_tc) * n_tc
 
+    def points(pos: np.ndarray) -> np.ndarray:
+        """Points ``[d, n]`` at grid positions ``[2, n]`` (row, column)."""
+        return _embed(spec, (pos[1:] + 0.5) * step if circle else -1.0 + (pos + 0.5) * step)
+
     def cleared(tr: np.ndarray, tc: np.ndarray) -> np.ndarray:
         """Which tiles the certificate clears (their centre's arrays are
         freed before the other tiles' points are evaluated)."""
-        pos = np.stack((_tile_centres(tr, th, rows), _tile_centres(tc, tw, cols)))
-        coords = (pos[1:] + 0.5) * step if circle else -1.0 + (pos + 0.5) * step
+        centres = points(np.stack((_tile_centres(tr, th, rows), _tile_centres(tc, tw, cols))))
         with np.errstate(over="ignore", invalid="ignore"):
-            x = spec.sites @ _embed(spec, coords)
+            x = spec.sites @ centres
             # Within a tile |x_j(h)| <= |x_j(c)| + s_max * radius: all finite.
             finite = np.maximum(x.max(axis=0), -x.min(axis=0)) + s_max * radius < 2.0**1000
             x[:, ~finite] = 0.0
@@ -231,7 +221,7 @@ def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
             idx = np.sort(idx, axis=None)
             for i in range(0, idx.size, _CHUNK):
                 piece = idx[i : i + _CHUNK]
-                margins = _margins(spec, _embed(spec, _grid_coords(spec, n_points, piece)), piece)
+                margins = _margins(spec, points(np.stack(np.divmod(piece, cols))), piece)
                 below += int(np.count_nonzero(margins < epsilon))
     return below / (rows * cols * epsilon)
 
@@ -258,17 +248,26 @@ def oracle_alpha(spec: ManifoldSpec, epsilon: float = 1e-3) -> float:
     return fine
 
 
-def gradient_floor(spec: ManifoldSpec, probe_points: int = 1_000_000, h: float = 1e-6) -> float:
-    """Smallest margin-gradient magnitude near the Voronoi boundary,
-    estimated by central differences along the manifold coordinates at
-    the probe points closest to the boundary."""
-    m = np.concatenate(list(_grid_margins(spec, probe_points)))
-    near = _grid_coords(spec, probe_points, np.flatnonzero(m <= np.quantile(m, 1e-3)))
-    squares = 0.0
-    for step in np.eye(spec.intrinsic_dim)[:, :, None] * h:
-        g = _margins(spec, _embed(spec, near + step)) - _margins(spec, _embed(spec, near - step))
-        squares = squares + (g / (2.0 * h)) ** 2
-    return float(np.sqrt(squares).min())
+def gradient_floor(spec: ManifoldSpec) -> float:
+    """Smallest margin-gradient magnitude at the Voronoi boundary: the limit
+    as epsilon -> 0 of the smallest ``|grad m|`` over ``{m < epsilon}``,
+    computed exactly from the sites (see the module notes).  Raises
+    ``DataError`` when the distance between two sites overflows."""
+    s = spec.sites[:, :2]
+    with np.errstate(over="ignore"):
+        w = s[:, None] - s[None]
+        dist = np.hypot(w[..., 0], w[..., 1])
+        if not np.isfinite(dist).all():
+            raise DataError("sites too far apart: a distance between two sites overflows")
+        # Directions perpendicular to s_i - s_j, both signs from both orders.
+        cuts = np.unique((np.arctan2(w[..., 1], w[..., 0])[dist > 0] + math.pi / 2) % (2 * math.pi))
+        mid = cuts + np.diff(cuts, append=cuts[0] + 2 * math.pi) / 2
+        u = np.stack((np.cos(mid), np.sin(mid)), axis=1)
+        pairs = [top2_stats(u[a : a + _CHUNK] @ s.T)[:2] for a in range(0, len(u), _CHUNK)]
+    top, run = (np.concatenate(ids) for ids in zip(*pairs))
+    # Every arc counts on the square; on the circle, those ending where the top changes.
+    counted = (spec.intrinsic_dim == 2) | (top != np.roll(top, 1)) | (top != np.roll(top, -1))
+    return float(dist[top, run][counted].min())
 
 
 def validate_scaling(

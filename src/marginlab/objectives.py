@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _accumulate, _make
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_finite
 from .margins import topk_ids
 
 __all__ = [
@@ -67,6 +67,8 @@ class MrpConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise UsageError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+        check_finite(lambda_mrp=self.lambda_mrp, tau=self.tau, clamp_floor=self.clamp_floor,
+                     ce_weight=self.ce_weight)
         if self.lambda_mrp < 0:
             raise UsageError("lambda_mrp must be nonnegative")
         if self.tau <= 0:

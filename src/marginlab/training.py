@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audit import ChurnReport, churn_report
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, check_finite
 from .gapfit import GapFit, GridSpec, fit_gap_curve
 from .margins import Audit, compute_margins, margin_quantiles, nearest_rank_quantile, top2_stats
 # cross_entropy and fisher_loss are unused here but patched here by bench/tracing.py.
@@ -46,6 +46,7 @@ class TrainConfig:
     mrp: MrpConfig = field(default_factory=MrpConfig)
 
     def __post_init__(self):
+        check_finite(learning_rate=self.learning_rate, weight_decay=self.weight_decay)
         if self.steps < 1:
             raise UsageError("steps must be >= 1")
         if not 0 <= self.warmup_fraction < 1:
@@ -282,6 +283,7 @@ def layer_scan(model: ToyLm, corpus_tokens, tau: float = 0.5) -> list[LayerScanR
     A layer's hidden states are projected through the final output head
     to get virtual margins; the penalty is the margin deficit below tau.
     """
+    check_finite(tau=tau)
     ce, margins = [], []
     for block in _blocks(corpus_tokens, model.config.context):
         logits, hiddens = model.forward(block)

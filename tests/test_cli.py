@@ -555,11 +555,16 @@ class TestTrainCommands:
 
 
 class TestSynthValidate:
-    def test_duplicate_sites_exit_2(self, tmp_path):
+    # The 3-column sites differ only in a coordinate the zero-padded
+    # points never see.
+    @pytest.mark.parametrize("sites", [[[1.0, 0.0], [1.0, 0.0]],
+                                       [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]])
+    def test_duplicate_sites_exit_2(self, tmp_path, sites, capsys):
         sp = str(tmp_path / "sites.json")
         with open(sp, "w") as f:
-            json.dump([[1.0, 0.0], [1.0, 0.0]], f)
+            json.dump(sites, f)
         assert main(["synth-validate", "--sites", sp, "--samples", "200000"]) == 2
+        assert "duplicate rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [b"\xff[[1.0, 0.0]]", b'[[1.0, 0.0], [1.0]]', b'[["a", "b"]]'])
     def test_unreadable_sites_exit_2(self, tmp_path, content):
@@ -717,6 +722,44 @@ class TestBadCheckpoints:
             f.write(json.dumps(header).encode() + b"\n" + payload)
         assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestBadFlagValues:
+    """Flag values the configs reject exit 1 with a usage message before
+    any work that depends on them."""
+
+    @pytest.mark.parametrize("value", ["-1", str(2**63), "1.5"])
+    @pytest.mark.parametrize("argv", [["audit", "l.bin", "t.json", "a.jsonl"],
+                                      ["train", "c.txt", "m.ckpt"], ["sweep", "c.txt", "s.csv"],
+                                      ["synth-validate"]], ids=lambda a: a[0])
+    def test_seed_outside_range_exits_1(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--seed", value])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "seed must be an integer in [0, 2**63)" in err
+
+    @pytest.mark.parametrize("flags", [["--lambda-mrp", "1", "--tau", "nan"], ["--lr", "nan"],
+                                       ["--lr", "inf"], ["--lambda-mrp", "inf"],
+                                       ["--ce-weight", "nan"], ["--tau=-inf"]],
+                             ids=" ".join)
+    def test_train_non_finite_exits_1(self, tmp_path, corpus_file, capsys, flags):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", corpus_file, str(ckpt), "--steps", "2", "--vocab-size", "16",
+                     "--hidden-dim", "16", "--layers", "1", "--heads", "2", "--context", "12",
+                     *flags]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_layer_scan_non_finite_tau_exits_1(self, tmp_path, corpus_file, capsys, tau):
+        cfg = ToyLmConfig(vocab_size=16, hidden_dim=16, layers=1, heads=2, context=12)
+        ckpt = str(tmp_path / "model.ckpt")
+        fileio.save_checkpoint(ckpt, ToyLm(cfg, seed=0))
+        out = tmp_path / "scan.csv"
+        assert main(["layer-scan", ckpt, corpus_file, str(out), "--tau", tau]) == 1
+        assert "tau must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:

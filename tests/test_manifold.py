@@ -73,6 +73,12 @@ class TestGenerate:
         sites = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DataError):
             ManifoldSpec(1, 2, sites, "circle_uniform", 1000)
+        # Points are zero-padded: sites equal in their first two coordinates
+        # have identical logits everywhere.
+        sites = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
+        for k, sampler in ((1, "circle_uniform"), (2, "square_uniform")):
+            with pytest.raises(DataError, match="duplicate"):
+                ManifoldSpec(k, 3, sites, sampler, 1000)
 
     def test_sampler_dim_consistency(self):
         sites = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -267,15 +273,73 @@ class TestShippedConfigVerdicts:
 
 
 class TestGradientFloor:
+    """The floor is exact: the smallest |s_top - s_runner-up| over the pairs
+    whose region meets {m < epsilon} for every epsilon > 0."""
+
     def test_circle_two_sites_slope(self):
         # |dm/dtheta| = |2 sin(theta)| = 2 at the boundary angles
-        floor = gradient_floor(circle_two_sites(), probe_points=200_000)
-        assert floor == pytest.approx(2.0, rel=0.01)
+        assert gradient_floor(circle_two_sites()) == 2.0
 
     def test_circle_three_sites_slope(self):
-        floor = gradient_floor(circle_three_sites(), probe_points=200_000)
-        assert floor == pytest.approx(math.sqrt(3.0), rel=0.01)
+        assert gradient_floor(circle_three_sites()) == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
-    def test_square_positive(self):
-        floor = gradient_floor(square_eight_sites(), probe_points=250_000)
-        assert floor > 0.0
+    def test_square_eight_sites_closest_pair(self):
+        spec = square_eight_sites()
+        floor = gradient_floor(spec)
+        assert floor == np.linalg.norm(spec.sites[2] - spec.sites[1]) == 0.2068917456540654
+
+    @staticmethod
+    def walk(sites, n=1 << 20):
+        """(circle, square) floors from a stable argsort of the logits at n
+        directions: on the circle the pairs on both sides of each change of
+        the top token, on the square every pair seen."""
+        s = sites[:, :2]
+        theta = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        u = np.column_stack((np.cos(theta), np.sin(theta)))
+        order = [np.argsort(-(u[a : a + 65_536] @ s.T), axis=1, kind="stable")[:, :2]
+                 for a in range(0, n, 65_536)]
+        top, run = np.concatenate(order).T
+        dist = np.linalg.norm(s[top] - s[run], axis=1)
+        change = np.flatnonzero(top != np.roll(top, -1))
+        return dist[np.concatenate((change, (change + 1) % n))].min(), dist.min()
+
+    def assert_matches_walk(self, sites):
+        circle, square = self.walk(sites)
+        d = sites.shape[1]
+        assert gradient_floor(ManifoldSpec(1, d, sites, "circle_uniform", 1000)) == pytest.approx(
+            circle, rel=1e-12)
+        assert gradient_floor(ManifoldSpec(2, d, sites, "square_uniform", 1000)) == pytest.approx(
+            square, rel=1e-12)
+        return circle, square
+
+    @pytest.mark.parametrize("v", range(2, 10))
+    def test_random_sites_match_walk(self, v):
+        rng = np.random.default_rng(v)
+        for d in (2 + v % 3, 2 + (v + 1) % 3):
+            self.assert_matches_walk(rng.normal(size=(v, d)))
+
+    @pytest.mark.parametrize("interior", [False, True])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_regular_polygons_match_walk(self, n, interior):
+        angles = 2.0 * math.pi * np.arange(n) / n
+        sites = np.column_stack((np.cos(angles), np.sin(angles)))
+        circle, square = self.assert_matches_walk(
+            np.vstack((sites, [[0.0, 0.0]])) if interior else sites)
+        side = 2.0 * math.sin(math.pi / n)
+        assert circle == pytest.approx(side, rel=1e-12)
+        # Only beside a triangle is the centre ever runner-up (1 from each vertex).
+        assert square == pytest.approx(1.0 if interior and n == 3 else side, rel=1e-12)
+
+    def test_collinear_tie_uses_runner_up(self):
+        # Sites 1 and 2 swap the top at theta = 0, where all three tie; on
+        # either side site 0 is runner-up, so the margin's slope is 1, not
+        # |s_1 - s_2| = 2.
+        sites = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        assert self.assert_matches_walk(sites)[0] == 1.0
+
+    def test_overflowing_distance_is_data_error(self):
+        spec = ManifoldSpec(1, 2, np.array([[1e308, 0.0], [-1e308, 0.0]]), "circle_uniform", 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflows"):
+                gradient_floor(spec)

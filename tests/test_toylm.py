@@ -226,6 +226,12 @@ class TestTrain:
         with pytest.raises(NumericalError, match="step 0"):
             train(model, tiny_corpus, cfg)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(UsageError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_make_chunks(self):
         chunks = make_chunks(np.arange(25), context=10)
         assert [len(c) for c in chunks] == [10, 10, 5]
@@ -279,6 +285,11 @@ class TestLayerScan:
         a = layer_scan(model, tiny_corpus[:300], tau=0.5)
         b = layer_scan(model, tiny_corpus[:300], tau=0.5)
         assert a == b
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, tiny_corpus, tau):
+        with pytest.raises(UsageError, match="tau must be finite"):
+            layer_scan(ToyLm(CFG, seed=0), tiny_corpus[:200], tau=tau)
 
     def test_constructed_sign(self):
         # margins an increasing function of -CE: penalty = max(0, tau - m)
