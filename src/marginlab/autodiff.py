@@ -26,14 +26,14 @@ __all__ = [
     "parameter",
     "as_tensor",
     "matmul",
+    "matmul_t",
     "add",
     "scale",
     "causal_attention",
     "log_softmax_gather",
     "gather_rows",
-    "l2_normalize_rows",
+    "normalize_rows",
     "mean",
-    "transpose",
     "relu",
     "grad_check",
 ]
@@ -157,6 +157,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b^T`` for 2-D operands as one node (the tied output head).  b^T
+    is copied: on a transposed view OpenBLAS's small-matrix kernel rounds
+    differently from its blocked one, so logits would depend on the batch."""
+    av, bt = a.values, np.ascontiguousarray(b.values.T)
+    if av.ndim != 2 or bt.ndim != 2 or av.shape[1] != bt.shape[0]:
+        raise UsageError(f"matmul_t shape mismatch: {av.shape} @ {b.shape}^T")
+
+    def backward(g):
+        _accumulate(a, g @ bt.T)
+        _accumulate(b, (av.T @ g).T)
+
+    return _make(av @ bt, (a, b), backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise UsageError(f"add shape mismatch: {a.shape} vs {b.shape}")
@@ -208,20 +223,27 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, batch: int = 1
     # A contiguous k^T: each head's q k^T then rounds exactly like a 2-D
     # matmul of that head's columns (a strided view may take another gemm path).
     kt = np.ascontiguousarray(kv.reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
-    raw = (qh @ kt) * c
+    # The softmax runs in place in the fresh [b, heads, T, T] score buffer.
+    p = qh @ kt
+    p *= c
     causal = np.tri(t, dtype=bool)
     # The row maximum over causal entries only.  Clamping the masked
     # entries at 0 before exp and zeroing them after gives the same bits
     # as exp(-inf) but keeps exp off its slow path for infinite input.
-    top = np.max(raw, axis=-1, keepdims=True, where=causal, initial=-np.inf)
-    p = np.exp(np.minimum(raw - top, 0.0)) * causal
+    p -= np.max(p, axis=-1, keepdims=True, where=causal, initial=-np.inf)
+    np.minimum(p, 0.0, out=p)
+    np.exp(p, out=p)
+    p *= causal
     p /= p.sum(axis=-1, keepdims=True)
     out = merge(p @ vh)
 
     def backward(g):
         gh = split(g)
-        dp = gh @ vh.transpose(0, 1, 3, 2)
-        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * c
+        # ds = p * (dp - rowsum(dp * p)) * c, in place in dp's fresh buffer.
+        ds = gh @ vh.transpose(0, 1, 3, 2)
+        ds -= np.sum(ds * p, axis=-1, keepdims=True)
+        ds *= p
+        ds *= c
         _accumulate(q, merge(ds @ kt.transpose(0, 1, 3, 2)))
         _accumulate(k, (qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 3, 1, 2).reshape(rows, d))
         _accumulate(v, merge(p.transpose(0, 1, 3, 2) @ gh))
@@ -261,31 +283,43 @@ def gather_rows(m: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64).ravel()
     if (idx < 0).any() or (idx >= mv.shape[0]).any():
         raise UsageError("row index out of range")
-    out = mv[idx]
+    # Two index patterns skip np.add.at's scatter with the same bits: strictly
+    # increasing (each row is hit once) and tile(arange(t), b) (b copies of
+    # rows 0..t-1, summed in copy order).
+    t = int(idx.max()) + 1 if idx.size else 0
+    increasing = bool(np.all(idx[1:] > idx[:-1]))
+    tiled = not increasing and idx.size % t == 0 and (idx.reshape(-1, t) == np.arange(t)).all()
 
     def backward(g):
         dm = np.zeros_like(mv)
-        np.add.at(dm, idx, g)
+        if increasing:
+            dm[idx] += g
+        elif tiled:
+            dm[:t] += g.reshape(-1, t, g.shape[1]).sum(axis=0)
+        else:
+            np.add.at(dm, idx, g)
         _accumulate(m, dm)
 
-    return _make(out, (m,), backward)
+    return _make(mv[idx], (m,), backward)
 
 
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Rescale each row to unit Euclidean norm (norm floored at 1e-30)."""
+def normalize_rows(x: Tensor, length: float) -> Tensor:
+    """Rescale each row to Euclidean norm ``length`` (norm floored at 1e-30)."""
     xv = x.values
-    axis = xv.ndim - 1
-    if axis < 0:
-        raise UsageError("l2_normalize_rows needs at least 1-D input")
-    norms = np.sqrt(np.sum(xv * xv, axis=axis, keepdims=True))
-    norms = np.maximum(norms, 1e-30)
+    if xv.ndim < 1:
+        raise UsageError("normalize_rows needs at least 1-D input")
+    c = float(length)
+    norms = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True))
+    np.maximum(norms, 1e-30, out=norms)
     u = xv / norms
 
     def backward(g):
-        dot = np.sum(g * u, axis=axis, keepdims=True)
-        _accumulate(x, (g - u * dot) / norms)
+        gu = g * c
+        gu -= u * np.sum(gu * u, axis=-1, keepdims=True)
+        gu /= norms
+        _accumulate(x, gu)
 
-    return _make(u, (x,), backward)
+    return _make(u * c, (x,), backward)
 
 
 def mean(x: Tensor) -> Tensor:
@@ -297,16 +331,6 @@ def mean(x: Tensor) -> Tensor:
         _accumulate(x, np.full_like(x.values, float(g) / n))
 
     return _make(x.values.mean(), (x,), backward)
-
-
-def transpose(m: Tensor) -> Tensor:
-    if m.values.ndim != 2:
-        raise UsageError("transpose expects a 2-D tensor")
-
-    def backward(g):
-        _accumulate(m, g.T)
-
-    return _make(m.values.T.copy(), (m,), backward)
 
 
 def relu(x: Tensor) -> Tensor:

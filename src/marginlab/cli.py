@@ -28,7 +28,7 @@ from .precision import emulate_bf16
 from .tokenclass import class_audit
 from .tokenizer import Vocab, tokenize
 from .toylm import ToyLm, ToyLmConfig
-from .training import TrainConfig, dose_response, layer_scan, train
+from .training import TrainConfig, check_lambdas, dose_response, layer_scan, train
 
 _REFERENCE_NOTE = (
     "Reference values from a 4B-parameter model audit (reference only, "
@@ -291,6 +291,7 @@ def _cmd_sweep(args) -> int:
         lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
     except ValueError as e:
         raise UsageError(f"bad --lambdas list: {e}") from e
+    check_lambdas(lambdas)  # before the base run
     model = _model_from_args(args)
     tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
     if not getattr(args, "base_checkpoint", None) and args.base_steps > 0:

@@ -5,7 +5,7 @@ parameter-free row-normalization layers (unit rows rescaled by sqrt(d)).
 A forward pass takes b equal-length sequences at once: the dense layers
 are [b·T, d] GEMMs, and ``autodiff.causal_attention`` runs every sequence
 and head as one [b, heads, T, T] batch and records one tape node.  So a
-pass records a fixed 14 nodes per layer plus 8 for the embedding, the
+pass records a fixed 12 nodes per layer plus 6 for the embedding, the
 predicting-row selection and the head, whatever b is.
 With ``tied_embeddings=True`` (the default) the input embedding and the
 output projection are one shared matrix, so its gradient collects
@@ -46,11 +46,6 @@ class ToyLmConfig:
             )
         if self.layers < 1 or self.context < 2:
             raise UsageError("need at least 1 layer and context >= 2")
-
-
-def _norm(x: Tensor, dim: int) -> Tensor:
-    """Parameter-free row norm: unit rows rescaled to sqrt(dim)."""
-    return ad.scale(ad.l2_normalize_rows(x), math.sqrt(dim))
 
 
 class ToyLm:
@@ -130,7 +125,7 @@ class ToyLm:
 
         hiddens: list[Tensor] = []
         for i in range(cfg.layers):
-            h = _norm(x, d)
+            h = ad.normalize_rows(x, math.sqrt(d))
             attended = ad.causal_attention(
                 ad.matmul(h, self.params[f"layer{i}.wq"]),
                 ad.matmul(h, self.params[f"layer{i}.wk"]),
@@ -141,7 +136,7 @@ class ToyLm:
             attn = ad.matmul(attended, self.params[f"layer{i}.wo"])
             x = ad.add(x, attn)
 
-            h2 = _norm(x, d)
+            h2 = ad.normalize_rows(x, math.sqrt(d))
             mlp = ad.matmul(
                 ad.relu(ad.matmul(h2, self.params[f"layer{i}.w1"])),
                 self.params[f"layer{i}.w2"],
@@ -155,7 +150,8 @@ class ToyLm:
 
     def _head(self, x: Tensor) -> Tensor:
         """The output head: final normalization, then the unembedding."""
-        return ad.matmul(_norm(x, self.config.hidden_dim), ad.transpose(self.unembedding))
+        h = ad.normalize_rows(x, math.sqrt(self.config.hidden_dim))
+        return ad.matmul_t(h, self.unembedding)
 
     def project_hidden(self, hidden: np.ndarray) -> np.ndarray:
         """Virtual logits: a hidden-state matrix pushed through the output

@@ -30,6 +30,7 @@ __all__ = [
     "make_chunks",
     "train",
     "audit_model",
+    "check_lambdas",
     "dose_response",
     "layer_scan",
 ]
@@ -223,6 +224,17 @@ def audit_model(model: ToyLm, corpus_tokens) -> Audit:
     )
 
 
+def check_lambdas(values) -> list[float]:
+    """A sweep's lambdas as floats: non-empty, ascending, and each a valid
+    ``MrpConfig.lambda_mrp``, or ``UsageError``."""
+    lambdas = [float(v) for v in values]
+    for lam in lambdas:
+        MrpConfig(lambda_mrp=lam)
+    if not lambdas or any(b < a for a, b in zip(lambdas, lambdas[1:])):
+        raise UsageError("lambda list must be non-empty and sorted ascending")
+    return lambdas
+
+
 def dose_response(
     base_model: ToyLm,
     corpus_tokens,
@@ -237,12 +249,7 @@ def dose_response(
     Returns ``(rows, baseline_audit)``.  All runs share the training
     corpus, seed, and schedule; only lambda varies.
     """
-    lambdas = [float(v) for v in lambda_list]
-    if not lambdas:
-        raise UsageError("lambda list must be non-empty")
-    if any(b < a for a, b in zip(lambdas, lambdas[1:])):
-        raise UsageError("lambda list must be sorted ascending")
-
+    lambdas = check_lambdas(lambda_list)
     baseline_audit = audit_model(base_model, corpus_tokens)
     rows: list[SweepRow] = []
     for lam in lambdas:
@@ -283,7 +290,7 @@ def layer_scan(model: ToyLm, corpus_tokens, tau: float = 0.5) -> list[LayerScanR
     A layer's hidden states are projected through the final output head
     to get virtual margins; the penalty is the margin deficit below tau.
     """
-    check_finite(tau=tau)
+    MrpConfig(tau=tau)  # the same tau checks as training's
     ce, margins = [], []
     for block in _blocks(corpus_tokens, model.config.context):
         logits, hiddens = model.forward(block)

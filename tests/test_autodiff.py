@@ -42,36 +42,47 @@ class TestPrimitiveGradients:
         idx = rng.integers(0, 7, size=5)
         _finite_diff_ok(lambda p: ad.mean(ad.log_softmax_gather(p[0], idx)), [x])
 
-    def test_l2_normalize_rows_grad(self):
+    def test_normalize_rows_grad(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 5)) + 0.1
         w = rng.normal(size=5)
-        _finite_diff_ok(
-            lambda p: ad.mean(ad.matmul(ad.l2_normalize_rows(p[0]), ad.constant(w))),
-            [x],
-        )
+        for length in (1.0, np.sqrt(5.0)):
+            _finite_diff_ok(
+                lambda p: ad.mean(ad.matmul(ad.normalize_rows(p[0], length), ad.constant(w))),
+                [x],
+            )
 
     def test_relu(self):
         x = np.random.default_rng(9).normal(size=(5, 4))
         _finite_diff_ok(lambda p: ad.mean(ad.relu(p[0])), [x])
 
-    def test_scale_add_transpose(self):
+    def test_scale_add_matmul_t(self):
         # (2.5 a) (a - b)^T: a reaches the product through two paths
         rng = np.random.default_rng(10)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         _finite_diff_ok(
             lambda p: ad.mean(
-                ad.matmul(ad.scale(p[0], 2.5), ad.transpose(ad.add(p[0], ad.scale(p[1], -1.0))))
+                ad.matmul_t(ad.scale(p[0], 2.5), ad.add(p[0], ad.scale(p[1], -1.0)))
             ),
             [a, b],
         )
 
-    def test_gather_rows_scatter_grad(self):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(6, 3))
-        idx = np.array([0, 2, 2, 5])
-        _finite_diff_ok(lambda p: ad.mean(ad.gather_rows(p[0], idx)), [m])
+    def test_matmul_t_rectangular(self):
+        rng = np.random.default_rng(14)
+        x, e = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
+        _finite_diff_ok(lambda p: ad.mean(ad.matmul_t(p[0], p[1])), [x, e])
+        with pytest.raises(UsageError):
+            ad.matmul_t(ad.constant(x), ad.constant(e.T))
+
+    @pytest.mark.parametrize("idx", [[0, 2, 2, 5], [4, 0, 3], [1, 3, 4, 5], [0, 1, 2, 0, 1, 2]],
+                             ids=["repeated", "unsorted", "increasing", "tiled"])
+    def test_gather_rows_scatter_grad(self, idx):
+        m = np.random.default_rng(11).normal(size=(6, 3))
+        w = np.random.default_rng(12).normal(size=3)
+        _finite_diff_ok(
+            lambda p: ad.mean(ad.matmul(ad.gather_rows(p[0], idx), ad.constant(w))), [m]
+        )
 
 
 class TestPrimitiveSweep:
@@ -97,7 +108,7 @@ class TestPrimitiveSweep:
                     (lambda p, b=b: ad.mean(ad.matmul(p[0], ad.constant(b))), [a]),
                     (lambda p: ad.mean(ad.add(p[0], p[1])), [a, a + 1.0]),
                     (
-                        lambda p: ad.mean(ad.matmul(p[0], ad.transpose(p[1]))),
+                        lambda p: ad.mean(ad.matmul_t(p[0], p[1])),
                         [a, a * 0.5 + 2.0],
                     ),
                     (
@@ -122,7 +133,7 @@ class TestPrimitiveSweep:
                     ),
                     (
                         lambda p, w=w: ad.mean(
-                            ad.matmul(ad.l2_normalize_rows(p[0]), ad.constant(w))
+                            ad.matmul(ad.normalize_rows(p[0], 1.5), ad.constant(w))
                         ),
                         [a + 0.3],
                     ),
@@ -231,6 +242,187 @@ class TestCausalAttention:
             ad.causal_attention(x, x, x, 2, 3)  # 4 rows are not 3 sequences
 
 
+# The compositions that the norm, head and attention nodes replaced, as the
+# tape recorded them: scale(l2_normalize_rows(x)), matmul(x, transpose(E)),
+# an out-of-place attention softmax and an np.add.at gather backward.
+
+
+def _legacy_l2_normalize_rows(x):
+    xv = x.values
+    norms = np.maximum(np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True)), 1e-30)
+    u = xv / norms
+
+    def backward(g):
+        dot = np.sum(g * u, axis=-1, keepdims=True)
+        ad._accumulate(x, (g - u * dot) / norms)
+
+    return ad._make(u, (x,), backward)
+
+
+def _legacy_transpose(m):
+    return ad._make(m.values.T.copy(), (m,), lambda g: ad._accumulate(m, g.T))
+
+
+def _legacy_gather_rows(m, idx):
+    idx = np.asarray(idx, dtype=np.int64).ravel()
+
+    def backward(g):
+        dm = np.zeros_like(m.values)
+        np.add.at(dm, idx, g)
+        ad._accumulate(m, dm)
+
+    return ad._make(m.values[idx], (m,), backward)
+
+
+def _legacy_attention(q, k, v, heads, batch=1):
+    qv, kv, vv = q.values, k.values, v.values
+    rows, d = qv.shape
+    b, t, hd = batch, rows // batch, d // heads
+    c = 1.0 / np.sqrt(hd)
+
+    def split(x):
+        return x.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qh, vh = split(qv), split(vv)
+    kt = np.ascontiguousarray(kv.reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
+    raw = (qh @ kt) * c
+    causal = np.tri(t, dtype=bool)
+    top = np.max(raw, axis=-1, keepdims=True, where=causal, initial=-np.inf)
+    p = np.exp(np.minimum(raw - top, 0.0)) * causal
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = split(g)
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * c
+        ad._accumulate(q, merge(ds @ kt.transpose(0, 1, 3, 2)))
+        ad._accumulate(k, (qh.transpose(0, 1, 3, 2) @ ds).transpose(0, 3, 1, 2).reshape(rows, d))
+        ad._accumulate(v, merge(p.transpose(0, 1, 3, 2) @ gh))
+
+    return ad._make(merge(p @ vh), (q, k, v), backward)
+
+
+def _values_and_grads(fn, arrays, upstream):
+    """fn's output and its inputs' gradients for the upstream gradient
+    ``upstream``; also checks that neither the inputs nor ``upstream`` were
+    written to."""
+    saved = [a.copy() for a in (*arrays, upstream)]
+    params = [ad.parameter(a) for a in arrays]
+    with ad.Tape() as tape:
+        out = fn(params)
+    out.grad = upstream
+    for node, backward in reversed(tape._nodes):
+        if node.grad is not None:
+            backward(node.grad)
+    for p, a in zip(params, arrays):
+        assert np.array_equal(p.values, a)
+    assert _same_bits(upstream, saved[-1])
+    return out.values, [p.grad for p in params]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFusedNodes:
+    """normalize_rows, matmul_t, the in-place attention softmax and the
+    scatter-free gathers give the same bits as the compositions they
+    replaced, at ToyLmConfig() shapes (d 64, V 512, 2 heads, T 96)."""
+
+    D, V, HEADS, T = 64, 512, 2, 96
+
+    def _assert_same(self, new, old, arrays, upstream):
+        new_out, new_grads = _values_and_grads(new, arrays, upstream)
+        old_out, old_grads = _values_and_grads(old, arrays, upstream)
+        assert _same_bits(new_out, old_out)
+        for g_new, g_old in zip(new_grads, old_grads):
+            assert _same_bits(g_new, np.ascontiguousarray(g_old))
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_norm_node(self, b):
+        rng = np.random.default_rng(20 + b)
+        x = rng.normal(size=(b * self.T, self.D))
+        c = np.sqrt(self.D)
+        self._assert_same(
+            lambda p: ad.normalize_rows(p[0], c),
+            lambda p: ad.scale(_legacy_l2_normalize_rows(p[0]), c),
+            [x], rng.normal(size=x.shape),
+        )
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_head_node(self, b):
+        rng = np.random.default_rng(30 + b)
+        x = rng.normal(size=(b * (self.T - 1), self.D))
+        e = rng.normal(0.0, 0.05, size=(self.V, self.D))
+        self._assert_same(
+            lambda p: ad.matmul_t(p[0], p[1]),
+            lambda p: ad.matmul(p[0], _legacy_transpose(p[1])),
+            [x, e], rng.normal(size=(x.shape[0], self.V)),
+        )
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_attention_node(self, b):
+        rng = np.random.default_rng(40 + b)
+        qkv = list(rng.normal(size=(3, b * self.T, self.D)))
+        self._assert_same(
+            lambda p: ad.causal_attention(*p, self.HEADS, b),
+            lambda p: _legacy_attention(*p, self.HEADS, b),
+            qkv, rng.normal(size=(b * self.T, self.D)),
+        )
+
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.random.default_rng(5).integers(0, 512, size=4 * 96),  # token ids: repeated
+            np.arange(4 * 96).reshape(4, 96)[:, :-1].ravel(),  # predicting rows: increasing
+            np.tile(np.arange(96), 4),  # positions: tiled
+            np.arange(96),  # one sequence's positions
+            np.array([3, 1, 2]),  # unique but unsorted
+            np.array([0, 1, 0, 1, 0]),  # periodic, not whole copies
+        ],
+        ids=["repeated", "increasing", "tiled", "arange", "unsorted", "partial-tile"],
+    )
+    def test_gather_backward_equals_add_at(self, idx):
+        rng = np.random.default_rng(idx.size)
+        m = rng.normal(size=(self.V, self.D))
+        upstream = rng.normal(size=(idx.size, self.D))
+        upstream[::7] = -0.0  # np.add.at onto zeros turns every -0.0 into +0.0
+        self._assert_same(
+            lambda p: ad.gather_rows(p[0], idx),
+            lambda p: _legacy_gather_rows(p[0], idx),
+            [m], upstream,
+        )
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_model_step_equals_legacy_composition(self, b, monkeypatch):
+        from marginlab.toylm import ToyLm, ToyLmConfig
+
+        model = ToyLm(ToyLmConfig(), seed=3)
+        tokens = np.random.default_rng(b).integers(0, 512, size=(b, self.T))
+        targets = tokens[:, 1:].ravel()
+
+        def step():
+            model.zero_grad()
+            with ad.Tape() as tape:
+                logits, _ = model.forward(tokens)
+                tape.backward(ad.mean(ad.log_softmax_gather(logits, targets)))
+            return logits.values, {n: p.grad for n, p in model.params.items()}, len(tape)
+
+        new_logits, new_grads, new_nodes = step()
+        monkeypatch.setattr(ad, "normalize_rows", lambda x, c: ad.scale(_legacy_l2_normalize_rows(x), c))
+        monkeypatch.setattr(ad, "matmul_t", lambda a, e: ad.matmul(a, _legacy_transpose(e)))
+        monkeypatch.setattr(ad, "causal_attention", _legacy_attention)
+        monkeypatch.setattr(ad, "gather_rows", _legacy_gather_rows)
+        old_logits, old_grads, old_nodes = step()
+        assert (new_nodes, old_nodes) == (32, 38)  # 30 and 36 forward nodes, 2 for the loss
+        assert _same_bits(new_logits, old_logits)
+        for name in new_grads:
+            assert _same_bits(new_grads[name], np.ascontiguousarray(old_grads[name])), name
+
+
 class TestTopK:
     """Hard top-k in the fused objective nodes: the selection is frozen at
     forward time, the lower id wins ties, and entries outside it get
@@ -284,7 +476,7 @@ class TestTapeSemantics:
         for _ in range(2):
             with ad.Tape() as tape:
                 a = ad.parameter(a0)
-                out = ad.mean(ad.matmul(ad.causal_attention(a, a, a, 2), ad.transpose(a)))
+                out = ad.mean(ad.matmul_t(ad.causal_attention(a, a, a, 2), a))
                 tape.backward(out)
             grads.append(a.grad.copy())
         assert np.array_equal(grads[0], grads[1])

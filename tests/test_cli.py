@@ -546,12 +546,24 @@ class TestTrainCommands:
         assert lines[0].startswith("lambda,median_margin,pr_below_half,beta")
         assert len(lines) == 3
 
-    def test_bad_lambdas_exit_1(self, tmp_path, corpus_file):
-        rc = main(["sweep", corpus_file, str(tmp_path / "s.csv"), "--lambdas", "0.3,0.1",
-                   "--base-steps", "1", "--steps", "1",
-                   "--vocab-size", "16", "--hidden-dim", "16", "--layers", "1",
-                   "--heads", "2", "--context", "12"])
-        assert rc == 1
+    @pytest.mark.parametrize("lambdas,message", [("nan,0.3", "lambda_mrp must be finite"),
+                                                 ("-0.5,0", "lambda_mrp must be nonnegative"),
+                                                 ("0.3,0.1", "sorted ascending")])
+    def test_bad_lambdas_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch,
+                                lambdas, message):
+        from marginlab import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)  # rejected before the base run
+        out = tmp_path / "s.csv"
+        assert main(["sweep", corpus_file, str(out), f"--lambdas={lambdas}",
+                     "--base-steps", "1", "--steps", "1", "--vocab-size", "16",
+                     "--hidden-dim", "16", "--layers", "1", "--heads", "2",
+                     "--context", "12"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthValidate:
@@ -751,14 +763,15 @@ class TestBadFlagValues:
         assert "must be finite" in capsys.readouterr().err
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1", "0"])
     def test_layer_scan_non_finite_tau_exits_1(self, tmp_path, corpus_file, capsys, tau):
         cfg = ToyLmConfig(vocab_size=16, hidden_dim=16, layers=1, heads=2, context=12)
         ckpt = str(tmp_path / "model.ckpt")
         fileio.save_checkpoint(ckpt, ToyLm(cfg, seed=0))
         out = tmp_path / "scan.csv"
         assert main(["layer-scan", ckpt, corpus_file, str(out), "--tau", tau]) == 1
-        assert "tau must be finite" in capsys.readouterr().err
+        expected = "tau must be finite" if tau in ("nan", "inf") else "tau must be positive"
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
 

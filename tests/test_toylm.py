@@ -97,7 +97,7 @@ class TestForward:
             ToyLm(CFG, seed=0).forward(np.arange(17) % 60)
 
     def test_one_attention_node_per_layer(self):
-        # 14 nodes per layer plus 8, whatever the number of sequences
+        # 12 nodes per layer plus 6, whatever the number of sequences
         model = ToyLm(ToyLmConfig(), seed=0)
         for b in (1, 4):
             tokens = np.random.default_rng(0).integers(0, 512, size=(b, 96))
@@ -105,7 +105,7 @@ class TestForward:
                 model.forward(tokens)
             ops = [backward.__qualname__.split(".")[0] for _, backward in tape._nodes]
             assert ops.count("causal_attention") == model.config.layers
-            assert len(tape) == 36
+            assert len(tape) == 30
 
     def test_causal_masking(self):
         # changing a future token must not change earlier logit rows
