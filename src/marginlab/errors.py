@@ -3,10 +3,12 @@
 The three leaf classes map one-to-one onto the command-line exit codes:
 usage errors exit 1, data-format errors exit 2, numerical failures exit 3.
 Each class also carries the label the command line prints before its
-message.  ``check_finite`` is the one NaN/infinity check of config values.
+message.  ``check_finite`` is the one NaN/infinity check of config values,
+and ``check_int`` the one integer check of config counts.
 """
 
 import math
+import numbers
 
 
 class MarginLabError(Exception):
@@ -45,3 +47,12 @@ def check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value}")
+
+
+def check_int(**values: int) -> None:
+    """Raise ``UsageError`` naming the first of ``values`` that is not a
+    Python or numpy integer: bools, floats and NaN are rejected (``x < 1``
+    lets NaN through, and a float count fails later inside numpy)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise UsageError(f"{name} must be an integer, got {value!r}")

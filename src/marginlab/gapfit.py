@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, check_int
 from .margins import nearest_rank_quantile
 
 __all__ = ["GridSpec", "GapFit", "fit_gap_curve", "empirical_gap"]
@@ -38,6 +38,7 @@ class GridSpec:
     quantile_hi: float = 0.3
 
     def __post_init__(self):
+        check_int(count=self.count)
         if self.count < 5:
             raise UsageError("grid needs at least 5 points")
         if not (0 < self.quantile_lo < self.quantile_hi <= 1):

@@ -11,15 +11,18 @@ Points are ``[d, n]`` blocks, so logits ``sites @ points`` are column-major
 and only their margins are kept.  The oracle streams its grid in blocks
 of ``_CHUNK`` points, so its memory does not grow with grid size.
 
-The oracle skips what it can certify.  The margin
-``m(h) = max_a min_{j != a} (s_a - s_j) . h`` is L-Lipschitz with
-``L = max_{i != j} |s_i - s_j|``, so every point within r of a point c
-has ``m >= m(c) - L r``.  The grid is cut into tiles of ``_TILE`` = 64
-points (runs of 64 on the circle, 8 x 8 blocks on the square); a tile
-whose centre margin exceeds ``epsilon + L r`` by a rounding slack, and
-whose logits are provably finite, holds no point below epsilon and is
-not evaluated.  The points of the other tiles are evaluated exactly as
-a dense pass would, so the count is unchanged.
+The oracle skips what it can certify.  Let a be the top token at a point
+c.  Every h within r of c has
+``(x_a - x_j)(h) >= (x_a - x_j)(c) - |s_a - s_j| r``, so
+``m(h) >= min_{j != a} (x_a - x_j)(c) - |s_a - s_j| r`` (where a is not
+top at h, the right side is <= 0).  The grid is cut into tiles of
+``_TILE`` = 64 points (runs of 64 on the circle, 8 x 8 blocks on the
+square) and super-tiles of ``_TILE`` tiles (runs of 4096, 64 x 64 blocks).
+A block whose bound exceeds epsilon by a rounding slack, and whose logits
+are provably finite, holds no point below epsilon and is not evaluated:
+first whole super-tiles are tried, then the tiles of those left.  The
+points of the other tiles are evaluated exactly as a dense pass would, so
+the count is unchanged.
 
 The gradient floor is exact.  Logits have no bias and points are
 zero-padded, so only ``sites[:, :2]`` matter and each (top, runner-up)
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, UsageError, check_int
 from .gapfit import GapFit, GridSpec, fit_gap_curve
 from .margins import column_margins, top2_stats
 
@@ -59,8 +62,8 @@ SAMPLERS = ("circle_uniform", "square_uniform")
 
 # Points per block; blocks of a few MiB ran the oracle faster than 500K-point ones.
 _CHUNK = 65_536
-# Grid points per tile of the oracle's certificate: runs of 64 on the
-# circle, 8 x 8 blocks on the square.
+# Grid points per tile, and tiles per super-tile, of the oracle's
+# certificate: runs of 64 on the circle, 8 x 8 blocks on the square.
 _TILE = 64
 
 
@@ -75,6 +78,8 @@ class ManifoldSpec:
     sample_count: int
 
     def __post_init__(self):
+        check_int(intrinsic_dim=self.intrinsic_dim, ambient_dim=self.ambient_dim,
+                  sample_count=self.sample_count)
         if self.sampler not in SAMPLERS:
             raise UsageError(f"sampler must be one of {SAMPLERS}")
         expected = 1 if self.sampler == "circle_uniform" else 2
@@ -155,57 +160,80 @@ def _tile_centres(tiles: np.ndarray, side: int, length: int) -> np.ndarray:
     return starts + (np.minimum(side, length - starts) - 1) / 2
 
 
+def _cells(tr: np.ndarray, tc: np.ndarray, th: int, tw: int, rows: int, cols: int) -> np.ndarray:
+    """Ascending flat indices ``a * cols + b`` of the cells of a ``rows x cols``
+    grid in its ``th x tw`` blocks at (tr, tc); edge blocks are partial."""
+    a = (tr * th)[:, None] + np.arange(th)
+    b = (tc * tw)[:, None] + np.arange(tw)
+    idx = a[:, :, None] * cols + b[:, None]
+    if rows % th or cols % tw:
+        idx = idx[(a < rows)[:, :, None] & (b < cols)[:, None]]
+    return np.sort(idx, axis=None)
+
+
 def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
     """Fraction of grid margins below ``epsilon``, divided by epsilon.  The
     grid is ``rows x cols`` (1 x n on the circle, m x m on the square; point
-    ``a * cols + b`` at row a, column b) in tiles of ``th x tw`` points, and
-    only tiles the certificate cannot clear are evaluated, in grid order."""
+    ``a * cols + b`` at row a, column b) in tiles of ``th x tw`` points and
+    super-tiles of ``th x tw`` tiles.  Only the tiles the certificate cannot
+    clear, inside super-tiles it cannot clear, are evaluated, in grid order."""
     d, circle = spec.ambient_dim, spec.intrinsic_dim == 1
     m = math.ceil(math.sqrt(n_points))
     rows, cols, step = (1, n_points, 2.0 * math.pi / n_points) if circle else (m, m, 2.0 / m)
     th, tw = (1, _TILE) if circle else (math.isqrt(_TILE),) * 2
     n_tr, n_tc = -(-rows // th), -(-cols // tw)
-    # Every grid point is within ``radius`` of its tile's centre (on the
-    # circle the chord is at most the arc).
-    radius = step * math.hypot(th - 1, tw - 1) / 2
+    n_sr, n_sc = -(-n_tr // th), -(-n_tc // tw)
     with np.errstate(over="ignore", invalid="ignore"):  # huge sites certify nothing
         s_max = float(np.linalg.norm(spec.sites, axis=1).max())
-        lipschitz = float(np.linalg.norm(spec.sites[:, None] - spec.sites[None], axis=2).max())
-        # Rounding, with u = 2^-53 and X = s_max * max|h| the logit scale: a
-        # computed logit is within 1.01 d u X of the exact dot product at the
-        # computed point (any summation order, with or without FMA); top and
-        # runner-up move no more than the logits, so a computed margin is
-        # within (2.02 d + 2) u X of the exact one, at a point and at its
-        # centre.  Computed points lie within 32 u of the exact grid (an
+        dist = np.linalg.norm(spec.sites[:, None] - spec.sites[None], axis=2)
+        lipschitz = float(dist.max())
+        # Rounding, with u = 2^-53, X = s_max * max|h| the logit scale and L
+        # the largest pair distance: a computed logit is within 1.01 d u X of
+        # the exact dot product at the computed point (any summation order,
+        # with or without FMA), and top and runner-up move no more than the
+        # logits, so a computed margin is within (2.02 d + 2) u X of the exact
+        # one.  Computed points and centres lie within 32 u of the grid (an
         # angle below 2 pi rounded, then cos/sin to a few ulps; or a square
-        # coordinate rounded twice), which moves a margin by 64 u L, and the
-        # certificate's own arithmetic rounds by (d + 8) u 2X.  All of it is
-        # below 64 (d + 1) u (X + L); the slack is 16 times that.
+        # coordinate rounded twice): 64 u L more per pair term.  A clearing
+        # term is positive, so both its parts are below 2X; it rounds by
+        # (2.02 d + 4) u X (logits, difference, subtraction) plus (d + 8) u 2X
+        # (distance times radius).  All of it is below 64 (d + 1) u (X + L);
+        # the slack is 16 times that.
         slack = (d + 1) * 2.0**-43 * (s_max * (1.0 if circle else math.sqrt(2.0)) + lipschitz)
-    # Tiles t = tr * n_tc + tc in blocks of at most _CHUNK; on the square a
-    # block is whole tile rows (more than _CHUNK tiles only if one row is),
+    np.fill_diagonal(dist, -np.inf)  # the pair (a, a) bounds nothing
+    # Super-tiles s = sr * n_sc + sc in blocks of at most _CHUNK // _TILE; on
+    # the square a block is whole super-tile rows (more only if one row is),
     # so each block's points come after the previous block's.
-    per_block = _CHUNK if th == 1 else max(1, _CHUNK // n_tc) * n_tc
+    per_block = max(1, _CHUNK // _TILE) if th == 1 else max(1, _CHUNK // _TILE // n_sc) * n_sc
 
     def points(pos: np.ndarray) -> np.ndarray:
         """Points ``[d, n]`` at grid positions ``[2, n]`` (row, column)."""
         return _embed(spec, (pos[1:] + 0.5) * step if circle else -1.0 + (pos + 0.5) * step)
 
-    def cleared(tr: np.ndarray, tc: np.ndarray) -> np.ndarray:
-        """Which tiles the certificate clears (their centre's arrays are
-        freed before the other tiles' points are evaluated)."""
-        centres = points(np.stack((_tile_centres(tr, th, rows), _tile_centres(tc, tw, cols))))
+    def cleared(tr: np.ndarray, tc: np.ndarray, h: int, w: int) -> np.ndarray:
+        """Which ``h x w``-point blocks at (tr, tc) the certificate clears
+        (their centres' arrays are freed before any point is evaluated)."""
+        # Every point of a block is within ``radius`` of its centre (on the
+        # circle the chord is at most the arc).
+        radius = step * math.hypot(h - 1, w - 1) / 2
+        centres = points(np.stack((_tile_centres(tr, h, rows), _tile_centres(tc, w, cols))))
         with np.errstate(over="ignore", invalid="ignore"):
             x = spec.sites @ centres
-            # Within a tile |x_j(h)| <= |x_j(c)| + s_max * radius: all finite.
+            # Within a block |x_j(p)| <= |x_j(c)| + s_max * radius: all finite.
             finite = np.maximum(x.max(axis=0), -x.min(axis=0)) + s_max * radius < 2.0**1000
             x[:, ~finite] = 0.0
-            return finite & (column_margins(x) - lipschitz * radius > epsilon + slack)
+            top, reach = x.argmax(axis=0), dist * radius
+            x_top, bound = x[top, np.arange(x.shape[1])], np.full(x.shape[1], np.inf)
+            for j, row in enumerate(x):
+                np.minimum(bound, x_top - row - reach[top, j], out=bound)
+            return finite & (bound > epsilon + slack)
 
     below = 0
-    for t0 in range(0, n_tr * n_tc, per_block):
-        tr, tc = np.divmod(np.arange(t0, min(t0 + per_block, n_tr * n_tc)), n_tc)
-        kept = np.flatnonzero(~cleared(tr, tc))
+    for s0 in range(0, n_sr * n_sc, per_block):
+        sr, sc = np.divmod(np.arange(s0, min(s0 + per_block, n_sr * n_sc)), n_sc)
+        kept = ~cleared(sr, sc, th * th, tw * tw)
+        tr, tc = np.divmod(_cells(sr[kept], sc[kept], th, tw, n_tr, n_tc), n_tc)
+        kept = np.flatnonzero(~cleared(tr, tc, th, tw))
         # Kept tiles are gathered a group at a time: the whole tile rows (single
         # tiles on the circle) that start within one run of _CHUNK // _TILE
         # kept tiles, so at most _CHUNK points plus one tile row are held at
@@ -213,12 +241,7 @@ def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
         row = kept if th == 1 else tr[kept]
         group = np.searchsorted(row, row) // max(1, _CHUNK // _TILE)
         for tiles in np.split(kept, np.flatnonzero(np.diff(group)) + 1) if kept.size else ():
-            a = (tr[tiles] * th)[:, None] + np.arange(th)
-            b = (tc[tiles] * tw)[:, None] + np.arange(tw)
-            idx = a[:, :, None] * cols + b[:, None]
-            if rows % th or cols % tw:  # edge tiles are partial
-                idx = idx[(a < rows)[:, :, None] & (b < cols)[:, None]]
-            idx = np.sort(idx, axis=None)
+            idx = _cells(tr[tiles], tc[tiles], th, tw, rows, cols)
             for i in range(0, idx.size, _CHUNK):
                 piece = idx[i : i + _CHUNK]
                 margins = _margins(spec, points(np.stack(np.divmod(piece, cols))), piece)
@@ -231,10 +254,10 @@ def oracle_alpha(spec: ManifoldSpec, epsilon: float = 1e-3) -> float:
 
     Counts the fraction of grid points with margin below ``epsilon`` and
     divides by epsilon; the grid is then doubled in density and the two
-    estimates must agree within 0.5%.  Tiles of 64 points that the
-    Lipschitz certificate (see the module notes) clears of margins below
-    epsilon are counted without evaluating them, so the count equals a
-    dense pass; the presets evaluate under 5% of their grids.
+    estimates must agree within 0.5%.  Super-tiles of 4096 points and tiles
+    of 64 that the per-pair certificate (see the module notes) clears are
+    counted unevaluated, so the count equals a dense pass; the presets
+    evaluate 0.03-0.06% (circles) and 0.9-1.2% (square8) of their grids.
 
     Raises:
         NumericalError: the doubled grid does not confirm convergence.

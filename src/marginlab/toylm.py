@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_int
 
 __all__ = ["ToyLmConfig", "ToyLm"]
 
@@ -36,6 +36,8 @@ class ToyLmConfig:
     tied_embeddings: bool = True
 
     def __post_init__(self):
+        check_int(vocab_size=self.vocab_size, hidden_dim=self.hidden_dim, layers=self.layers,
+                  heads=self.heads, context=self.context)
         if self.vocab_size < 2:
             raise UsageError("vocab_size must be at least 2")
         if self.hidden_dim < 1 or self.heads < 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audit import ChurnReport, churn_report
-from .errors import NumericalError, UsageError, check_finite
+from .errors import NumericalError, UsageError, check_finite, check_int
 from .gapfit import GapFit, GridSpec, fit_gap_curve
 from .margins import Audit, compute_margins, margin_quantiles, nearest_rank_quantile, top2_stats
 # cross_entropy and fisher_loss are unused here but patched here by bench/tracing.py.
@@ -48,6 +48,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_finite(learning_rate=self.learning_rate, weight_decay=self.weight_decay)
+        check_int(steps=self.steps, batch_size=self.batch_size, seed=self.seed)
         if self.steps < 1:
             raise UsageError("steps must be >= 1")
         if not 0 <= self.warmup_fraction < 1:

@@ -63,6 +63,13 @@ class TestFitGapCurve:
         with pytest.raises(UsageError):
             GridSpec(quantile_lo=0.5, quantile_hi=0.1)
 
+    @pytest.mark.parametrize("count", [float("nan"), 7.5, 20.0, True, np.float64(8)])
+    def test_grid_count_must_be_an_integer(self, count):
+        # NaN passes ``count < 5``; a float count would fail later inside numpy.
+        with pytest.raises(UsageError, match="count must be an integer"):
+            GridSpec(count=count)
+        assert GridSpec(count=np.int64(8)).count == 8
+
 
 class TestEmpiricalGap:
     def test_strictly_below_semantics(self):

@@ -85,6 +85,17 @@ class TestGenerate:
         with pytest.raises(UsageError):
             ManifoldSpec(2, 2, sites, "circle_uniform", 1000)
 
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 1e12, True, "1000"])
+    @pytest.mark.parametrize("field", ["intrinsic_dim", "ambient_dim", "sample_count"])
+    def test_counts_must_be_integers(self, field, value):
+        # NaN passes ``sample_count < 1`` and 2.0 passes the sites' shape
+        # check; both would fail later inside numpy, so nothing is built.
+        args = {"intrinsic_dim": 1, "ambient_dim": 2, "sample_count": 1000}
+        with pytest.raises(UsageError, match=f"{field} must be an integer"):
+            ManifoldSpec(sites=np.eye(2), sampler="circle_uniform", **{**args, field: value})
+        spec = ManifoldSpec(np.int64(1), np.int32(2), np.eye(2), "circle_uniform", np.uint64(1000))
+        assert spec.sample_count == 1000
+
 
 class TestOracleAlpha:
     def test_circle_two_sites_closed_form(self):
@@ -201,20 +212,65 @@ class TestCertifiedOracle:
             assert manifold._alpha_estimate(spec, 250_000, 0.01) == count / (size * 0.01)
             assert count < sum(evaluated) < size / 2
 
-    @pytest.mark.parametrize("factory", [circle_two_sites, circle_three_sites, square_eight_sites],
-                             ids=["circle2", "circle3", "square8"])
-    def test_preset_oracle_evaluates_under_5_percent(self, monkeypatch, factory):
-        evaluated = []
+    @staticmethod
+    def evaluated_fractions(monkeypatch, spec):
+        """Fraction of the grid passed to ``column_margins`` on each of the
+        oracle's two grids."""
+        evaluated, fractions = [], []
         real = manifold.column_margins
         monkeypatch.setattr(manifold, "column_margins",
                             lambda x, start=0: evaluated.append(x.shape[1]) or real(x, start))
-        spec = factory()
         base = 10_000_000 if spec.intrinsic_dim == 1 else 9_000_000
         for n_points in (base, 2 * base):
             evaluated.clear()
             manifold._alpha_estimate(spec, n_points, 1e-3)
             size = n_points if spec.intrinsic_dim == 1 else math.ceil(math.sqrt(n_points)) ** 2
-            assert sum(evaluated) < 0.05 * size
+            fractions.append(sum(evaluated) / size)
+        return fractions
+
+    @pytest.mark.parametrize("factory", [circle_two_sites, circle_three_sites, square_eight_sites],
+                             ids=["circle2", "circle3", "square8"])
+    def test_preset_oracle_evaluates_under_5_percent(self, monkeypatch, factory):
+        assert max(self.evaluated_fractions(monkeypatch, factory())) < 0.05
+
+    @pytest.mark.parametrize(
+        "factory, limit",
+        [(circle_two_sites, 0.002), (circle_three_sites, 0.002), (square_eight_sites, 0.02)],
+        ids=["circle2", "circle3", "square8"],
+    )
+    def test_preset_oracle_evaluates_under_two_level_limit(self, monkeypatch, factory, limit):
+        # Super-tiles and the per-pair bound evaluate about 0.05% (circles)
+        # and 1.2% (square8); one global bound over tiles alone cannot.
+        assert max(self.evaluated_fractions(monkeypatch, factory())) < limit
+
+    @pytest.mark.parametrize("n_points", [5003, 70_001])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("sampler", ["circle_uniform", "square_uniform"])
+    def test_count_matches_bruteforce_with_close_and_far_pairs(self, monkeypatch, sampler, d,
+                                                               n_points):
+        # Pair distances from ~1e-3 (sites 0 and 1) to ~10 (site 4) make each
+        # pair's bound differ from the largest one.  Neither grid fills its
+        # super-tiles: 5003 = 4096 + 907 and 70,001 = 17 * 4096 + 369 points on
+        # the circle, 71 x 71 and 265 x 265 points on the square.
+        evaluated = []
+        real = manifold.column_margins
+        monkeypatch.setattr(manifold, "column_margins",
+                            lambda x, start=0: evaluated.append(x.shape[1]) or real(x, start))
+        k = 1 if sampler == "circle_uniform" else 2
+        rng = np.random.default_rng([d, n_points, k, 13])
+        total = below = 0
+        for scale, eps in zip(10.0 ** rng.uniform(-2, 2, 3), 10.0 ** rng.uniform(-4, -1, 3)):
+            sites = rng.normal(size=(5, d))
+            sites[1] = sites[0] + 1e-3 * rng.normal(size=d)
+            sites[4] *= 10.0 / np.linalg.norm(sites[4])
+            dist = np.linalg.norm(sites[:, None] - sites[None], axis=2)
+            assert dist.max() >= 1e3 * dist[dist > 0].min()
+            spec = ManifoldSpec(k, d, scale * sites, sampler, 1000)
+            count, size = self.bruteforce(spec, n_points, eps)
+            evaluated.clear()
+            assert manifold._alpha_estimate(spec, n_points, eps) == count / (size * eps)
+            total, below = total + sum(evaluated) / size, below + count
+        assert below > 0 and total < 3  # some points counted, some tiles skipped
 
     @pytest.mark.parametrize("k, sampler", [(1, "circle_uniform"), (2, "square_uniform")])
     def test_memory_is_bounded_when_no_tile_clears(self, k, sampler):

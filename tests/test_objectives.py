@@ -461,3 +461,9 @@ class TestCombinedLoss:
         # NaN passes every x < 0 check; inf passes x > 0.
         with pytest.raises(UsageError, match=f"{field} must be finite"):
             MrpConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 5.0, True])
+    def test_config_k_must_be_an_integer(self, value):
+        with pytest.raises(UsageError, match="k must be an integer"):
+            MrpConfig(k=value)
+        assert MrpConfig(k=np.int8(3)).k == 3

@@ -232,6 +232,22 @@ class TestTrain:
         with pytest.raises(UsageError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 1e12, False])
+    @pytest.mark.parametrize("field", ["steps", "batch_size", "seed"])
+    def test_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(UsageError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+        assert TrainConfig(**{field: np.int64(3)}) == TrainConfig(**{field: 3})
+
+    @pytest.mark.parametrize("value", [np.nan, 2.5, 64.0, True, "64"])
+    @pytest.mark.parametrize("field", ["vocab_size", "hidden_dim", "layers", "heads", "context"])
+    def test_model_config_counts_must_be_integers(self, field, value):
+        # NaN passes every ``x < 2`` check and ``64.0 % 2 == 0``; both would
+        # fail only when the parameters are allocated.
+        with pytest.raises(UsageError, match=f"{field} must be an integer"):
+            ToyLmConfig(**{field: value})
+        assert ToyLmConfig(**{field: np.int64(2)}) == ToyLmConfig(**{field: 2})
+
     def test_make_chunks(self):
         chunks = make_chunks(np.arange(25), context=10)
         assert [len(c) for c in chunks] == [10, 10, 5]
