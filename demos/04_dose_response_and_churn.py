@@ -48,7 +48,7 @@ print(f"  cross-entropy {log[0].ce:.3f} -> {log[-1].ce:.3f}, "
 
 print("\nsweeping fisher strength from the same checkpoint...")
 rows, baseline_audit = dose_response(
-    base, ids, [0.0, 0.3], "fisher",
+    base, ids, [0.0, 0.3],
     TrainConfig(steps=60, learning_rate=3e-4, batch_size=4, seed=0,
                 mrp=MrpConfig(objective="fisher", lambda_mrp=0.0)),
 )

@@ -265,10 +265,9 @@ def log_softmax_gather(x: Tensor, indices) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(xv.shape[0])
     out = shifted[rows, idx] - lse
-    p = np.exp(shifted - lse[:, None])
 
     def backward(g):
-        dx = -g[:, None] * p
+        dx = -g[:, None] * np.exp(shifted - lse[:, None])
         dx[rows, idx] += g
         _accumulate(x, dx)
 

@@ -20,10 +20,10 @@ import numpy as np
 from . import fileio
 from .audit import band_accuracy, churn_report, expansion_report, frequency_audit, rotation_report
 from .errors import DataError, MarginLabError, NumericalError, UsageError
-from .gapfit import GridSpec, fit_gap_curve
+from .gapfit import GapFit, GridSpec, fit_gap_curve
 from .manifold import PRESETS, ManifoldSpec, validate_scaling
 from .margins import Audit, compute_margins, margin_quantiles
-from .objectives import MrpConfig
+from .objectives import OBJECTIVES, MrpConfig
 from .precision import emulate_bf16
 from .tokenclass import class_audit
 from .tokenizer import Vocab, tokenize
@@ -97,6 +97,17 @@ def _load_corpus(path: str, vocab_size: int) -> tuple[np.ndarray, Vocab]:
 # ---------------------------------------------------------------------------
 
 
+def _fit_report(fit: GapFit) -> dict:
+    """The fit fields that the gap-fit and synth-validate reports share."""
+    return {
+        "beta": fit.beta,
+        "r2": fit.r2,
+        "alpha_intercept": fit.alpha_intercept,
+        "alpha_constrained": fit.alpha_constrained,
+        "grid": {"epsilon": fit.epsilon_grid, "eta_hat": fit.eta_hat},
+    }
+
+
 def _cmd_audit(args) -> int:
     header, blocks = fileio.read_logits_blocks(args.logits)
     vocab = header["cols"]
@@ -141,11 +152,7 @@ def _cmd_gap_fit(args) -> int:
         GridSpec(count=args.grid_count, quantile_lo=args.grid_qlo, quantile_hi=args.grid_qhi),
     )
     report = {
-        "beta": fit.beta,
-        "alpha_intercept": fit.alpha_intercept,
-        "alpha_constrained": fit.alpha_constrained,
-        "r2": fit.r2,
-        "grid": {"epsilon": fit.epsilon_grid, "eta_hat": fit.eta_hat},
+        **_fit_report(fit),
         "provenance": {
             "audit": fileio.file_digest(args.audit),
             "positions": len(audit),
@@ -250,7 +257,7 @@ def _mrp_from_args(args) -> MrpConfig:
         objective=args.loss,
         lambda_mrp=args.lambda_mrp,
         tau=args.tau,
-        k=args.k if args.k is not None else 5,
+        k=args.k if args.k is not None else MrpConfig.k,
         ce_weight=args.ce_weight,
     )
 
@@ -298,7 +305,7 @@ def _cmd_sweep(args) -> int:
         # The base run is plain CE: lambda 0, ce_weight 1.
         train(model, tokens, _train_config(args, args.base_steps, MrpConfig(objective=args.loss)))
     run_cfg = _train_config(args, args.steps, _mrp_from_args(args))
-    rows, _baseline = dose_response(model, tokens, lambdas, args.loss, run_cfg)
+    rows, _baseline = dose_response(model, tokens, lambdas, run_cfg)
 
     fileio.write_csv(
         args.out,
@@ -334,14 +341,10 @@ def _cmd_synth_validate(args) -> int:
         spec = PRESETS[args.config](args.samples)
     verdict = validate_scaling(spec, seed=args.seed)
     report = {
-        "beta": verdict.fit.beta,
-        "r2": verdict.fit.r2,
-        "alpha_intercept": verdict.fit.alpha_intercept,
-        "alpha_constrained": verdict.fit.alpha_constrained,
+        **_fit_report(verdict.fit),
         "oracle_alpha": verdict.oracle_alpha,
         "relative_alpha_error": verdict.relative_alpha_error,
         "gradient_floor": verdict.gradient_floor,
-        "grid": {"epsilon": verdict.fit.epsilon_grid, "eta_hat": verdict.fit.eta_hat},
     }
     if args.out:
         fileio.write_report_json(args.out, report)
@@ -374,22 +377,25 @@ def _cmd_layer_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_flags(p) -> None:
-    p.add_argument("--vocab-size", type=int, default=512)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--context", type=int, default=96)
+def _add_train_flags(p) -> None:
+    """The schedule, model and loss flags of ``train`` and ``sweep``, each
+    defaulting to its config field's default."""
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
+    p.add_argument("--vocab-size", type=int, default=ToyLmConfig.vocab_size)
+    p.add_argument("--hidden-dim", type=int, default=ToyLmConfig.hidden_dim)
+    p.add_argument("--layers", type=int, default=ToyLmConfig.layers)
+    p.add_argument("--heads", type=int, default=ToyLmConfig.heads)
+    p.add_argument("--context", type=int, default=ToyLmConfig.context)
     p.add_argument("--base-checkpoint", help="start from this checkpoint instead of a fresh model")
-
-
-def _add_loss_flags(p) -> None:
-    p.add_argument("--loss", choices=("margin", "fisher"), default="margin")
-    p.add_argument("--lambda-mrp", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--loss", choices=OBJECTIVES, default=MrpConfig.objective)
+    p.add_argument("--lambda-mrp", type=float, default=MrpConfig.lambda_mrp)
+    p.add_argument("--tau", type=float, default=MrpConfig.tau)
     p.add_argument("--k", type=int, default=None,
-                   help="top-k size for the fisher loss (default 5)")
-    p.add_argument("--ce-weight", type=float, default=1.0,
+                   help=f"top-k size for the fisher loss (default {MrpConfig.k})")
+    p.add_argument("--ce-weight", type=float, default=MrpConfig.ce_weight,
                    help="0 gives pure refinement training with no cross-entropy")
 
 
@@ -416,9 +422,9 @@ def build_parser() -> _Parser:
     )
     p.add_argument("audit")
     p.add_argument("--out", help="report JSON path")
-    p.add_argument("--grid-count", type=int, default=20)
-    p.add_argument("--grid-qlo", type=float, default=1e-4)
-    p.add_argument("--grid-qhi", type=float, default=0.3)
+    p.add_argument("--grid-count", type=int, default=GridSpec.count)
+    p.add_argument("--grid-qlo", type=float, default=GridSpec.quantile_lo)
+    p.add_argument("--grid-qhi", type=float, default=GridSpec.quantile_hi)
     p.set_defaults(func=_cmd_gap_fit)
 
     p = sub.add_parser("compare", help="per-position comparison of two audits")
@@ -435,12 +441,7 @@ def build_parser() -> _Parser:
     p.add_argument("corpus")
     p.add_argument("out_checkpoint")
     p.add_argument("--metrics", help="per-step metrics CSV path")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_model_flags(p)
-    _add_loss_flags(p)
+    _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="dose-response sweep over lambda values")
@@ -451,12 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("--base-steps", type=int, default=150,
                    help="pure-CE steps to build the base checkpoint "
                         "(ignored with --base-checkpoint)")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_model_flags(p)
-    _add_loss_flags(p)
+    _add_train_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("synth-validate",
@@ -475,7 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("checkpoint")
     p.add_argument("corpus")
     p.add_argument("out", help="output CSV path")
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--tau", type=float, default=MrpConfig.tau)
     p.set_defaults(func=_cmd_layer_scan)
 
     return parser

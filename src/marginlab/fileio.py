@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 AUDIT_VERSION = 1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _LOGITS_DTYPES = {"f32": 4, "bf16": 2}
 

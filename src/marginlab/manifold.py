@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, UsageError, check_int
-from .gapfit import GapFit, GridSpec, fit_gap_curve
+from .gapfit import GapFit, fit_gap_curve
 from .margins import column_margins, top2_stats
 
 __all__ = [
@@ -293,9 +293,7 @@ def gradient_floor(spec: ManifoldSpec) -> float:
     return float(dist[top, run][counted].min())
 
 
-def validate_scaling(
-    spec: ManifoldSpec, seed: int = 0, grid_spec: GridSpec | None = None
-) -> ScalingVerdict:
+def validate_scaling(spec: ManifoldSpec, seed: int = 0) -> ScalingVerdict:
     """Sample, fit the gap curve, and compare against the dense oracle.
 
     Requires sample_count >= 1e5 so the fit has stable small-threshold
@@ -303,7 +301,7 @@ def validate_scaling(
     """
     if spec.sample_count < 100_000:
         raise UsageError("validate_scaling needs sample_count >= 1e5")
-    fit = fit_gap_curve(generate(spec, seed)[1], grid_spec)
+    fit = fit_gap_curve(generate(spec, seed)[1])
     oracle = oracle_alpha(spec)
     return ScalingVerdict(fit=fit, oracle_alpha=oracle, gradient_floor=gradient_floor(spec),
                           relative_alpha_error=abs(fit.alpha_constrained - oracle) / oracle)

@@ -17,7 +17,7 @@ which also gives the logged margins.
 Gradient semantics are hard throughout: top-k index sets and the margin
 gate are frozen at forward time, so gradients flow only through the
 selected values, never through the discrete choice itself, and
-sqrt(clamp(., floor)) keeps gradients finite at near-zero distances.
+sqrt(max(., CLAMP_FLOOR)) keeps gradients finite at near-zero distances.
 
 Pair sums run over ordered pairs (i != j), so each unordered pair counts
 twice; its weight is 2 p_i p_j.
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 OBJECTIVES = ("margin", "fisher")
+# Floor on squared Fisher distances before the square root.
+CLAMP_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,14 +63,12 @@ class MrpConfig:
     lambda_mrp: float = 0.0
     tau: float = 0.5
     k: int = 5
-    clamp_floor: float = 1e-8
     ce_weight: float = 1.0
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise UsageError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        check_finite(lambda_mrp=self.lambda_mrp, tau=self.tau, clamp_floor=self.clamp_floor,
-                     ce_weight=self.ce_weight)
+        check_finite(lambda_mrp=self.lambda_mrp, tau=self.tau, ce_weight=self.ce_weight)
         check_int(k=self.k)
         if self.lambda_mrp < 0:
             raise UsageError("lambda_mrp must be nonnegative")
@@ -76,8 +76,6 @@ class MrpConfig:
             raise UsageError("tau must be positive")
         if self.k < 2:
             raise UsageError("k must be at least 2")
-        if self.clamp_floor <= 0:
-            raise UsageError("clamp_floor must be positive")
         if self.ce_weight < 0:
             raise UsageError("ce_weight must be nonnegative")
 
@@ -175,20 +173,14 @@ def cross_entropy(logit_rows, targets) -> Tensor:
     return ad.scale(ad.mean(ad.log_softmax_gather(logits, idx)), -1.0)
 
 
-def fisher_distance(
-    p_k: np.ndarray,
-    normalized_rows: np.ndarray,
-    i: int,
-    j: int,
-    clamp_floor: float = 1e-8,
-) -> float:
+def fisher_distance(p_k: np.ndarray, normalized_rows: np.ndarray, i: int, j: int) -> float:
     """Fisher information distance between tokens i and j of a top-k set.
 
     ``p_k`` is the renormalized top-k probability vector and
     ``normalized_rows`` the k x d matrix of unit-norm embedding rows.  The
     squared distance is proj^T (diag(p) - p p^T) proj with
     proj = rows @ (rows_i - rows_j); the result is sqrt of the square
-    clamped at ``clamp_floor``, hence symmetric in (i, j) and never zero.
+    clamped at ``CLAMP_FLOOR``, hence symmetric in (i, j) and never zero.
     """
     p = np.asarray(p_k, dtype=np.float64).ravel()
     rows = np.asarray(normalized_rows, dtype=np.float64)
@@ -202,18 +194,14 @@ def fisher_distance(
         raise UsageError("rows must be unit-norm")
     if not (0 <= i < k and 0 <= j < k):
         raise UsageError(f"pair ({i}, {j}) out of range for k={k}")
-    if clamp_floor <= 0:
-        raise UsageError("clamp_floor must be positive")
     delta = rows[i] - rows[j]
     proj = rows @ delta
     sigma = np.diag(p) - np.outer(p, p)
     dsq = float(proj @ sigma @ proj)
-    return math.sqrt(max(dsq, clamp_floor))
+    return math.sqrt(max(dsq, CLAMP_FLOOR))
 
 
-def fisher_loss(
-    logit_rows, unembedding, k: int, clamp_floor: float = 1e-8, *, top_ids=None
-) -> Tensor:
+def fisher_loss(logit_rows, unembedding, k: int, *, top_ids=None) -> Tensor:
     """Negative mean (over rows) of the probability-weighted pairwise
     Fisher-distance sum among each row's top-k tokens.
 
@@ -262,7 +250,7 @@ def fisher_loss(
     # Pairwise squared distances from the symmetric form matrix:
     # dsq[i, j] = form[i, i] + form[j, j] - 2 form[i, j].
     dsq = (d[:, :, None] + d[:, None, :]) - form * 2.0
-    dist = np.sqrt(np.maximum(dsq, clamp_floor))
+    dist = np.sqrt(np.maximum(dsq, CLAMP_FLOOR))
     off_diagonal = 1.0 - np.eye(k)
     weights = pp * off_diagonal
     penalty = (weights * dist).reshape(n_rows, k * k).sum(axis=1)
@@ -270,7 +258,7 @@ def fisher_loss(
     def backward(g):
         # Every [k, k] matrix here is symmetric, which halves the algebra.
         c = float(g) * (-1.0 / n_rows)
-        d_dsq = c * weights * (dsq > clamp_floor) * 0.5 / dist
+        d_dsq = c * weights * (dsq > CLAMP_FLOOR) * 0.5 / dist
         d_form = d_dsq * -2.0
         d_form[:, diag, diag] += 2.0 * d_dsq.sum(axis=2)
         d_sigma = gram @ d_form @ gram
@@ -318,7 +306,7 @@ def combined_loss(
         if fisher:
             w = ad.as_tensor(unembedding)
             w = w if config.lambda_mrp else ad.constant(w.values)
-            objective = fisher_loss(source, w, config.k, config.clamp_floor, top_ids=ids)
+            objective = fisher_loss(source, w, config.k, top_ids=ids)
         else:
             objective = margin_loss(source, config.tau, segments, top_ids=ids)
         r = np.arange(ids.shape[0])

@@ -7,9 +7,8 @@ are [b·T, d] GEMMs, and ``autodiff.causal_attention`` runs every sequence
 and head as one [b, heads, T, T] batch and records one tape node.  So a
 pass records a fixed 12 nodes per layer plus 6 for the embedding, the
 predicting-row selection and the head, whatever b is.
-With ``tied_embeddings=True`` (the default) the input embedding and the
-output projection are one shared matrix, so its gradient collects
-contributions from both uses.
+The input embedding and the output projection are one shared matrix, so
+its gradient collects contributions from both uses.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class ToyLmConfig:
     layers: int = 2
     heads: int = 2
     context: int = 96
-    tied_embeddings: bool = True
 
     def __post_init__(self):
         check_int(vocab_size=self.vocab_size, hidden_dim=self.hidden_dim, layers=self.layers,
@@ -70,15 +68,11 @@ class ToyLm:
                 param(f"layer{i}.{w}", (d, d), 1.0 / math.sqrt(d))
             param(f"layer{i}.w1", (d, 4 * d), 1.0 / math.sqrt(d))
             param(f"layer{i}.w2", (4 * d, d), 1.0 / math.sqrt(4 * d))
-        if not config.tied_embeddings:
-            param("unembedding", (v, d), 0.05)
 
     @property
     def unembedding(self) -> Tensor:
-        """The V x d output projection (the embedding itself when tied)."""
-        if self.config.tied_embeddings:
-            return self.params["embedding"]
-        return self.params["unembedding"]
+        """The V x d output projection: the embedding itself."""
+        return self.params["embedding"]
 
     def clone(self) -> "ToyLm":
         other = ToyLm.__new__(ToyLm)

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .audit import ChurnReport, churn_report
 from .errors import NumericalError, UsageError, check_finite, check_int
-from .gapfit import GapFit, GridSpec, fit_gap_curve
+from .gapfit import GapFit, fit_gap_curve
 from .margins import Audit, compute_margins, margin_quantiles, nearest_rank_quantile, top2_stats
 # cross_entropy and fisher_loss are unused here but patched here by bench/tracing.py.
 from .objectives import MrpConfig, combined_loss, cross_entropy, fisher_loss  # noqa: F401
@@ -36,29 +36,28 @@ __all__ = [
 ]
 
 
+# AdamW's decoupled weight decay and the share of a run spent warming up.
+WEIGHT_DECAY = 0.01
+WARMUP_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int = 200
     learning_rate: float = 3e-4
-    weight_decay: float = 0.01
-    warmup_fraction: float = 0.05
     batch_size: int = 1
     seed: int = 0
     mrp: MrpConfig = field(default_factory=MrpConfig)
 
     def __post_init__(self):
-        check_finite(learning_rate=self.learning_rate, weight_decay=self.weight_decay)
+        check_finite(learning_rate=self.learning_rate)
         check_int(steps=self.steps, batch_size=self.batch_size, seed=self.seed)
         if self.steps < 1:
             raise UsageError("steps must be >= 1")
-        if not 0 <= self.warmup_fraction < 1:
-            raise UsageError("warmup_fraction must be in [0, 1)")
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise UsageError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise UsageError("weight_decay must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,16 @@ class _AdamW:
     """Decoupled-weight-decay Adam in float64, updating in place through
     two scratch arrays per parameter."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def step(self, params: dict, lr: float, weight_decay: float) -> None:
+    def step(self, params: dict, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name, p in params.items():
@@ -128,9 +128,9 @@ class _AdamW:
             m += np.multiply(g, 1.0 - b1, out=a)
             v *= b2
             v += np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a)
-            np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), self.eps, out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), self.EPS, out=a)
             np.divide(np.divide(m, bc1, out=b), a, out=b)
-            b += np.multiply(p.values, weight_decay, out=a)
+            b += np.multiply(p.values, WEIGHT_DECAY, out=a)
             p.values -= np.multiply(b, lr, out=b)
 
 
@@ -141,7 +141,7 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
     generator seeded with ``config.seed``; the loss is
     ce_weight * CE + lambda_mrp * objective per chunk, averaged over the
     batch.  Learning rate warms up linearly over
-    ``warmup_fraction * steps`` steps, then stays flat.
+    ``WARMUP_FRACTION * steps`` steps, then stays flat.
 
     Raises:
         NumericalError: non-finite loss, naming the step.
@@ -150,7 +150,7 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
     sizes = np.array([c.size for c in chunks])
     rng = np.random.default_rng(config.seed)
     opt = _AdamW()
-    warmup_steps = max(1, int(round(config.warmup_fraction * config.steps)))
+    warmup_steps = max(1, int(round(WARMUP_FRACTION * config.steps)))
     log: list[StepMetrics] = []
 
     for step in range(config.steps):
@@ -186,7 +186,7 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
             tape.backward(loss_acc)
 
         lr = config.learning_rate * min(1.0, (step + 1) / warmup_steps)
-        opt.step(model.params, lr, config.weight_decay)
+        opt.step(model.params, lr)
 
         margins = np.sort(np.concatenate(margin_pool))
         log.append(
@@ -237,28 +237,21 @@ def check_lambdas(values) -> list[float]:
 
 
 def dose_response(
-    base_model: ToyLm,
-    corpus_tokens,
-    lambda_list,
-    objective: str,
-    train_config: TrainConfig,
-    grid_spec: GridSpec | None = None,
+    base_model: ToyLm, corpus_tokens, lambda_list, train_config: TrainConfig
 ) -> tuple[list[SweepRow], Audit]:
     """Train one run per lambda from the same base checkpoint and seed,
     audit each run, and compare it against the base model's audit.
 
     Returns ``(rows, baseline_audit)``.  All runs share the training
-    corpus, seed, and schedule; only lambda varies.
+    corpus, seed, schedule and ``train_config.mrp`` objective; only
+    lambda varies.
     """
     lambdas = check_lambdas(lambda_list)
     baseline_audit = audit_model(base_model, corpus_tokens)
     rows: list[SweepRow] = []
     for lam in lambdas:
         run = base_model.clone()
-        cfg = replace(
-            train_config,
-            mrp=replace(train_config.mrp, objective=objective, lambda_mrp=lam),
-        )
+        cfg = replace(train_config, mrp=replace(train_config.mrp, lambda_mrp=lam))
         train(run, corpus_tokens, cfg)
         audit = audit_model(run, corpus_tokens)
         q = margin_quantiles(audit.margin)
@@ -267,7 +260,7 @@ def dose_response(
                 lambda_mrp=lam,
                 median_margin=q.median,
                 pr_below_half=q.pr_below_half,
-                gap_fit=fit_gap_curve(audit.margin, grid_spec),
+                gap_fit=fit_gap_curve(audit.margin),
                 churn=churn_report(baseline_audit, audit),
             )
         )
@@ -284,7 +277,7 @@ def virtual_penalty_ce_rho(virtual_margins, final_ce, tau: float) -> float | Non
         return None
 
 
-def layer_scan(model: ToyLm, corpus_tokens, tau: float = 0.5) -> list[LayerScanRow]:
+def layer_scan(model: ToyLm, corpus_tokens, tau: float = MrpConfig.tau) -> list[LayerScanRow]:
     """Correlation between final cross-entropy and each layer's virtual
     refinement penalty, pooled over every loss position in the corpus.
 

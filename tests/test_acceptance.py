@@ -203,7 +203,7 @@ def test_criterion_5_dose_response_monotonicity():
     )
     sweep_cfg = TrainConfig(steps=200, learning_rate=1e-4, batch_size=1, seed=0,
                             mrp=MrpConfig(objective="fisher", lambda_mrp=0.0))
-    rows, _ = dose_response(base, ids, [0.0, 0.15, 0.3, 0.6], "fisher", sweep_cfg)
+    rows, _ = dose_response(base, ids, [0.0, 0.15, 0.3, 0.6], sweep_cfg)
     elapsed = time.time() - t0
 
     medians = [r.median_margin for r in rows]

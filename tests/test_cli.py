@@ -5,15 +5,19 @@ import math
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from marginlab import fileio
+from marginlab import cli, fileio
 from marginlab.cli import main
+from marginlab.gapfit import GapFit, GridSpec
 from marginlab.margins import MarginRecord, compute_margins
+from marginlab.objectives import MrpConfig
 from marginlab.precision import emulate_bf16, recompute_fp32_logits
 from marginlab.toylm import ToyLm, ToyLmConfig
+from marginlab.training import StepMetrics, TrainConfig
 
 
 @pytest.fixture(autouse=True)
@@ -331,6 +335,20 @@ class TestGapFitCommand:
         report = json.loads(first)
         fileio.write_report_json(rp, report)
         assert open(rp).read() == first
+
+    def test_report_fields_match_synth_validate(self, tmp_path):
+        # Both commands write the same fit fields; each adds its own.
+        margins = np.random.default_rng(1).exponential(size=2000)
+        ap, gp, sp = (str(tmp_path / n) for n in ("audit.jsonl", "fit.json", "synth.json"))
+        fileio.write_audit(ap, [MarginRecord(i, 0, 1, 2, float(m), False)
+                                for i, m in enumerate(margins)])
+        assert main(["gap-fit", ap, "--out", gp]) == 0
+        assert main(["synth-validate", "--samples", "100000", "--out", sp]) == 0
+        fit = {"alpha_constrained", "alpha_intercept", "beta", "grid", "r2"}
+        gap, synth = json.loads(open(gp).read()), json.loads(open(sp).read())
+        assert set(gap) == fit | {"provenance"}
+        assert set(synth) == fit | {"gradient_floor", "oracle_alpha", "relative_alpha_error"}
+        assert set(gap["grid"]) == set(synth["grid"]) == {"epsilon", "eta_hat"}
 
     def test_degenerate_fit_exits_3(self, tmp_path):
         recs = [MarginRecord(i, 0, 1, 2, 0.0, False) for i in range(2000)]
@@ -692,6 +710,69 @@ class TestLayerScanCommand:
         with open(ckpt, "wb") as f:
             f.write(json.dumps(header, sort_keys=True).encode() + b"\n" + raw[nl + 1:])
         assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 2
+
+    def test_version_1_checkpoint_exits_2(self, tmp_path, corpus_file, capsys):
+        # A version-1 header also carried tied_embeddings in its config.
+        cfg = ToyLmConfig(vocab_size=16, hidden_dim=16, layers=1, heads=2, context=12)
+        ckpt = str(tmp_path / "model.ckpt")
+        fileio.save_checkpoint(ckpt, ToyLm(cfg, seed=0))
+        raw = open(ckpt, "rb").read()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        header.update(version=1, config={**header["config"], "tied_embeddings": True})
+        with open(ckpt, "wb") as f:
+            f.write(json.dumps(header, sort_keys=True).encode() + b"\n" + raw[nl + 1:])
+        assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 2
+        assert "checkpoint version 1 is not 2" in capsys.readouterr().err
+
+
+class TestFlagDefaults:
+    """With no optional flags, each command passes on the defaults of the
+    config dataclasses.  The work functions are replaced, so nothing trains."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def record(name, result):
+            def fake(*args, **kwargs):
+                calls.append((args, kwargs))
+                return result
+
+            monkeypatch.setattr(cli, name, fake)
+
+        record("train", [StepMetrics(0, 0.0, 0.0, 0.0)])
+        record("dose_response", ([], None))
+        record("fit_gap_curve", GapFit([], [], 1.0, 0.0, 0.0, 1.0))
+        record("layer_scan", [])
+        return calls
+
+    def test_train(self, tmp_path, corpus_file, calls):
+        assert main(["train", corpus_file, str(tmp_path / "m.ckpt")]) == 0
+        [((model, _, config), _)] = calls
+        assert model.config == ToyLmConfig() and model.seed == TrainConfig.seed
+        assert config == TrainConfig()
+
+    def test_sweep(self, tmp_path, corpus_file, calls):
+        assert main(["sweep", corpus_file, str(tmp_path / "s.csv")]) == 0
+        [((base, _, base_config), _), ((model, _, _, config), _)] = calls
+        assert model is base
+        assert model.config == ToyLmConfig() and model.seed == TrainConfig.seed
+        assert base_config == replace(TrainConfig(), steps=150)  # --base-steps
+        assert config == TrainConfig()
+
+    def test_gap_fit(self, calls):
+        assert main(["gap-fit", os.path.join(FIXTURES, "baseline_6.jsonl")]) == 0
+        [((_, grid), _)] = calls
+        assert grid == GridSpec()
+
+    def test_layer_scan(self, tmp_path, corpus_file, calls):
+        cfg = ToyLmConfig(vocab_size=16, hidden_dim=16, layers=1, heads=2, context=12)
+        ckpt = str(tmp_path / "model.ckpt")
+        fileio.save_checkpoint(ckpt, ToyLm(cfg, seed=0))
+        assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 0
+        [(_, kwargs)] = calls
+        assert kwargs == {"tau": MrpConfig().tau}
 
 
 def _omit_last_param(header, payload):

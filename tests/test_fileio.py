@@ -347,6 +347,20 @@ class TestCheckpoint:
         fileio.save_checkpoint(path2, back, step=42)
         assert open(path, "rb").read() == open(path2, "rb").read()
 
+    def test_header_layout(self, tmp_path):
+        # One shared embedding matrix: no separate unembedding parameter.
+        cfg = ToyLmConfig(vocab_size=32, hidden_dim=16, layers=1, heads=2, context=8)
+        path = str(tmp_path / "model.ckpt")
+        fileio.save_checkpoint(path, ToyLm(cfg, seed=5), step=3)
+        _, header = fileio.load_checkpoint(path)
+        assert header["version"] == fileio.CHECKPOINT_VERSION == 2
+        assert header["config"] == {"vocab_size": 32, "hidden_dim": 16, "layers": 1,
+                                    "heads": 2, "context": 8}
+        assert [p["name"] for p in header["params"]] == [
+            "embedding", "pos", "layer0.wq", "layer0.wk", "layer0.wv", "layer0.wo",
+            "layer0.w1", "layer0.w2",
+        ]
+
     def test_trained_checkpoint_preserves_behavior(self, tmp_path):
         cfg = ToyLmConfig(vocab_size=32, hidden_dim=16, layers=1, heads=2, context=8)
         model = ToyLm(cfg, seed=0)

@@ -456,7 +456,7 @@ class TestCombinedLoss:
             MrpConfig(ce_weight=-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["lambda_mrp", "tau", "clamp_floor", "ce_weight"])
+    @pytest.mark.parametrize("field", ["lambda_mrp", "tau", "ce_weight"])
     def test_config_rejects_non_finite(self, field, value):
         # NaN passes every x < 0 check; inf passes x > 0.
         with pytest.raises(UsageError, match=f"{field} must be finite"):

@@ -81,13 +81,6 @@ class TestForward:
         assert not np.allclose(before.values[:, 1], after.values[:, 1])
         assert not np.allclose(before.values[0], after.values[0])
 
-    def test_untied_has_separate_matrix(self):
-        cfg = ToyLmConfig(vocab_size=64, hidden_dim=32, layers=1, heads=2, context=16,
-                          tied_embeddings=False)
-        model = ToyLm(cfg, seed=0)
-        assert "unembedding" in model.params
-        assert model.unembedding is model.params["unembedding"]
-
     def test_out_of_vocab_is_data_error(self):
         with pytest.raises(DataError):
             ToyLm(CFG, seed=0).forward(np.array([1, 64]))
@@ -160,31 +153,30 @@ class TestTrain:
         m_pushed = np.median([r.margin for r in audit_model(pushed, tiny_corpus)])
         assert m_pushed >= m_plain
 
-    def test_tied_gradient_differs_from_untied_zeroed(self, tiny_corpus):
-        # with tied embeddings the shared matrix collects gradient from
-        # both uses; an untied control whose unembedding gradient is
-        # dropped must produce a different embedding update
+    def test_tied_gradient_differs_from_untied_zeroed(self, tiny_corpus, monkeypatch):
+        # the shared matrix collects gradient from both uses; a control
+        # whose head reads a constant copy of the embedding drops the
+        # output-projection gradient and must produce a different update
         from marginlab import autodiff as ad
         from marginlab.objectives import cross_entropy
 
-        tied = ToyLm(CFG, seed=0)
-        untied_cfg = ToyLmConfig(vocab_size=64, hidden_dim=32, layers=2, heads=2,
-                                 context=16, tied_embeddings=False)
-        untied = ToyLm(untied_cfg, seed=0)
-        untied.params["unembedding"].values = tied.params["embedding"].values.copy()
-
         chunk = tiny_corpus[:16]
-        grads = {}
-        for name, model in (("tied", tied), ("untied", untied)):
-            model.zero_grad()
+
+        def embedding_grad():
+            model = ToyLm(CFG, seed=0)
             with ad.Tape() as tape:
                 logits, _ = model.forward(chunk)
-                loss = cross_entropy(logits, chunk[1:])
-                tape.backward(loss)
-            grads[name] = model.params["embedding"].grad.copy()
-        # same forward function, same loss, but the tied model's embedding
-        # grad includes the output-projection contribution
-        assert not np.allclose(grads["tied"], grads["untied"])
+                tape.backward(cross_entropy(logits, chunk[1:]))
+            return model.params["embedding"].grad.copy()
+
+        tied = embedding_grad()
+        monkeypatch.setattr(ToyLm, "unembedding", property(
+            lambda self: ad.constant(self.params["embedding"].values.copy())))
+        untied = embedding_grad()
+        # the input use alone gives some gradient; the tied grad adds the
+        # output-projection contribution to it
+        assert np.abs(untied).sum() > 0
+        assert not np.allclose(tied, untied)
 
     @pytest.mark.parametrize("objective", ["margin", "fisher"])
     @pytest.mark.parametrize("lam", [0.0, 0.4])
@@ -209,7 +201,7 @@ class TestTrain:
                     obj.append(margin_loss(rows, mrp.tau).item())
                 else:
                     w = ad.constant(model.unembedding.values)
-                    obj.append(fisher_loss(rows, w, mrp.k, mrp.clamp_floor).item())
+                    obj.append(fisher_loss(rows, w, mrp.k).item())
                 margins.append(top2_stats(rows)[2])
             median = nearest_rank_quantile(np.sort(np.concatenate(margins)), 0.5)
             assert entry.ce == pytest.approx(np.mean(ce), rel=1e-12, abs=0.0)
@@ -227,7 +219,7 @@ class TestTrain:
             train(model, tiny_corpus, cfg)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     def test_config_rejects_non_finite(self, field, value):
         with pytest.raises(UsageError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
@@ -264,7 +256,7 @@ class TestDoseResponse:
 
         run_cfg = TrainConfig(steps=10, learning_rate=1e-3, seed=0,
                               mrp=MrpConfig(objective="margin", lambda_mrp=0.0))
-        rows, baseline = dose_response(base, tiny_corpus, [0.0], "margin", run_cfg)
+        rows, baseline = dose_response(base, tiny_corpus, [0.0], run_cfg)
 
         control = base.clone()
         train(control, tiny_corpus, run_cfg)
@@ -277,9 +269,9 @@ class TestDoseResponse:
         base = ToyLm(CFG, seed=0)
         cfg = TrainConfig(steps=2, seed=0)
         with pytest.raises(UsageError):
-            dose_response(base, tiny_corpus, [], "margin", cfg)
+            dose_response(base, tiny_corpus, [], cfg)
         with pytest.raises(UsageError):
-            dose_response(base, tiny_corpus, [0.3, 0.1], "margin", cfg)
+            dose_response(base, tiny_corpus, [0.3, 0.1], cfg)
 
     def test_gap_fit_plumbing_on_synthetic_margins(self):
         # uniform synthetic margins through the shared fit path
