@@ -67,11 +67,14 @@ def _read_json(path: str, what: str, kind: type):
 
 def _read_targets(path: str, expected: int, vocab: int) -> np.ndarray:
     data = _read_json(path, "targets", list)
-    if not all(type(t) is int and abs(t) < 2**63 for t in data):
+    if not set(map(type, data)) <= {int}:
         raise DataError(f"{path}: targets must be integer token ids")
     if len(data) != expected:
         raise DataError(f"{path}: {len(data)} targets for {expected} logit rows")
-    targets = np.asarray(data, dtype=np.int64)
+    try:
+        targets = np.asarray(data, dtype=np.int64)
+    except OverflowError as e:
+        raise DataError(f"{path}: targets must be integer token ids") from e
     outside = np.flatnonzero((targets < 0) | (targets >= vocab))
     if outside.size:
         raise DataError(f"{path}: target {targets[outside[0]]} at index {outside[0]} "
@@ -253,10 +256,12 @@ def _cmd_compare(args) -> int:
 def _mrp_from_args(args) -> MrpConfig:
     if args.loss == "margin" and args.k is not None:
         print("warning: --k is ignored for the margin loss", file=sys.stderr)
+    if args.loss == "fisher" and args.tau is not None:
+        print("warning: --tau is ignored for the fisher loss", file=sys.stderr)
     return MrpConfig(
         objective=args.loss,
         lambda_mrp=args.lambda_mrp,
-        tau=args.tau,
+        tau=args.tau if args.tau is not None else MrpConfig.tau,
         k=args.k if args.k is not None else MrpConfig.k,
         ce_weight=args.ce_weight,
     )
@@ -392,7 +397,8 @@ def _add_train_flags(p) -> None:
     p.add_argument("--base-checkpoint", help="start from this checkpoint instead of a fresh model")
     p.add_argument("--loss", choices=OBJECTIVES, default=MrpConfig.objective)
     p.add_argument("--lambda-mrp", type=float, default=MrpConfig.lambda_mrp)
-    p.add_argument("--tau", type=float, default=MrpConfig.tau)
+    p.add_argument("--tau", type=float, default=None,
+                   help=f"margin threshold for the margin loss (default {MrpConfig.tau})")
     p.add_argument("--k", type=int, default=None,
                    help=f"top-k size for the fisher loss (default {MrpConfig.k})")
     p.add_argument("--ce-weight", type=float, default=MrpConfig.ce_weight,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, UsageError, check_int
-from .margins import nearest_rank_quantile
+from .margins import nearest_rank
 
 __all__ = ["GridSpec", "GapFit", "fit_gap_curve", "empirical_gap"]
 
@@ -85,9 +85,11 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None) -> Gap
         raise UsageError(f"need at least 1000 margins, got {m.size}")
     if not np.isfinite(m).all() or (m < 0).any():
         raise UsageError("margins must be finite and nonnegative")
-    s = np.sort(m)
-    eps_lo = nearest_rank_quantile(s, grid_spec.quantile_lo)
-    eps_hi = nearest_rank_quantile(s, grid_spec.quantile_hi)
+    # Only the k_hi smallest margins are sorted: they hold both quantiles
+    # and every margin below a grid point no greater than eps_hi.
+    k_lo, k_hi = (nearest_rank(q, m.size) for q in (grid_spec.quantile_lo, grid_spec.quantile_hi))
+    s = np.sort(np.partition(m, k_hi - 1)[:k_hi])
+    eps_lo, eps_hi = float(s[k_lo - 1]), float(s[k_hi - 1])
     if eps_lo <= 0.0 or eps_hi <= eps_lo:
         raise NumericalError(
             f"degenerate threshold grid [{eps_lo}, {eps_hi}]; margins may be "
@@ -95,7 +97,9 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None) -> Gap
         )
 
     grid = np.geomspace(eps_lo, eps_hi, grid_spec.count)
-    eta = np.searchsorted(s, grid, side="left") / s.size  # empirical_gap on sorted s
+    if grid.max() > eps_hi:  # geomspace pins its ends; an inner point can round past
+        s = np.sort(m)
+    eta = np.searchsorted(s, grid, side="left") / m.size  # empirical_gap on sorted s
 
     usable = eta > 0.0
     dropped = int(np.count_nonzero(~usable))

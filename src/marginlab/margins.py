@@ -23,6 +23,7 @@ __all__ = [
     "column_margins",
     "margin_quantiles",
     "unique_value_count",
+    "nearest_rank",
     "nearest_rank_quantile",
 ]
 
@@ -245,6 +246,12 @@ def compute_margins(logit_rows: np.ndarray, targets: np.ndarray, start: int = 0)
     )
 
 
+def nearest_rank(q: float, n: int) -> int:
+    """The nearest rank of level q in (0, 1] among n values: ceil(q * n),
+    clamped to [1, n]."""
+    return min(max(int(np.ceil(q * n)), 1), n)
+
+
 def nearest_rank_quantile(sorted_values: np.ndarray, q: float) -> float:
     """Nearest-rank quantile of an already-sorted 1-D array.
 
@@ -254,9 +261,7 @@ def nearest_rank_quantile(sorted_values: np.ndarray, q: float) -> float:
     n = sorted_values.shape[0]
     if n == 0:
         raise UsageError("quantile of empty sample")
-    rank = int(np.ceil(q * n))
-    rank = min(max(rank, 1), n)
-    return float(sorted_values[rank - 1])
+    return float(sorted_values[nearest_rank(q, n) - 1])
 
 
 def margin_quantiles(margins: np.ndarray) -> MarginQuantiles:

@@ -157,6 +157,7 @@ class TestAuditCommand:
 
     @pytest.mark.parametrize("targets", [
         ["a", "b", "c"], [1.5, 2, 3], [True, 2, 3], [1, [2], 3], [1, 2, 2**64], {"0": 1},
+        [1, 2**63, 3], [1, -(2**63) - 1, 3], [1, 2, True], [1, 1.0, 3],
     ])
     def test_non_integer_targets_exit_2(self, tmp_path, tiny_logits, targets):
         lp, _, _ = tiny_logits
@@ -536,6 +537,19 @@ class TestTrainCommands:
         ])
         assert rc == 0
         assert "ignored" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loss, flags, warned, tau", [
+        ("fisher", ["--tau", "0.3"], True, 0.3),
+        ("margin", ["--tau", "0.3"], False, 0.3),
+        ("fisher", [], False, MrpConfig.tau),
+        ("margin", [], False, MrpConfig.tau),
+    ])
+    def test_tau_ignored_warning_for_fisher(self, capsys, loss, flags, warned, tau):
+        for command in (["train", "c.txt", "m.ckpt"], ["sweep", "c.txt", "s.csv"]):
+            args = cli.build_parser().parse_args([*command, "--loss", loss, *flags])
+            assert cli._mrp_from_args(args) == MrpConfig(objective=loss, tau=tau)
+            err = capsys.readouterr().err
+            assert ("warning: --tau is ignored for the fisher loss" in err) is warned
 
     def test_deterministic_checkpoints(self, tmp_path, corpus_file):
         args = [

@@ -1,10 +1,13 @@
 """Gap-curve estimation against direct counting oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from marginlab.errors import NumericalError, UsageError
-from marginlab.gapfit import GridSpec, empirical_gap, fit_gap_curve
+from marginlab.gapfit import GapFit, GridSpec, empirical_gap, fit_gap_curve
+from marginlab.margins import nearest_rank, nearest_rank_quantile
 
 
 class TestFitGapCurve:
@@ -69,6 +72,57 @@ class TestFitGapCurve:
         with pytest.raises(UsageError, match="count must be an integer"):
             GridSpec(count=count)
         assert GridSpec(count=np.int64(8)).count == 8
+
+
+def full_sort_fit(margins: np.ndarray, spec: GridSpec) -> GapFit:
+    """The fit from a sort of every margin and a direct count below each
+    grid point."""
+    s = np.sort(margins)
+    grid = np.geomspace(nearest_rank_quantile(s, spec.quantile_lo),
+                        nearest_rank_quantile(s, spec.quantile_hi), spec.count)
+    eta = np.array([np.count_nonzero(margins < e) for e in grid]) / margins.size
+    ge, gn = grid[eta > 0], eta[eta > 0]
+    log_e, log_n = np.log(ge), np.log(gn)
+    beta, intercept = np.polyfit(log_e, log_n, 1)
+    ss_res = np.sum((log_n - (beta * log_e + intercept)) ** 2)
+    ss_tot = np.sum((log_n - log_n.mean()) ** 2)
+    half = slice(0, max(1, gn.size // 2))
+    return GapFit(epsilon_grid=ge.tolist(), eta_hat=gn.tolist(), beta=float(beta),
+                  alpha_intercept=float(np.exp(intercept)),
+                  alpha_constrained=float(np.mean(gn[half] / ge[half])),
+                  r2=float(1.0 - ss_res / ss_tot) if ss_tot > 0 else 0.0,
+                  dropped_points=int(np.count_nonzero(eta == 0)))
+
+
+class TestTailSort:
+    """``fit_gap_curve`` sorts only the margins up to the ``quantile_hi``
+    rank; the fit equals one from a sort of them all."""
+
+    @pytest.mark.parametrize("n", [10_000, 10_001])  # q * n integral, and not
+    @pytest.mark.parametrize("spec", [GridSpec(), GridSpec(7, 0.01, 0.5), GridSpec(5, 0.1, 1.0)],
+                             ids=["default", "median", "whole"])
+    def test_ties_at_eps_hi_equal_full_sort(self, n, spec):
+        rng = np.random.default_rng(n)
+        m = np.round(0.001 + rng.exponential(0.2, n), 3)
+        eps_hi = np.sort(m)[nearest_rank(spec.quantile_hi, n) - 1]
+        above = np.flatnonzero(m > eps_hi)
+        m[above[: above.size // 2]] = eps_hi
+        assert np.count_nonzero(m == eps_hi) > n // 10 or spec.quantile_hi == 1.0
+        assert fit_gap_curve(m, spec) == full_sort_fit(m, spec)
+
+    def test_grid_rounding_past_eps_hi_counts_every_margin(self):
+        # eps_hi is 12 ulps above eps_lo, and geomspace rounds an interior
+        # grid point above eps_hi: it counts the 900 margins equal to eps_hi.
+        lo = 0.16527636512001456
+        hi = lo
+        for _ in range(12):
+            hi = np.nextafter(hi, np.inf)
+        m = np.array([lo] * 100 + [hi] * 900)
+        assert np.geomspace(lo, hi, 20)[:-1].max() > hi
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            fit, expected = fit_gap_curve(m), full_sort_fit(m, GridSpec())
+        assert fit == expected and max(fit.eta_hat) == 1.0
 
 
 class TestEmpiricalGap:

@@ -14,6 +14,7 @@ import pytest
 
 from marginlab import manifold
 from marginlab.errors import DataError, UsageError
+from marginlab.margins import column_margins
 from marginlab.manifold import (
     ManifoldSpec,
     circle_three_sites,
@@ -95,6 +96,46 @@ class TestGenerate:
             ManifoldSpec(sites=np.eye(2), sampler="circle_uniform", **{**args, field: value})
         spec = ManifoldSpec(np.int64(1), np.int32(2), np.eye(2), "circle_uniform", np.uint64(1000))
         assert spec.sample_count == 1000
+
+
+def one_draw(spec: ManifoldSpec, seed: int) -> np.ndarray:
+    """Points ``[d, n]`` from a single ``uniform`` draw of all n samples."""
+    rng = np.random.default_rng(seed)
+    points = np.zeros((spec.ambient_dim, spec.sample_count))
+    if spec.sampler == "circle_uniform":
+        theta = rng.uniform(0.0, 2.0 * math.pi, spec.sample_count)
+        points[0], points[1] = np.cos(theta), np.sin(theta)
+    else:
+        points[:2] = rng.uniform(-1.0, 1.0, (spec.sample_count, 2)).T
+    return points
+
+
+class TestSampleBlocks:
+    """``generate`` draws, embeds and scores ``_CHUNK`` samples at a time;
+    the result is that of one draw of all the samples."""
+
+    @pytest.mark.parametrize("n", [2 * manifold._CHUNK + 7, 3])
+    @pytest.mark.parametrize("factory", [circle_two_sites, circle_three_sites, square_eight_sites],
+                             ids=["circle2", "circle3", "square8"])
+    def test_blocks_equal_one_draw(self, factory, n):
+        spec = factory(n)
+        points, margins = generate(spec, seed=5)
+        expected = one_draw(spec, 5)
+        np.testing.assert_array_equal(points, expected.T)
+        np.testing.assert_array_equal(margins, column_margins(spec.sites @ expected))
+
+    def test_non_finite_logit_names_global_sample(self, monkeypatch):
+        monkeypatch.setattr(manifold, "_CHUNK", 97)
+        a = np.finfo(np.float64).max / math.sqrt(2.0) * 1.0002
+        spec = ManifoldSpec(1, 2, np.array([[a, a], [-1.0, 0.0]]), "circle_uniform", 1000)
+        with np.errstate(over="ignore"):
+            logits = spec.sites @ one_draw(spec, 2)
+        first = int(np.flatnonzero(~np.isfinite(logits).all(axis=0))[0])
+        assert first >= 97
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=rf"position {first}$"):
+                generate(spec, seed=2)
 
 
 class TestOracleAlpha:
@@ -302,6 +343,39 @@ class TestCertifiedOracle:
                 manifold._alpha_estimate(spec, 20_000, 1e-3)
 
 
+# Reprs of validate_scaling(preset(1_000_000), seed=0), pinned when generate
+# was a single draw and the fit sorted every margin.
+VERDICT_CIRCLE2 = (
+    "ScalingVerdict(fit=GapFit(epsilon_grid=[0.00032429456150245503, 0.0004924072221011192, "
+    "0.0007476686357427715, 0.0011352562752596298, 0.0017237673869200092, "
+    "0.002617359682534676, 0.0039741857049508675, 0.006034383475388686, 0.009162577350797, "
+    "0.013912411110719251, 0.021124534670021438, 0.032075386607941306, 0.04870310480774515, "
+    "0.07395054802946456, 0.11228613813114582, 0.17049470426349253, 0.2588782966954031, "
+    "0.39307949645368234, 0.5968499194587916, 0.9062538992031645], eta_hat=[9.9e-05, "
+    "0.000148, 0.000234, 0.000362, 0.000562, 0.000838, 0.001275, 0.001904, 0.002972, "
+    "0.004495, 0.006824, 0.010322, 0.015643, 0.023636, 0.035981, 0.054607, 0.082959, "
+    "0.126325, 0.193257, 0.299999], beta=1.0056114642777212, "
+    "alpha_intercept=0.32683888291553215, alpha_constrained=0.31676872261123334, "
+    "r2=0.9999555198665723, dropped_points=0), oracle_alpha=0.3184, "
+    "relative_alpha_error=0.005123358633061155, gradient_floor=2.0)"
+)
+VERDICT_SQUARE8 = (
+    "ScalingVerdict(fit=GapFit(epsilon_grid=[2.4622566565407622e-05, 3.803992511219039e-05, "
+    "5.87686867937642e-05, 9.079299018800538e-05, 0.00014026801545196187, "
+    "0.00021670303090679687, 0.0003347891067887447, 0.0005172227889724921, "
+    "0.0007990684523713909, 0.0012344977931921122, 0.0019072018134034339, "
+    "0.002946476516287542, 0.004552074038531496, 0.007032595691066516, 0.010864806181834935, "
+    "0.016785269416069174, 0.0259319185869217, 0.04006277080991977, 0.06189382399872355, "
+    "0.09562108091226752], eta_hat=[9.9e-05, 0.000149, 0.000223, 0.000322, 0.000522, "
+    "0.00077, 0.001174, 0.001819, 0.002813, 0.004352, 0.006683, 0.010176, 0.015496, "
+    "0.024038, 0.036947, 0.056533, 0.086613, 0.132164, 0.199915, 0.299999], "
+    "beta=0.9779274057968034, alpha_intercept=3.0358379651661793, "
+    "alpha_constrained=3.6622617418989485, r2=0.9999225652022757, dropped_points=0), "
+    "oracle_alpha=3.38909259203816, relative_alpha_error=0.08060244518032118, "
+    "gradient_floor=0.2068917456540654)"
+)
+
+
 class TestShippedConfigVerdicts:
     """Fitted slope within [0.9, 1.1] and solid r2 for every shipped
     configuration (the acceptance suite pins the tighter antipodal-circle
@@ -317,6 +391,14 @@ class TestShippedConfigVerdicts:
         assert 0.9 <= verdict.fit.beta <= 1.1
         assert verdict.fit.r2 > 0.99
         assert verdict.gradient_floor > 0
+
+    @pytest.mark.parametrize("factory, expected", [
+        (circle_two_sites, VERDICT_CIRCLE2), (square_eight_sites, VERDICT_SQUARE8),
+    ], ids=["circle2", "square8"])
+    def test_verdict_reprs_pinned(self, factory, expected):
+        from marginlab.manifold import validate_scaling
+
+        assert repr(validate_scaling(factory(1_000_000), seed=0)) == expected
 
     def test_generated_gap_reaches_one(self):
         from marginlab.gapfit import empirical_gap
