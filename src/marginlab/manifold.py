@@ -12,14 +12,17 @@ and only their margins are kept.  The oracle streams its grid in blocks
 of ``_CHUNK`` points, so its memory does not grow with grid size.
 
 The sampler works in blocks of ``_CHUNK`` samples as well: each block is
-drawn, embedded (cos and sin written in place into the rows of the
-returned points) and scored into the returned margins, so the two output
-arrays are all it holds at full size.  ``Generator.uniform`` fills values
-in order, so the blocks draw the same stream as one draw of all n.  The
-fit then sorts only the margins up to its ``quantile_hi`` rank.  A synth
-bench pass (circle2 and square8 at 1e6 samples) peaks at 72.7 MiB of RSS,
-against 86.4 MiB for one whole draw and a full sort (medians of 10 runs
-on a 2-CPU x86-64 VM).
+drawn, embedded (cos and sin written in place into the rows of a block of
+points) and scored into the margins.  ``generate`` embeds each block into
+its columns of the points it returns; ``validate_scaling`` reuses one
+``[d, _CHUNK]`` scratch block, so the margins are all it holds at full
+size.  ``Generator.uniform`` fills values in order, so the blocks draw the
+same stream as one draw of all n.  The fit then partitions those margins
+in place and sorts only the ones up to its ``quantile_hi`` rank.  A synth
+bench pass (circle2 and square8 at 1e6 samples) peaks at 57.0 MiB of RSS,
+against 72.7 MiB with a points array and a partitioned copy of the
+margins, and 86.4 MiB for one whole draw and a full sort (medians of 10
+to 12 runs on a 2-CPU x86-64 VM).
 
 The oracle skips what it can certify.  Let a be the top token at a point
 c.  Every h within r of c has
@@ -143,6 +146,39 @@ def _margins(spec: ManifoldSpec, points: np.ndarray, names: int | np.ndarray) ->
         return column_margins(spec.sites @ points, names)
 
 
+def _sample(spec: ManifoldSpec, seed: int, points: np.ndarray | None = None) -> np.ndarray:
+    """Margins [n] of the samples drawn from ``seed``, a ``_CHUNK`` block at
+    a time.  Each block is embedded into its columns of ``points`` [d, n]
+    when given, else into one reused ``[d, _CHUNK]`` scratch block.
+
+    Raises:
+        UsageError: ``seed`` is not a nonnegative integer.
+        DataError: a non-finite logit, or finite logits whose margin
+            overflows, naming the first such sample.
+    """
+    check_int(seed=seed)
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng(seed)
+    n, keep = spec.sample_count, points is not None
+    margins = np.empty(n)
+    buf = points if keep else np.zeros((spec.ambient_dim, min(n, _CHUNK)))
+    for a in range(0, n, _CHUNK):
+        size, b = min(_CHUNK, n - a), a if keep else 0
+        block = buf[:, b : b + size]
+        # The drawn coordinates are freed before the block is scored: held
+        # longer, they lifted the heap past glibc's trim threshold, and
+        # ~1,700 pages per synth bench pass were faulted back in.
+        if spec.sampler == "circle_uniform":
+            _embed(spec, rng.uniform(0.0, 2.0 * math.pi, (1, size)), block)
+        else:
+            _embed(spec, rng.uniform(-1.0, 1.0, (size, 2)).T, block)
+        margins[a : a + size] = _margins(spec, block, a)
+    if margins.max() == np.inf:  # argmax finds the first inf
+        raise DataError(f"margin overflows at sample {int(np.argmax(margins))}")
+    return margins
+
+
 def generate(spec: ManifoldSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sample the manifold; returns (points [n, d], margins [n]).
 
@@ -150,23 +186,12 @@ def generate(spec: ManifoldSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]
     samples are those of one draw of all n.
 
     Raises:
+        UsageError: ``seed`` is not a nonnegative integer.
         DataError: a non-finite logit, or finite logits whose margin
             overflows, naming the first such sample.
     """
-    rng = np.random.default_rng(seed)
-    n = spec.sample_count
-    points, margins = np.zeros((spec.ambient_dim, n)), np.empty(n)
-    for a in range(0, n, _CHUNK):
-        size = min(_CHUNK, n - a)
-        if spec.sampler == "circle_uniform":
-            coords = rng.uniform(0.0, 2.0 * math.pi, (1, size))
-        else:
-            coords = rng.uniform(-1.0, 1.0, (size, 2)).T
-        block = _embed(spec, coords, points[:, a : a + size])
-        margins[a : a + size] = _margins(spec, block, a)
-    if margins.max() == np.inf:  # argmax finds the first inf
-        raise DataError(f"margin overflows at sample {int(np.argmax(margins))}")
-    return points.T, margins
+    points = np.zeros((spec.ambient_dim, spec.sample_count))
+    return points.T, _sample(spec, seed, points)
 
 
 def _tile_centres(tiles: np.ndarray, side: int, length: int) -> np.ndarray:
@@ -314,11 +339,13 @@ def validate_scaling(spec: ManifoldSpec, seed: int = 0) -> ScalingVerdict:
     """Sample, fit the gap curve, and compare against the dense oracle.
 
     Requires sample_count >= 1e5 so the fit has stable small-threshold
-    bins.
+    bins.  Fits the margins of ``generate(spec, seed)`` without building
+    its points.
     """
     if spec.sample_count < 100_000:
         raise UsageError("validate_scaling needs sample_count >= 1e5")
-    fit = fit_gap_curve(generate(spec, seed)[1])
+    # The margins are this call's own: the fit may partition them in place.
+    fit = fit_gap_curve(_sample(spec, seed), overwrite_input=True)
     oracle = oracle_alpha(spec)
     return ScalingVerdict(fit=fit, oracle_alpha=oracle, gradient_floor=gradient_floor(spec),
                           relative_alpha_error=abs(fit.alpha_constrained - oracle) / oracle)

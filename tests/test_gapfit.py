@@ -96,7 +96,9 @@ def full_sort_fit(margins: np.ndarray, spec: GridSpec) -> GapFit:
 
 class TestTailSort:
     """``fit_gap_curve`` sorts only the margins up to the ``quantile_hi``
-    rank; the fit equals one from a sort of them all."""
+    rank; the fit equals one from a sort of them all.  By default the input
+    is left as it was; ``overwrite_input=True`` partitions it in place and
+    fits the same."""
 
     @pytest.mark.parametrize("n", [10_000, 10_001])  # q * n integral, and not
     @pytest.mark.parametrize("spec", [GridSpec(), GridSpec(7, 0.01, 0.5), GridSpec(5, 0.1, 1.0)],
@@ -108,7 +110,14 @@ class TestTailSort:
         above = np.flatnonzero(m > eps_hi)
         m[above[: above.size // 2]] = eps_hi
         assert np.count_nonzero(m == eps_hi) > n // 10 or spec.quantile_hi == 1.0
-        assert fit_gap_curve(m, spec) == full_sort_fit(m, spec)
+        before = m.copy()
+        fit = fit_gap_curve(m, spec)
+        assert m.tobytes() == before.tobytes()
+        assert fit == full_sort_fit(m, spec)
+        work = m.copy()
+        assert fit_gap_curve(work, spec, overwrite_input=True) == fit
+        # The copy was reordered in place, not copied: same values, new order.
+        assert not np.array_equal(work, m) and np.array_equal(np.sort(work), np.sort(m))
 
     def test_grid_rounding_past_eps_hi_counts_every_margin(self):
         # eps_hi is 12 ulps above eps_lo, and geomspace rounds an interior
@@ -121,7 +130,10 @@ class TestTailSort:
         assert np.geomspace(lo, hi, 20)[:-1].max() > hi
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            before = m.copy()
             fit, expected = fit_gap_curve(m), full_sort_fit(m, GridSpec())
+            assert m.tobytes() == before.tobytes()
+            assert fit_gap_curve(m.copy(), overwrite_input=True) == fit
         assert fit == expected and max(fit.eta_hat) == 1.0
 
 

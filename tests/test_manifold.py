@@ -14,6 +14,7 @@ import pytest
 
 from marginlab import manifold
 from marginlab.errors import DataError, UsageError
+from marginlab.gapfit import fit_gap_curve
 from marginlab.margins import column_margins
 from marginlab.manifold import (
     ManifoldSpec,
@@ -97,6 +98,19 @@ class TestGenerate:
         spec = ManifoldSpec(np.int64(1), np.int32(2), np.eye(2), "circle_uniform", np.uint64(1000))
         assert spec.sample_count == 1000
 
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer"), (1.5, "seed must be an integer"),
+        (math.nan, "seed must be an integer"), ("1", "seed must be an integer"),
+        (-1, "seed must be nonnegative, got -1"),
+    ])
+    @pytest.mark.parametrize("run", ["generate", "validate_scaling"])
+    def test_seed_must_be_nonnegative_integer(self, run, seed, message):
+        # True ran seed 1, 1.5 raised numpy's TypeError and -1 its ValueError.
+        with pytest.raises(UsageError, match=message):
+            getattr(manifold, run)(circle_two_sites(100_000), seed=seed)
+        spec = circle_two_sites(1000)
+        assert generate(spec, np.uint8(3))[1].tobytes() == generate(spec, 3)[1].tobytes()
+
 
 def one_draw(spec: ManifoldSpec, seed: int) -> np.ndarray:
     """Points ``[d, n]`` from a single ``uniform`` draw of all n samples."""
@@ -108,6 +122,12 @@ def one_draw(spec: ManifoldSpec, seed: int) -> np.ndarray:
     else:
         points[:2] = rng.uniform(-1.0, 1.0, (spec.sample_count, 2)).T
     return points
+
+
+# Sites whose logits overflow near theta = pi / 4, and whose logits stay
+# finite while their margin overflows near theta = 0 and pi.
+A_LOGIT = np.finfo(np.float64).max / math.sqrt(2.0) * 1.0002
+A_MARGIN = np.finfo(np.float64).max / 2.0 * (1.0 + 1e-7)
 
 
 class TestSampleBlocks:
@@ -124,18 +144,56 @@ class TestSampleBlocks:
         np.testing.assert_array_equal(points, expected.T)
         np.testing.assert_array_equal(margins, column_margins(spec.sites @ expected))
 
-    def test_non_finite_logit_names_global_sample(self, monkeypatch):
+    @pytest.mark.parametrize("sites, message", [
+        ([[A_LOGIT, A_LOGIT], [-1.0, 0.0]], "non-finite logit at position"),
+        ([[A_MARGIN, 0.0], [-A_MARGIN, 0.0]], "margin overflows at sample"),
+    ], ids=["logit", "margin"])
+    def test_non_finite_logit_names_global_sample(self, monkeypatch, sites, message):
+        # Both paths raise on the same sample; 100,003 is not a multiple of 97.
         monkeypatch.setattr(manifold, "_CHUNK", 97)
-        a = np.finfo(np.float64).max / math.sqrt(2.0) * 1.0002
-        spec = ManifoldSpec(1, 2, np.array([[a, a], [-1.0, 0.0]]), "circle_uniform", 1000)
-        with np.errstate(over="ignore"):
+        spec = ManifoldSpec(1, 2, np.array(sites), "circle_uniform", 100_003)
+        with np.errstate(over="ignore", invalid="ignore"):
             logits = spec.sites @ one_draw(spec, 2)
-        first = int(np.flatnonzero(~np.isfinite(logits).all(axis=0))[0])
-        assert first >= 97
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=rf"position {first}$"):
-                generate(spec, seed=2)
+            margins = np.abs(logits[1] - logits[0])
+        first = int(np.flatnonzero(~np.isfinite(margins))[0])
+        assert first >= 97 and np.isfinite(logits).all() == ("margin" in message)
+        for run in (generate, manifold.validate_scaling):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match=rf"{message} {first}$"):
+                    run(spec, seed=2)
+
+    @pytest.mark.parametrize("factory", [circle_two_sites, circle_three_sites, square_eight_sites],
+                             ids=["circle2", "circle3", "square8"])
+    def test_validate_scaling_fits_generated_margins(self, monkeypatch, factory):
+        # validate_scaling embeds its blocks in one scratch block, not the
+        # points array; its margins are generate's bit for bit, even with a
+        # short last block (100,003 is not a multiple of 997).
+        monkeypatch.setattr(manifold, "_CHUNK", 997)
+        spec, fitted = factory(100_003), []
+
+        def fit(margins, **kwargs):
+            fitted.append(margins.copy())
+            return fit_gap_curve(margins, **kwargs)
+
+        monkeypatch.setattr(manifold, "fit_gap_curve", fit)
+        monkeypatch.setattr(manifold, "oracle_alpha", lambda spec: 1.0)
+        verdict = manifold.validate_scaling(spec, seed=5)
+        assert fitted[0].tobytes() == generate(spec, seed=5)[1].tobytes()
+        assert verdict.fit == fit_gap_curve(fitted[0])
+
+    def test_validate_scaling_holds_no_points_array(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            manifold.validate_scaling(circle_two_sites(1_000_000), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The [2, 1e6] points array alone is 15.3 MiB; without it the peak is
+        # the 7.6 MiB margins plus one block's arrays (11.3 MiB in all).
+        assert peak < 16 * 2**20
 
 
 class TestOracleAlpha:
