@@ -35,8 +35,9 @@ print("fisher loss (k=4):    ", f"{fisher_loss(logits, unembedding, 4).item():.4
 print("cross entropy:        ", f"{cross_entropy(logits, targets).item():.4f}")
 
 cfg = MrpConfig(objective="fisher", lambda_mrp=0.6, k=4)
-print("combined (CE + 0.6 * fisher):",
-      f"{combined_loss(logits, targets, cfg, unembedding).item():.4f}")
+loss, parts = combined_loss(logits, targets, cfg, unembedding)
+print("combined (CE + 0.6 * fisher):", f"{loss.item():.4f}",
+      f"(ce {parts.ce:.4f}, fisher {parts.objective:.4f})")
 
 # --- closed-form check: orthogonal pair at equal probability ---------------
 rows = np.eye(2)

@@ -30,7 +30,6 @@ __all__ = [
     "add",
     "scale",
     "causal_attention",
-    "log_softmax_gather",
     "gather_rows",
     "normalize_rows",
     "mean",
@@ -249,29 +248,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, batch: int = 1
         _accumulate(v, merge(p.transpose(0, 1, 3, 2) @ gh))
 
     return _make(out, (q, k, v), backward)
-
-
-def log_softmax_gather(x: Tensor, indices) -> Tensor:
-    """Per-row log-softmax value at the given index: out[r] = logp[r, i_r]."""
-    xv = x.values
-    if xv.ndim != 2:
-        raise UsageError("log_softmax_gather expects a 2-D logit matrix")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (xv.shape[0],):
-        raise UsageError(f"indices shape {idx.shape} does not match {xv.shape[0]} rows")
-    if (idx < 0).any() or (idx >= xv.shape[1]).any():
-        raise UsageError("gather index out of range")
-    shifted = xv - xv.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(xv.shape[0])
-    out = shifted[rows, idx] - lse
-
-    def backward(g):
-        dx = -g[:, None] * np.exp(shifted - lse[:, None])
-        dx[rows, idx] += g
-        _accumulate(x, dx)
-
-    return _make(out, (x,), backward)
 
 
 def gather_rows(m: Tensor, indices) -> Tensor:

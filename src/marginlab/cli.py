@@ -114,6 +114,8 @@ def _fit_report(fit: GapFit) -> dict:
 def _cmd_audit(args) -> int:
     header, blocks = fileio.read_logits_blocks(args.logits)
     vocab = header["cols"]
+    if args.unembedding and not args.fp32_recompute:
+        print("warning: --unembedding is ignored without --fp32-recompute", file=sys.stderr)
     if args.fp32_recompute:
         if not args.unembedding:
             raise UsageError("--fp32-recompute requires --unembedding")
@@ -303,13 +305,19 @@ def _cmd_sweep(args) -> int:
         lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
     except ValueError as e:
         raise UsageError(f"bad --lambdas list: {e}") from e
-    check_lambdas(lambdas)  # before the base run
+    # Every flag is checked before the base run.
+    check_lambdas(lambdas)
+    if args.base_steps < 0:
+        raise UsageError(f"--base-steps must be >= 0, got {args.base_steps}")
+    run_cfg = _train_config(args, args.steps, _mrp_from_args(args))
     model = _model_from_args(args)
+    if run_cfg.mrp.objective == "fisher" and run_cfg.mrp.k > model.config.vocab_size:
+        raise UsageError(f"--k {run_cfg.mrp.k} exceeds the vocabulary size "
+                         f"{model.config.vocab_size}")
     tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
     if not getattr(args, "base_checkpoint", None) and args.base_steps > 0:
         # The base run is plain CE: lambda 0, ce_weight 1.
         train(model, tokens, _train_config(args, args.base_steps, MrpConfig(objective=args.loss)))
-    run_cfg = _train_config(args, args.steps, _mrp_from_args(args))
     rows, _baseline = dose_response(model, tokens, lambdas, run_cfg)
 
     fileio.write_csv(

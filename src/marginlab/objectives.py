@@ -10,9 +10,9 @@ Two refinement losses are provided:
   diag(p_k) - p_k p_k^T; token embedding rows are L2-normalized so the
   distance measures directional separation rather than norm differences.
 
-Each objective is one tape node with a hand-written backward, and
-``combined_loss`` feeds whichever is active from one top-k selection,
-which also gives the logged margins.
+Cross-entropy and each objective are one tape node with a hand-written
+backward, and ``combined_loss`` feeds whichever objective is active from
+one top-k selection, which also gives the logged margins.
 
 Gradient semantics are hard throughout: top-k index sets and the margin
 gate are frozen at forward time, so gradients flow only through the
@@ -103,16 +103,14 @@ def _check_logits(logits: Tensor) -> None:
         raise DataError("non-finite logits")
 
 
-def _top_ids(values: np.ndarray, k: int, top_ids, *, wider: bool = False) -> np.ndarray:
+def _top_ids(values: np.ndarray, k: int, top_ids) -> np.ndarray:
     """The rows' own top-k ids, or a caller's ``top_ids`` checked to be
-    [rows, k] integers (at least k columns when ``wider``) that are
-    distinct within each row and lie in [0, V)."""
+    [rows, k] integers that are distinct within each row and lie in [0, V)."""
     if top_ids is None:
         return topk_ids(values, k)
     ids = np.asarray(top_ids)
     n, v = values.shape
-    if (ids.ndim != 2 or ids.shape[0] != n or ids.dtype.kind not in "iu"
-            or not (ids.shape[1] >= k if wider else ids.shape[1] == k)):
+    if ids.shape != (n, k) or ids.dtype.kind not in "iu":
         raise UsageError(f"top_ids {ids.dtype} {ids.shape} do not match {n} rows and k={k}")
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise UsageError(f"top_ids outside [0, {v})")
@@ -129,7 +127,7 @@ def margin_loss(logit_rows, tau: float, segments: int = 1, *, top_ids=None) -> T
     The rows may be ``segments`` equal-length blocks; each block's gated
     mean is taken on its own (an empty gate counts 0) and the blocks'
     values are averaged.  The gate is a hard boolean mask, so ungated
-    rows get exactly zero gradient.  ``top_ids`` ([rows, >= 2], largest
+    rows get exactly zero gradient.  ``top_ids`` ([rows, 2], largest
     first) passes in a selection the caller already made; malformed ids
     are a ``UsageError``.  Recorded as one tape node.
     """
@@ -140,7 +138,7 @@ def margin_loss(logit_rows, tau: float, segments: int = 1, *, top_ids=None) -> T
     n_rows = logits.values.shape[0]
     if segments < 1 or n_rows % segments:
         raise UsageError(f"{n_rows} rows do not split into {segments} segments")
-    ids = _top_ids(logits.values, 2, top_ids, wider=True)
+    ids = _top_ids(logits.values, 2, top_ids)
     rows, top1, top2 = np.arange(n_rows), ids[:, 0], ids[:, 1]
     m = logits.values[rows, top1] - logits.values[rows, top2]
     gate = m < tau
@@ -161,16 +159,38 @@ def margin_loss(logit_rows, tau: float, segments: int = 1, *, top_ids=None) -> T
     return _make(value * -1.0, (logits,), backward)
 
 
+def _log_softmax_at(values: np.ndarray, idx: np.ndarray):
+    """Each row's max-shifted logits, their log-sum-exp, and the row's
+    log-softmax value at ``idx``."""
+    shifted = values - values.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    return shifted, lse, shifted[np.arange(idx.shape[0]), idx] - lse
+
+
 def cross_entropy(logit_rows, targets) -> Tensor:
-    """Mean negative log-softmax probability of the target ids."""
+    """Mean negative log-softmax probability of the target ids.  Recorded
+    as one tape node; the softmax itself is built only by the backward."""
     logits = ad.as_tensor(logit_rows)
     _check_logits(logits)
     idx = np.asarray(targets, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != logits.values.shape[0]:
-        raise UsageError(f"targets shape {idx.shape} does not match rows")
+    n = logits.values.shape[0]
+    if idx.ndim != 1 or idx.shape[0] != n or n == 0:
+        raise UsageError(f"targets shape {idx.shape} does not match {n} rows")
     if (idx < 0).any() or (idx >= logits.values.shape[1]).any():
         raise DataError("target id out of vocabulary range")
-    return ad.scale(ad.mean(ad.log_softmax_gather(logits, idx)), -1.0)
+    shifted, lse, logp = _log_softmax_at(logits.values, idx)
+
+    def backward(g):
+        # g / n * (p - onehot) as p * -c, plus c at the targets; computing
+        # c as (g * -1) / n keeps the pinned training results bit for bit.
+        c = float(g * -1.0) / n
+        dx = np.subtract(shifted, lse[:, None])
+        np.exp(dx, out=dx)
+        dx *= -c
+        dx[np.arange(n), idx] += c
+        _accumulate(logits, dx)
+
+    return _make(logp.mean() * -1.0, (logits,), backward)
 
 
 def fisher_distance(p_k: np.ndarray, normalized_rows: np.ndarray, i: int, j: int) -> float:
@@ -278,16 +298,13 @@ def fisher_loss(logit_rows, unembedding, k: int, *, top_ids=None) -> Tensor:
     return _make(penalty.sum() * (-1.0 / n_rows), (logits, w), backward)
 
 
-def combined_loss(
-    logit_rows, targets, config: MrpConfig, unembedding=None, *, with_parts=False, segments=1
-):
-    """ce_weight * cross-entropy + lambda_mrp * refinement objective.
+def combined_loss(logit_rows, targets, config: MrpConfig, unembedding=None, *, segments=1):
+    """``(loss, LossParts)``: the loss is ce_weight * cross-entropy +
+    lambda_mrp * refinement objective.
 
-    ``unembedding`` is required for the fisher objective whenever
-    lambda_mrp > 0 or ``with_parts`` is set.  With ``with_parts`` the
-    result is ``(loss, LossParts)``.  A term whose weight is 0 is
-    evaluated on constants (cross-entropy always, the objective only for
-    the parts), so it records no tape node.
+    ``unembedding`` is required for the fisher objective.  A term whose
+    weight is 0 is still evaluated for the parts, on constants, so it
+    records no tape node.
 
     The rows may be ``segments`` equal-length sequences stacked in order;
     the loss is then the mean of their losses.  Row means already are, and
@@ -296,21 +313,19 @@ def combined_loss(
     logits = ad.as_tensor(logit_rows)
     frozen = ad.constant(logits.values)
     ce = cross_entropy(logits if config.ce_weight else frozen, targets)
-    objective = margins = None
-    if config.lambda_mrp != 0.0 or with_parts:
-        source = logits if config.lambda_mrp else frozen
-        fisher = config.objective == "fisher"
-        if fisher and unembedding is None:
-            raise UsageError("fisher objective requires the unembedding matrix")
-        ids = topk_ids(source.values, config.k if fisher else 2)
-        if fisher:
-            w = ad.as_tensor(unembedding)
-            w = w if config.lambda_mrp else ad.constant(w.values)
-            objective = fisher_loss(source, w, config.k, top_ids=ids)
-        else:
-            objective = margin_loss(source, config.tau, segments, top_ids=ids)
-        r = np.arange(ids.shape[0])
-        margins = source.values[r, ids[:, 0]] - source.values[r, ids[:, 1]]
+    source = logits if config.lambda_mrp else frozen
+    fisher = config.objective == "fisher"
+    if fisher and unembedding is None:
+        raise UsageError("fisher objective requires the unembedding matrix")
+    ids = topk_ids(source.values, config.k if fisher else 2)
+    if fisher:
+        w = ad.as_tensor(unembedding)
+        w = w if config.lambda_mrp else ad.constant(w.values)
+        objective = fisher_loss(source, w, config.k, top_ids=ids)
+    else:
+        objective = margin_loss(source, config.tau, segments, top_ids=ids)
+    r = np.arange(ids.shape[0])
+    margins = source.values[r, ids[:, 0]] - source.values[r, ids[:, 1]]
     terms = [
         t if c == 1.0 else ad.scale(t, c)
         for t, c in ((ce, config.ce_weight), (objective, config.lambda_mrp))
@@ -319,6 +334,4 @@ def combined_loss(
     out = terms[0] if terms else ad.constant(0.0)
     for t in terms[1:]:
         out = ad.add(out, t)
-    if not with_parts:
-        return out
     return out, LossParts(ce=ce.item(), objective=objective.item(), margins=margins)

@@ -19,6 +19,7 @@ from .gapfit import GapFit, fit_gap_curve
 from .margins import Audit, compute_margins, margin_quantiles, nearest_rank_quantile, top2_stats
 # cross_entropy and fisher_loss are unused here but patched here by bench/tracing.py.
 from .objectives import MrpConfig, combined_loss, cross_entropy, fisher_loss  # noqa: F401
+from .objectives import _log_softmax_at
 from .rankstats import spearman
 from .toylm import ToyLm
 
@@ -170,13 +171,14 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
                     raise NumericalError(f"non-finite logits at step {step}")
                 loss, parts = combined_loss(
                     logits, batch[:, 1:].ravel(), config.mrp, model.unembedding,
-                    with_parts=True, segments=len(batch),
+                    segments=len(batch),
                 )
                 # A batch's loss is the mean of its chunks' losses, so
                 # weighting it by its share of the picks keeps the step's
                 # loss the mean of per-chunk losses.
                 weight = len(batch) / config.batch_size
-                loss = ad.scale(loss, weight)
+                if weight != 1.0:
+                    loss = ad.scale(loss, weight)
                 loss_acc = loss if loss_acc is None else ad.add(loss_acc, loss)
                 ce += weight * parts.ce
                 mrp += weight * parts.objective
@@ -288,7 +290,7 @@ def layer_scan(model: ToyLm, corpus_tokens, tau: float = MrpConfig.tau) -> list[
     ce, margins = [], []
     for block in _blocks(corpus_tokens, model.config.context):
         logits, hiddens = model.forward(block)
-        ce.append(-ad.log_softmax_gather(logits, block[:, 1:].ravel()).values)
+        ce.append(-_log_softmax_at(logits.values, block[:, 1:].ravel())[2])
         margins.append([top2_stats(model.project_hidden(h))[2] for h in hiddens])
     ce = np.concatenate(ce)
     return [

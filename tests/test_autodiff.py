@@ -6,7 +6,7 @@ import pytest
 from marginlab import autodiff as ad
 from marginlab.errors import DataError, NumericalError, UsageError
 from marginlab.margins import topk_ids
-from marginlab.objectives import fisher_loss, margin_loss
+from marginlab.objectives import cross_entropy, fisher_loss, margin_loss
 
 
 def _finite_diff_ok(fn, arrays, tol=1e-4, step=1e-5):
@@ -37,10 +37,11 @@ class TestPrimitiveGradients:
         )
 
     def test_log_softmax_gather(self):
+        # the reference that the cross-entropy node is compared against
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 7))
         idx = rng.integers(0, 7, size=5)
-        _finite_diff_ok(lambda p: ad.mean(ad.log_softmax_gather(p[0], idx)), [x])
+        _finite_diff_ok(lambda p: ad.mean(_legacy_log_softmax_gather(p[0], idx)), [x])
 
     def test_normalize_rows_grad(self):
         rng = np.random.default_rng(6)
@@ -86,9 +87,9 @@ class TestPrimitiveGradients:
 
 
 class TestPrimitiveSweep:
-    """Every primitive, and the fused causal_attention, fisher_loss and
-    margin_loss nodes, against central differences: 100 seeded instances in double
-    precision."""
+    """Every primitive, and the fused causal_attention, cross_entropy,
+    fisher_loss and margin_loss nodes, against central differences: 100
+    seeded instances in double precision."""
 
     def test_hundred_seeded_instances(self):
         rng = np.random.default_rng(2024)
@@ -121,10 +122,7 @@ class TestPrimitiveSweep:
                         ),
                         qkv,
                     ),
-                    (
-                        lambda p, idx=idx: ad.mean(ad.log_softmax_gather(p[0], idx)),
-                        [a],
-                    ),
+                    (lambda p, idx=idx: cross_entropy(p[0], idx), [a]),
                     (
                         lambda p, w2=w2: ad.mean(
                             ad.matmul(ad.causal_attention(*p, 2), ad.constant(w2))
@@ -242,9 +240,10 @@ class TestCausalAttention:
             ad.causal_attention(x, x, x, 2, 3)  # 4 rows are not 3 sequences
 
 
-# The compositions that the norm, head and attention nodes replaced, as the
-# tape recorded them: scale(l2_normalize_rows(x)), matmul(x, transpose(E)),
-# an out-of-place attention softmax and an np.add.at gather backward.
+# The compositions that the norm, head, attention and cross-entropy nodes
+# replaced, as the tape recorded them: scale(l2_normalize_rows(x)),
+# matmul(x, transpose(E)), an out-of-place attention softmax, an np.add.at
+# gather backward and scale(mean(log_softmax_gather(x, t)), -1).
 
 
 def _legacy_l2_normalize_rows(x):
@@ -272,6 +271,24 @@ def _legacy_gather_rows(m, idx):
         ad._accumulate(m, dm)
 
     return ad._make(m.values[idx], (m,), backward)
+
+
+def _legacy_log_softmax_gather(x, idx):
+    xv = x.values
+    shifted = xv - xv.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(xv.shape[0])
+
+    def backward(g):
+        dx = -g[:, None] * np.exp(shifted - lse[:, None])
+        dx[rows, idx] += g
+        ad._accumulate(x, dx)
+
+    return ad._make(shifted[rows, idx] - lse, (x,), backward)
+
+
+def _legacy_cross_entropy(x, idx):
+    return ad.scale(ad.mean(_legacy_log_softmax_gather(x, idx)), -1.0)
 
 
 def _legacy_attention(q, k, v, heads, batch=1):
@@ -328,9 +345,10 @@ def _same_bits(a, b):
 
 
 class TestFusedNodes:
-    """normalize_rows, matmul_t, the in-place attention softmax and the
-    scatter-free gathers give the same bits as the compositions they
-    replaced, at ToyLmConfig() shapes (d 64, V 512, 2 heads, T 96)."""
+    """normalize_rows, matmul_t, the in-place attention softmax, the
+    scatter-free gathers and the one-node cross-entropy give the same bits
+    as the compositions they replaced, at ToyLmConfig() shapes (d 64,
+    V 512, 2 heads, T 96)."""
 
     D, V, HEADS, T = 64, 512, 2, 96
 
@@ -373,6 +391,20 @@ class TestFusedNodes:
             qkv, rng.normal(size=(b * self.T, self.D)),
         )
 
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_ce_node(self, b):
+        # Several upstream gradients: c = -g / n rounds differently from
+        # g * (-1 / n) for about one g in six.
+        rng = np.random.default_rng(50 + b)
+        x = rng.normal(0.0, 2.0, size=(b * (self.T - 1), self.V))
+        targets = rng.integers(0, self.V, size=x.shape[0])
+        for upstream in rng.normal(size=24):
+            self._assert_same(
+                lambda p: cross_entropy(p[0], targets),
+                lambda p: _legacy_cross_entropy(p[0], targets),
+                [x], np.array(upstream),
+            )
+
     @pytest.mark.parametrize(
         "idx",
         [
@@ -404,20 +436,20 @@ class TestFusedNodes:
         tokens = np.random.default_rng(b).integers(0, 512, size=(b, self.T))
         targets = tokens[:, 1:].ravel()
 
-        def step():
+        def step(loss):
             model.zero_grad()
             with ad.Tape() as tape:
                 logits, _ = model.forward(tokens)
-                tape.backward(ad.mean(ad.log_softmax_gather(logits, targets)))
+                tape.backward(loss(logits, targets))
             return logits.values, {n: p.grad for n, p in model.params.items()}, len(tape)
 
-        new_logits, new_grads, new_nodes = step()
+        new_logits, new_grads, new_nodes = step(cross_entropy)
         monkeypatch.setattr(ad, "normalize_rows", lambda x, c: ad.scale(_legacy_l2_normalize_rows(x), c))
         monkeypatch.setattr(ad, "matmul_t", lambda a, e: ad.matmul(a, _legacy_transpose(e)))
         monkeypatch.setattr(ad, "causal_attention", _legacy_attention)
         monkeypatch.setattr(ad, "gather_rows", _legacy_gather_rows)
-        old_logits, old_grads, old_nodes = step()
-        assert (new_nodes, old_nodes) == (32, 38)  # 30 and 36 forward nodes, 2 for the loss
+        old_logits, old_grads, old_nodes = step(_legacy_cross_entropy)
+        assert (new_nodes, old_nodes) == (31, 39)  # 30 and 36 forward nodes, then the loss
         assert _same_bits(new_logits, old_logits)
         for name in new_grads:
             assert _same_bits(new_grads[name], np.ascontiguousarray(old_grads[name])), name

@@ -114,6 +114,14 @@ class TestAuditCommand:
         lp, tp, _ = tiny_logits
         assert main(["audit", lp, tp, str(tmp_path / "x.jsonl"), "--fp32-recompute"]) == 1
 
+    def test_unembedding_without_fp32_recompute_warns(self, tmp_path, tiny_logits, capsys):
+        lp, tp, _ = tiny_logits
+        out = str(tmp_path / "x.jsonl")
+        assert main(["audit", lp, tp, out, "--unembedding", str(tmp_path / "missing.bin")]) == 0
+        assert "warning: --unembedding is ignored without --fp32-recompute" in (
+            capsys.readouterr().err)
+        assert len(fileio.read_audit(out)[0]) == 3
+
     def test_empty_logits_exits_2(self, tmp_path, tiny_logits):
         _, tp, _ = tiny_logits
         bad = str(tmp_path / "empty.bin")
@@ -578,22 +586,29 @@ class TestTrainCommands:
         assert lines[0].startswith("lambda,median_margin,pr_below_half,beta")
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("lambdas,message", [("nan,0.3", "lambda_mrp must be finite"),
-                                                 ("-0.5,0", "lambda_mrp must be nonnegative"),
-                                                 ("0.3,0.1", "sorted ascending")])
-    def test_bad_lambdas_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch,
-                                lambdas, message):
-        from marginlab import cli
-
+    @pytest.mark.parametrize("flags,message", [
+        (["--lambdas=nan,0.3"], "lambda_mrp must be finite"),
+        (["--lambdas=-0.5,0"], "lambda_mrp must be nonnegative"),
+        (["--lambdas=0.3,0.1"], "sorted ascending"),
+        (["--ce-weight", "-1"], "ce_weight must be nonnegative"),
+        (["--loss", "fisher", "--k", "1000"], "--k 1000 exceeds the vocabulary size 16"),
+        (["--base-steps=-5"], "--base-steps must be >= 0, got -5"),
+        (["--steps", "0"], "steps must be >= 1"),
+        (["--lr", "nan"], "learning_rate must be finite"),
+        (["--loss", "fisher", "--tau", "0.3", "--lambda-mrp=-1"],
+         "warning: --tau is ignored for the fisher loss"),
+    ])
+    def test_bad_flags_exit_1_before_base_run(self, tmp_path, corpus_file, capsys, monkeypatch,
+                                              flags, message):
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
-        monkeypatch.setattr(cli, "train", no_training)  # rejected before the base run
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setattr(cli, "dose_response", no_training)
         out = tmp_path / "s.csv"
-        assert main(["sweep", corpus_file, str(out), f"--lambdas={lambdas}",
-                     "--base-steps", "1", "--steps", "1", "--vocab-size", "16",
-                     "--hidden-dim", "16", "--layers", "1", "--heads", "2",
-                     "--context", "12"]) == 1
+        assert main(["sweep", corpus_file, str(out), "--base-steps", "300", "--vocab-size",
+                     "16", "--hidden-dim", "16", "--layers", "1", "--heads", "2",
+                     "--context", "12", *flags]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 

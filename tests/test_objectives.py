@@ -155,7 +155,7 @@ class TestMarginLoss:
     def test_top_ids_passed_in(self):
         rows = np.round(np.random.default_rng(8).normal(size=(40, 7)), 1)
         results = []
-        for top_ids in (None, topk_ids(rows, 2), topk_ids(rows, 5)):
+        for top_ids in (None, topk_ids(rows, 2)):
             x = ad.parameter(rows)
             with ad.Tape() as tape:
                 out = margin_loss(x, 0.6, 4, top_ids=top_ids)
@@ -171,10 +171,11 @@ class TestMarginLoss:
             margin_loss(ad.parameter(rows), 1.0, 2)
         assert len(tape) == 1
 
-    @pytest.mark.parametrize("case", ["rows", "columns", "negative", "beyond_v", "repeat", "float"])
+    @pytest.mark.parametrize(
+        "case", ["rows", "columns", "wide", "negative", "beyond_v", "repeat", "float"])
     def test_malformed_top_ids_are_usage_errors(self, case):
         rows = np.random.default_rng(9).normal(size=(4, 5))
-        ids = bad_top_ids(rows, 2, case)
+        ids = topk_ids(rows, 3) if case == "wide" else bad_top_ids(rows, 2, case)
         with pytest.raises(UsageError, match="top_ids"):
             margin_loss(rows, 0.5, top_ids=ids)
 
@@ -397,6 +398,17 @@ class TestCrossEntropy:
         with pytest.raises(DataError):
             cross_entropy(np.zeros((1, 3)), [5])
 
+    @pytest.mark.parametrize("shape,targets", [((2, 3), [0]), ((2, 3), [[0, 1]]), ((0, 3), [])])
+    def test_bad_target_shape_is_usage_error(self, shape, targets):
+        with pytest.raises(UsageError, match="targets shape"):
+            cross_entropy(np.zeros(shape), targets)
+
+    def test_one_tape_node(self):
+        rows = np.random.default_rng(3).normal(size=(6, 5))
+        with ad.Tape() as tape:
+            cross_entropy(ad.parameter(rows), [0, 1, 2, 3, 4, 0])
+        assert len(tape) == 1
+
 
 class TestCombinedLoss:
     def test_lambda_zero_is_exactly_ce(self):
@@ -404,12 +416,12 @@ class TestCombinedLoss:
         rows = rng.normal(size=(10, 6))
         targets = rng.integers(0, 6, size=10)
         cfg = MrpConfig(objective="margin", lambda_mrp=0.0)
-        assert combined_loss(rows, targets, cfg).item() == cross_entropy(rows, targets).item()
+        assert combined_loss(rows, targets, cfg)[0].item() == cross_entropy(rows, targets).item()
 
     def test_pure_mrp_empty_gate_zero(self):
         rows = np.array([[3.0, 1.0], [4.0, 1.0]])
         cfg = MrpConfig(objective="margin", lambda_mrp=1.0, tau=0.5, ce_weight=0.0)
-        assert combined_loss(rows, [0, 0], cfg).item() == 0.0
+        assert combined_loss(rows, [0, 0], cfg)[0].item() == 0.0
 
     def test_compositional(self):
         rng = np.random.default_rng(14)
@@ -418,7 +430,7 @@ class TestCombinedLoss:
         w = rng.normal(size=(10, 6))
         for objective in ("margin", "fisher"):
             cfg = MrpConfig(objective=objective, lambda_mrp=0.37, tau=0.9, k=3, ce_weight=0.8)
-            got = combined_loss(rows, targets, cfg, unembedding=w).item()
+            got = combined_loss(rows, targets, cfg, unembedding=w)[0].item()
             ce = cross_entropy(rows, targets).item()
             if objective == "margin":
                 obj = margin_loss(rows, 0.9).item()
@@ -433,7 +445,7 @@ class TestCombinedLoss:
         w = rng.normal(size=(8, 4))
         cfg = MrpConfig(objective=objective, lambda_mrp=0.5, tau=0.7, k=3)
         _, parts = combined_loss(rows, rng.integers(0, 8, size=12), cfg, unembedding=w,
-                                 with_parts=True, segments=3)
+                                 segments=3)
         assert np.array_equal(parts.margins, top2_stats(rows)[2])
         want = margin_loss(rows, 0.7, 3) if objective == "margin" else fisher_loss(rows, w, 3)
         assert parts.objective == want.item()

@@ -209,6 +209,26 @@ class TestTrain:
             assert entry.mrp != 0.0
             assert entry.median_margin == pytest.approx(median, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mrp,batch,nodes", [
+        (MrpConfig(), 4, 31),  # 30 forward nodes and the CE node
+        (MrpConfig(objective="fisher", lambda_mrp=0.6), 1, 34),  # + fisher, scale and add
+    ], ids=["ce", "fisher"])
+    def test_tape_nodes_per_step(self, monkeypatch, mrp, batch, nodes):
+        # A step whose picks are all full chunks runs one forward pass and
+        # records no identity scale for its one length group.
+        counts = []
+        backward = ad.Tape.backward
+
+        def counting_backward(tape, root):
+            counts.append(len(tape))
+            backward(tape, root)
+
+        monkeypatch.setattr(ad.Tape, "backward", counting_backward)
+        corpus = np.random.default_rng(0).integers(0, 512, size=96 * 6)
+        cfg = TrainConfig(steps=2, learning_rate=1e-3, batch_size=batch, mrp=mrp)
+        train(ToyLm(ToyLmConfig(), seed=0), corpus, cfg)
+        assert counts == [nodes, nodes]
+
     def test_divergence_names_step(self, tiny_corpus):
         from marginlab.errors import NumericalError
 
@@ -373,9 +393,7 @@ class TestBatching:
             total = None
             for i in picks:
                 logits, _ = ref.forward(chunks[i])
-                loss, parts = combined_loss(
-                    logits, chunks[i][1:], mrp, ref.unembedding, with_parts=True
-                )
+                loss, parts = combined_loss(logits, chunks[i][1:], mrp, ref.unembedding)
                 total = loss if total is None else ad.add(total, loss)
                 ce.append(parts.ce)
                 obj.append(parts.objective)
@@ -400,9 +418,9 @@ class TestBatching:
             expected, position=np.arange(len(expected))
         )
 
-        ce = np.concatenate([
-            -ad.log_softmax_gather(logits, c[1:]).values
-            for (logits, _), c in zip(per_chunk, chunks)
+        ce = np.array([
+            cross_entropy(row[None], [t]).item()
+            for (logits, _), c in zip(per_chunk, chunks) for row, t in zip(logits.values, c[1:])
         ])
         rows = [
             LayerScanRow(li, virtual_penalty_ce_rho(
