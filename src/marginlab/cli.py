@@ -21,7 +21,7 @@ from . import fileio
 from .audit import band_accuracy, churn_report, expansion_report, frequency_audit, rotation_report
 from .errors import DataError, MarginLabError, NumericalError, UsageError
 from .gapfit import GapFit, GridSpec, fit_gap_curve
-from .manifold import PRESETS, ManifoldSpec, validate_scaling
+from .manifold import PRESETS, SAMPLERS, ManifoldSpec, validate_scaling
 from .margins import Audit, compute_margins, margin_quantiles
 from .objectives import OBJECTIVES, MrpConfig
 from .precision import emulate_bf16
@@ -65,6 +65,20 @@ def _read_json(path: str, what: str, kind: type):
     return data
 
 
+def _read_id_map(path: str, what: str, kind: type) -> dict:
+    """The JSON object in ``path`` as ``{token id: value}``: every key a
+    non-negative decimal id and every value a ``kind`` (int or str)."""
+    data = _read_json(path, what, dict)
+    for key, value in data.items():
+        if not (key.isascii() and key.isdigit() and len(key) < 19 and str(int(key)) == key):
+            raise DataError(f"{path}: {what}: key {key!r} is not a token id "
+                            "(a non-negative integer in plain decimal)")
+        if type(value) is not kind:
+            raise DataError(f"{path}: {what}: the value at key {key!r} is not a JSON "
+                            f"{'integer' if kind is int else 'string'}")
+    return {int(key): value for key, value in data.items()}
+
+
 def _read_targets(path: str, expected: int, vocab: int) -> np.ndarray:
     data = _read_json(path, "targets", list)
     if not set(map(type, data)) <= {int}:
@@ -82,17 +96,17 @@ def _read_targets(path: str, expected: int, vocab: int) -> np.ndarray:
     return targets
 
 
-def _load_corpus(path: str, vocab_size: int) -> tuple[np.ndarray, Vocab]:
+def _load_corpus(path: str, vocab_size: int) -> np.ndarray:
+    """The ids of the corpus in ``path`` under its own ``vocab_size`` vocabulary."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
-        raise DataError(f"{path}: cannot read corpus: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: corpus is not UTF-8: {e}") from e
     tokens = tokenize(text)
     if len(tokens) < 2:
         raise DataError(f"{path}: corpus has fewer than 2 tokens")
-    vocab = Vocab.from_tokens(tokens, vocab_size)
-    return vocab.encode(tokens), vocab
+    return Vocab.from_tokens(tokens, vocab_size).encode(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +226,7 @@ def _cmd_compare(args) -> int:
     fileio.write_csv(out("expansion.csv"), "pct_wider,mean_delta,median_delta", [expansion])
 
     if args.freq_counts:
-        counts_raw = _read_json(args.freq_counts, "frequency counts", dict)
-        try:
-            if not all(type(v) is int for v in counts_raw.values()):
-                raise ValueError("a count is not an integer")
-            counts = {int(k): v for k, v in counts_raw.items()}
-        except ValueError as e:
-            raise DataError(f"{args.freq_counts}: keys/values must be integers") from e
+        counts = _read_id_map(args.freq_counts, "frequency counts", int)
         freq = frequency_audit(baseline, polished, counts)
         bundle["frequency"] = freq
         fileio.write_csv(
@@ -228,19 +236,11 @@ def _cmd_compare(args) -> int:
         )
 
     if args.token_texts:
-        texts_raw = _read_json(args.token_texts, "token texts", dict)
-        try:
-            texts = {int(k): str(v) for k, v in texts_raw.items()}
-        except ValueError as e:
-            raise DataError(f"{args.token_texts}: keys must be integer ids") from e
+        texts = _read_id_map(args.token_texts, "token texts", str)
         targets = baseline.target.tolist()
-        missing = set(targets) - set(texts)
+        missing = sorted(set(targets) - set(texts))
         if missing:
-            raise DataError(
-                f"{args.token_texts}: no text for target ids {sorted(missing)[:5]}..."
-                if len(missing) > 5
-                else f"{args.token_texts}: no text for target ids {sorted(missing)}"
-            )
+            raise DataError(f"{args.token_texts}: no text for target token {missing[0]}")
         classes = class_audit(baseline, polished, [texts[t] for t in targets])
         bundle["classes"] = classes
         fileio.write_csv(
@@ -255,27 +255,34 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _mrp_from_args(args) -> MrpConfig:
+def _given(args, fields) -> dict:
+    """The flags among the config ``fields`` that were given (are not None);
+    a config takes them and its own defaults for the rest."""
+    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+
+
+def _mrp_from_args(args, lambda_mrp: float = MrpConfig.lambda_mrp) -> MrpConfig:
     if args.loss == "margin" and args.k is not None:
         print("warning: --k is ignored for the margin loss", file=sys.stderr)
     if args.loss == "fisher" and args.tau is not None:
         print("warning: --tau is ignored for the fisher loss", file=sys.stderr)
-    return MrpConfig(
-        objective=args.loss,
-        lambda_mrp=args.lambda_mrp,
-        tau=args.tau if args.tau is not None else MrpConfig.tau,
-        k=args.k if args.k is not None else MrpConfig.k,
-        ce_weight=args.ce_weight,
-    )
+    return MrpConfig(objective=args.loss, lambda_mrp=lambda_mrp, ce_weight=args.ce_weight,
+                     **_given(args, ("tau", "k")))
+
+
+# ToyLmConfig fields that train and sweep take as flags.
+_MODEL_FLAGS = ("vocab_size", "hidden_dim", "layers", "heads", "context")
 
 
 def _model_from_args(args) -> ToyLm:
-    if getattr(args, "base_checkpoint", None):
+    given = _given(args, _MODEL_FLAGS)
+    if args.base_checkpoint:
+        for field in given:
+            print(f"warning: --{field.replace('_', '-')} is ignored with --base-checkpoint",
+                  file=sys.stderr)
         model, _ = fileio.load_checkpoint(args.base_checkpoint)
         return model
-    config = ToyLmConfig(vocab_size=args.vocab_size, hidden_dim=args.hidden_dim,
-                         layers=args.layers, heads=args.heads, context=args.context)
-    return ToyLm(config, seed=args.seed)
+    return ToyLm(ToyLmConfig(**given), seed=args.seed)
 
 
 def _train_config(args, steps: int, mrp: MrpConfig) -> TrainConfig:
@@ -285,8 +292,8 @@ def _train_config(args, steps: int, mrp: MrpConfig) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     model = _model_from_args(args)
-    tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
-    config = _train_config(args, args.steps, _mrp_from_args(args))
+    tokens = _load_corpus(args.corpus, model.config.vocab_size)
+    config = _train_config(args, args.steps, _mrp_from_args(args, args.lambda_mrp))
     log = train(model, tokens, config)
     fileio.save_checkpoint(args.out_checkpoint, model, step=config.steps,
                            train_config=asdict(config))
@@ -307,17 +314,20 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"bad --lambdas list: {e}") from e
     # Every flag is checked before the base run.
     check_lambdas(lambdas)
-    if args.base_steps < 0:
-        raise UsageError(f"--base-steps must be >= 0, got {args.base_steps}")
+    if args.base_checkpoint and args.base_steps is not None:
+        print("warning: --base-steps is ignored with --base-checkpoint", file=sys.stderr)
+    base_steps = 150 if args.base_steps is None else args.base_steps
+    if base_steps < 0:
+        raise UsageError(f"--base-steps must be >= 0, got {base_steps}")
     run_cfg = _train_config(args, args.steps, _mrp_from_args(args))
     model = _model_from_args(args)
     if run_cfg.mrp.objective == "fisher" and run_cfg.mrp.k > model.config.vocab_size:
         raise UsageError(f"--k {run_cfg.mrp.k} exceeds the vocabulary size "
                          f"{model.config.vocab_size}")
-    tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
-    if not getattr(args, "base_checkpoint", None) and args.base_steps > 0:
+    tokens = _load_corpus(args.corpus, model.config.vocab_size)
+    if not args.base_checkpoint and base_steps > 0:
         # The base run is plain CE: lambda 0, ce_weight 1.
-        train(model, tokens, _train_config(args, args.base_steps, MrpConfig(objective=args.loss)))
+        train(model, tokens, _train_config(args, base_steps, MrpConfig()))
     rows, _baseline = dose_response(model, tokens, lambdas, run_cfg)
 
     fileio.write_csv(
@@ -341,17 +351,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_synth_validate(args) -> int:
     if args.sites:
-        sites = _read_json(args.sites, "sites", list)
+        if args.config:
+            print("warning: --config is ignored with --sites", file=sys.stderr)
+        rows = _read_json(args.sites, "sites", list)
         try:
-            sites = np.asarray(sites, dtype=np.float64)
-        except (TypeError, ValueError) as e:
+            # float64 would take "1" and true, and overflows past 1.8e308.
+            if not all(type(x) in (int, float) for row in rows for x in row):
+                raise TypeError("a coordinate is not a JSON number")
+            sites = np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as e:
             raise DataError(f"{args.sites}: sites must be a 2-D array of numbers: {e}") from e
-        if sites.ndim != 2:
-            raise DataError(f"{args.sites}: sites must be a 2-D array")
-        intrinsic = 1 if args.sampler == "circle_uniform" else 2
-        spec = ManifoldSpec(intrinsic, sites.shape[1], sites, args.sampler, args.samples)
+        if sites.ndim != 2 or min(sites.shape) < 2:
+            raise DataError(f"{args.sites}: sites must be a 2-D array of at least 2 sites "
+                            f"with at least 2 coordinates")
+        spec = ManifoldSpec(sites, args.sampler or SAMPLERS[0], args.samples)
     else:
-        spec = PRESETS[args.config](args.samples)
+        if args.sampler:
+            print("warning: --sampler is ignored without --sites", file=sys.stderr)
+        spec = PRESETS[args.config or "circle2"](args.samples)
     verdict = validate_scaling(spec, seed=args.seed)
     report = {
         **_fit_report(verdict.fit),
@@ -376,7 +393,7 @@ def _cmd_synth_validate(args) -> int:
 
 def _cmd_layer_scan(args) -> int:
     model, _ = fileio.load_checkpoint(args.checkpoint)
-    tokens, _ = _load_corpus(args.corpus, model.config.vocab_size)
+    tokens = _load_corpus(args.corpus, model.config.vocab_size)
     rows = layer_scan(model, tokens, tau=args.tau)
     fileio.write_csv(args.out, "layer_index,spearman_ce_mrp", rows)
     for r in rows:
@@ -392,19 +409,18 @@ def _cmd_layer_scan(args) -> int:
 
 def _add_train_flags(p) -> None:
     """The schedule, model and loss flags of ``train`` and ``sweep``, each
-    defaulting to its config field's default."""
+    defaulting to its config field's default (the model flags and ``--tau``
+    and ``--k`` are None when not given, so an ignored one can warn)."""
     p.add_argument("--steps", type=int, default=TrainConfig.steps)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
-    p.add_argument("--vocab-size", type=int, default=ToyLmConfig.vocab_size)
-    p.add_argument("--hidden-dim", type=int, default=ToyLmConfig.hidden_dim)
-    p.add_argument("--layers", type=int, default=ToyLmConfig.layers)
-    p.add_argument("--heads", type=int, default=ToyLmConfig.heads)
-    p.add_argument("--context", type=int, default=ToyLmConfig.context)
+    for field in _MODEL_FLAGS:
+        p.add_argument(f"--{field.replace('_', '-')}", type=int,
+                       help=f"default {getattr(ToyLmConfig, field)}; "
+                            "ignored with --base-checkpoint")
     p.add_argument("--base-checkpoint", help="start from this checkpoint instead of a fresh model")
     p.add_argument("--loss", choices=OBJECTIVES, default=MrpConfig.objective)
-    p.add_argument("--lambda-mrp", type=float, default=MrpConfig.lambda_mrp)
     p.add_argument("--tau", type=float, default=None,
                    help=f"margin threshold for the margin loss (default {MrpConfig.tau})")
     p.add_argument("--k", type=int, default=None,
@@ -455,6 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("corpus")
     p.add_argument("out_checkpoint")
     p.add_argument("--metrics", help="per-step metrics CSV path")
+    p.add_argument("--lambda-mrp", type=float, default=MrpConfig.lambda_mrp)
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -463,18 +480,19 @@ def build_parser() -> _Parser:
     p.add_argument("out", help="summary CSV path")
     p.add_argument("--lambdas", default="0,0.15,0.3,0.6",
                    help="comma-separated ascending lambda list")
-    p.add_argument("--base-steps", type=int, default=150,
-                   help="pure-CE steps to build the base checkpoint "
-                        "(ignored with --base-checkpoint)")
+    p.add_argument("--base-steps", type=int,
+                   help="pure-CE steps to build the base model (default 150; "
+                        "ignored with --base-checkpoint)")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("synth-validate",
                        help="validate the linear scaling law on a synthetic manifold")
-    p.add_argument("--config", choices=sorted(PRESETS), default="circle2")
+    p.add_argument("--config", choices=sorted(PRESETS),
+                   help="preset (default circle2); ignored with --sites")
     p.add_argument("--sites", help="JSON file with an explicit site matrix")
-    p.add_argument("--sampler", choices=("circle_uniform", "square_uniform"),
-                   default="circle_uniform")
+    p.add_argument("--sampler", choices=SAMPLERS,
+                   help=f"sampler for --sites (default {SAMPLERS[0]}); ignored without --sites")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="verdict JSON path")
@@ -499,7 +517,7 @@ def main(argv=None) -> int:
     except MarginLabError as e:
         print(f"marginlab: {e.label}: {e}", file=sys.stderr)
         return e.exit_code
-    except FileNotFoundError as e:
+    except OSError as e:  # a path that is missing, a directory, or not writable
         print(f"marginlab: {DataError.label}: {e}", file=sys.stderr)
         return DataError.exit_code
 

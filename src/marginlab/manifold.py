@@ -18,11 +18,7 @@ its columns of the points it returns; ``validate_scaling`` reuses one
 ``[d, _CHUNK]`` scratch block, so the margins are all it holds at full
 size.  ``Generator.uniform`` fills values in order, so the blocks draw the
 same stream as one draw of all n.  The fit then partitions those margins
-in place and sorts only the ones up to its ``quantile_hi`` rank.  A synth
-bench pass (circle2 and square8 at 1e6 samples) peaks at 57.0 MiB of RSS,
-against 72.7 MiB with a points array and a partitioned copy of the
-margins, and 86.4 MiB for one whole draw and a full sort (medians of 10
-to 12 runs on a 2-CPU x86-64 VM).
+in place and sorts only the ones up to its ``quantile_hi`` rank.
 
 The oracle skips what it can certify.  Let a be the top token at a point
 c.  Every h within r of c has
@@ -78,36 +74,26 @@ _CHUNK = 65_536
 # Grid points per tile, and tiles per super-tile, of the oracle's
 # certificate: runs of 64 on the circle, 8 x 8 blocks on the square.
 _TILE = 64
+# The oracle counts grid margins below this threshold.
+_ORACLE_EPSILON = 1e-3
 
 
 @dataclass(frozen=True)
 class ManifoldSpec:
     """A sampled manifold plus the token directions that tessellate it."""
 
-    intrinsic_dim: int
-    ambient_dim: int
     sites: np.ndarray
     sampler: str
     sample_count: int
 
     def __post_init__(self):
-        check_int(intrinsic_dim=self.intrinsic_dim, ambient_dim=self.ambient_dim,
-                  sample_count=self.sample_count)
+        check_int(sample_count=self.sample_count)
         if self.sampler not in SAMPLERS:
             raise UsageError(f"sampler must be one of {SAMPLERS}")
-        expected = 1 if self.sampler == "circle_uniform" else 2
-        if self.intrinsic_dim != expected:
-            raise UsageError(
-                f"sampler {self.sampler} requires intrinsic_dim {expected}"
-            )
         sites = np.asarray(self.sites, dtype=np.float64)
         object.__setattr__(self, "sites", sites)
-        if sites.ndim != 2 or sites.shape != (sites.shape[0], self.ambient_dim):
-            raise UsageError(
-                f"sites shape {sites.shape} does not match ambient_dim {self.ambient_dim}"
-            )
-        if self.ambient_dim < 2 or sites.shape[0] < 2:
-            raise UsageError("need ambient_dim >= 2 and at least 2 sites")
+        if sites.ndim != 2 or sites.shape[0] < 2 or sites.shape[1] < 2:
+            raise UsageError(f"need sites [>= 2, ambient_dim >= 2], got shape {sites.shape}")
         if not np.isfinite(sites).all():
             raise DataError("sites must be finite")
         # Points are zero-padded, so sites equal in their first two coordinates
@@ -116,6 +102,15 @@ class ManifoldSpec:
             raise DataError("degenerate sites: duplicate rows in the first two coordinates")
         if self.sample_count < 1:
             raise UsageError("sample_count must be positive")
+
+    @property
+    def intrinsic_dim(self) -> int:
+        """1 on the circle, 2 on the square."""
+        return 1 if self.sampler == "circle_uniform" else 2
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.sites.shape[1]
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def _sample(spec: ManifoldSpec, seed: int, points: np.ndarray | None = None) -> 
         # The drawn coordinates are freed before the block is scored: held
         # longer, they lifted the heap past glibc's trim threshold, and
         # ~1,700 pages per synth bench pass were faulted back in.
-        if spec.sampler == "circle_uniform":
+        if spec.intrinsic_dim == 1:
             _embed(spec, rng.uniform(0.0, 2.0 * math.pi, (1, size)), block)
         else:
             _embed(spec, rng.uniform(-1.0, 1.0, (size, 2)).T, block)
@@ -291,11 +286,11 @@ def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
     return below / (rows * cols * epsilon)
 
 
-def oracle_alpha(spec: ManifoldSpec, epsilon: float = 1e-3) -> float:
+def oracle_alpha(spec: ManifoldSpec) -> float:
     """Linear gap coefficient by dense deterministic counting.
 
-    Counts the fraction of grid points with margin below ``epsilon`` and
-    divides by epsilon; the grid is then doubled in density and the two
+    Counts the fraction of grid points with margin below epsilon = 1e-3
+    and divides by epsilon; the grid is then doubled in density and the two
     estimates must agree within 0.5%.  Super-tiles of 4096 points and tiles
     of 64 that the per-pair certificate (see the module notes) clears are
     counted unevaluated, so the count equals a dense pass; the presets
@@ -305,7 +300,7 @@ def oracle_alpha(spec: ManifoldSpec, epsilon: float = 1e-3) -> float:
         NumericalError: the doubled grid does not confirm convergence.
     """
     base = 10_000_000 if spec.intrinsic_dim == 1 else 9_000_000
-    coarse, fine = (_alpha_estimate(spec, n, epsilon) for n in (base, 2 * base))
+    coarse, fine = (_alpha_estimate(spec, n, _ORACLE_EPSILON) for n in (base, 2 * base))
     if fine <= 0:
         raise NumericalError("oracle found no sub-threshold margins")
     if abs(fine - coarse) / fine > 0.005:
@@ -360,20 +355,20 @@ def circle_two_sites(sample_count: int = 1_000_000) -> ManifoldSpec:
     = 1/pi.
     """
     sites = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    return ManifoldSpec(1, 2, sites, "circle_uniform", sample_count)
+    return ManifoldSpec(sites, "circle_uniform", sample_count)
 
 
 def circle_three_sites(sample_count: int = 1_000_000) -> ManifoldSpec:
     """Three symmetric sites at 0, 120, and 240 degrees."""
     angles = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0])
     sites = np.column_stack([np.cos(angles), np.sin(angles)])
-    return ManifoldSpec(1, 2, sites, "circle_uniform", sample_count)
+    return ManifoldSpec(sites, "circle_uniform", sample_count)
 
 
 def square_eight_sites(sample_count: int = 1_000_000) -> ManifoldSpec:
     """Eight pinned pseudo-random sites over the sampled square."""
     sites = np.random.default_rng(7).normal(0.0, 1.0, size=(8, 2))
-    return ManifoldSpec(2, 2, sites, "square_uniform", sample_count)
+    return ManifoldSpec(sites, "square_uniform", sample_count)
 
 
 PRESETS = {

@@ -138,10 +138,6 @@ class Audit:
             return False
         return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
 
-    def __radd__(self, other) -> "Audit":
-        """``records + audit``, so ``[record] + audit[1:]`` works as on a list."""
-        return Audit.concat([other, self])
-
 
 @dataclass(frozen=True)
 class MarginQuantiles:
@@ -199,13 +195,12 @@ def top2_stats(logit_rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.n
 
 
 def column_margins(logits: np.ndarray, start: int | np.ndarray = 0) -> np.ndarray:
-    """Margins of column-major logits ``[V, n]`` without ids: ``|x1 - x0|``
-    at V = 2, else a running top and runner-up over the V rows.  Equal
-    under ``==`` to ``top2_stats(logits.T)[2]`` (a zero margin between
-    -0.0 and +0.0 logits may differ in sign).  Raises ``UsageError`` unless
-    2-D with V >= 2, and ``DataError`` naming the column (counted from
-    ``start``, or ``start[column]`` when ``start`` is an array) of a
-    non-finite logit.
+    """Margins of column-major logits ``[V, n]`` without ids: a running top
+    and runner-up over the V rows.  Equal under ``==`` to
+    ``top2_stats(logits.T)[2]`` (a zero margin between -0.0 and +0.0 logits
+    may differ in sign).  Raises ``UsageError`` unless 2-D with V >= 2, and
+    ``DataError`` naming the column (counted from ``start``, or
+    ``start[column]`` when ``start`` is an array) of a non-finite logit.
     """
     logits = np.asarray(logits)
     if logits.ndim != 2 or logits.shape[0] < 2:
@@ -214,8 +209,6 @@ def column_margins(logits: np.ndarray, start: int | np.ndarray = 0) -> np.ndarra
         pos = int(np.nonzero(~np.isfinite(logits).all(axis=0))[0][0])
         name = start[pos] if np.ndim(start) else start + pos
         raise DataError(f"non-finite logit at position {name}")
-    if logits.shape[0] == 2:
-        return np.abs(logits[1] - logits[0])
     top, second = np.maximum(logits[0], logits[1]), np.minimum(logits[0], logits[1])
     for row in logits[2:]:
         np.maximum(second, np.minimum(top, row), out=second)

@@ -47,12 +47,5 @@ class Vocab:
         kept = [UNK] + ranked[: vocab_size - 1]
         return cls(id_to_token=tuple(kept), token_to_id={t: i for i, t in enumerate(kept)})
 
-    @property
-    def size(self) -> int:
-        return len(self.id_to_token)
-
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.token_to_id.get(t, 0) for t in tokens], dtype=np.int64)
-
-    def decode(self, ids) -> list[str]:
-        return [self.id_to_token[int(i)] for i in ids]

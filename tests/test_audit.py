@@ -92,7 +92,7 @@ class TestChurn:
     def test_misalignment_is_data_error(self):
         with pytest.raises(DataError):
             churn_report(FIXTURE_BASELINE, FIXTURE_POLISHED[:-1])
-        moved = [rec(9, 5, 9, 5, 0.3)] + FIXTURE_POLISHED[1:]
+        moved = Audit.concat([[rec(9, 5, 9, 5, 0.3)], FIXTURE_POLISHED[1:]])
         with pytest.raises(DataError):
             churn_report(FIXTURE_BASELINE, moved)
 

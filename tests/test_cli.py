@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marginlab import cli, fileio
+from marginlab import cli, fileio, objectives
 from marginlab.cli import main
 from marginlab.gapfit import GapFit, GridSpec
 from marginlab.margins import MarginRecord, compute_margins
@@ -415,6 +415,30 @@ class TestCompareCommand:
                      "frequency.csv", "classes.csv"):
             assert os.path.exists(os.path.join(out_dir, name))
 
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--freq-counts", '{"1": 4, "2": 4, "3": 4, "-1": 4}', "key '-1'"),
+        ("--freq-counts", '{"1": 4, "02": 4, "3": 4}', "key '02'"),
+        ("--freq-counts", '{"1": 4, " 2": 4, "3": 4}', "key ' 2'"),
+        ("--freq-counts", '{"1": 4, "2": "4", "3": 4}', "key '2'"),
+        ("--freq-counts", '{"1": 4, "2": 4, "3": 4, "%s": 1}' % ("9" * 5000), "key '999"),
+        ("--token-texts", '{"1": null, "2": null, "3": "c"}', "key '1'"),
+        ("--token-texts", '{"1": "a", "2": 2, "3": "c"}', "key '2'"),
+        ("--token-texts", '{"1": "a", "2": ["b"], "3": "c"}', "key '2'"),
+        ("--token-texts", '{"1": "a", "2": "b", "3": "c", "1.0": "d"}', "key '1.0'"),
+        ("--token-texts", '{"1": "a", "2": "b", "4": "c"}', "no text for target token 3"),
+    ], ids=["negative", "leading-zero", "space", "string-count", "5000-digit", "null-text",
+            "int-text", "list-text", "float-key", "missing-text"])
+    def test_bad_id_map_exits_2_naming_key(self, tmp_path, tiny_logits, flag, content, message,
+                                           capsys):
+        lp, tp, _ = tiny_logits
+        ap, mp = str(tmp_path / "a.jsonl"), str(tmp_path / "map.json")
+        assert main(["audit", lp, tp, ap]) == 0
+        with open(mp, "w") as f:
+            f.write(content)
+        assert main(["compare", ap, ap, "--out-dir", str(tmp_path / "cmp"), flag, mp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("marginlab: data error") and message in err
+
     def test_misaligned_exits_2(self, tmp_path):
         a = [MarginRecord(0, 1, 2, 3, 0.5, False)]
         b = [MarginRecord(5, 1, 2, 3, 0.5, False)]
@@ -595,7 +619,7 @@ class TestTrainCommands:
         (["--base-steps=-5"], "--base-steps must be >= 0, got -5"),
         (["--steps", "0"], "steps must be >= 1"),
         (["--lr", "nan"], "learning_rate must be finite"),
-        (["--loss", "fisher", "--tau", "0.3", "--lambda-mrp=-1"],
+        (["--loss", "fisher", "--tau", "0.3", "--ce-weight=-1"],
          "warning: --tau is ignored for the fisher loss"),
     ])
     def test_bad_flags_exit_1_before_base_run(self, tmp_path, corpus_file, capsys, monkeypatch,
@@ -612,6 +636,124 @@ class TestTrainCommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_has_no_lambda_mrp(self, capsys):
+        # Each --lambdas value replaced it, so it changed no output.
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "c.txt", "s.csv", "--lambda-mrp", "5.0"])
+        assert e.value.code == 1
+        assert "unrecognized arguments: --lambda-mrp" in capsys.readouterr().err
+
+    def test_sweep_base_run_evaluates_no_objective(self, tmp_path, corpus_file, monkeypatch):
+        # The base run is lambda 0, where the objective adds nothing: its model
+        # equals a `train --loss fisher --lambda-mrp 0` run, which evaluates
+        # fisher_loss at every step, and the sweep's CSV bytes match.
+        calls, in_base = [], []
+        real_train, real_fisher = cli.train, objectives.fisher_loss
+
+        def base_train(*args, **kwargs):
+            in_base.append(True)
+            try:
+                return real_train(*args, **kwargs)
+            finally:
+                in_base.pop()
+
+        monkeypatch.setattr(cli, "train", base_train)
+        monkeypatch.setattr(objectives, "fisher_loss",
+                            lambda *a, **k: calls.append(bool(in_base)) or real_fisher(*a, **k))
+        flags = ["--loss", "fisher", "--seed", "3", "--batch-size", "2"]
+        model = ["--vocab-size", "16", "--hidden-dim", "16", "--layers", "1", "--heads", "2",
+                 "--context", "12"]
+        fresh, loaded, ckpt = (str(tmp_path / n) for n in ("fresh.csv", "loaded.csv", "b.ckpt"))
+        assert main(["sweep", corpus_file, fresh, "--lambdas", "0,0.5", "--base-steps", "20",
+                     "--steps", "4", *flags, *model]) == 0
+        assert calls and not any(calls)  # fisher ran in the lambda runs only
+        assert main(["train", corpus_file, ckpt, "--steps", "20", "--lambda-mrp", "0",
+                     *flags, *model]) == 0
+        assert calls.count(True) == 20
+        assert main(["sweep", corpus_file, loaded, "--lambdas", "0,0.5", "--steps", "4",
+                     "--base-checkpoint", ckpt, *flags]) == 0
+        assert open(fresh, "rb").read() == open(loaded, "rb").read()
+
+
+class TestIgnoredFlags:
+    """A flag the chosen mode ignores prints a warning and changes no output."""
+
+    def test_model_flags_with_base_checkpoint(self, tmp_path, corpus_file, capsys):
+        base = str(tmp_path / "base.ckpt")
+        fileio.save_checkpoint(base, ToyLm(ToyLmConfig(16, 16, 1, 2, 12), seed=0))
+        model_flags = ["--vocab-size", "--hidden-dim", "--layers", "--heads", "--context"]
+        outputs = []
+        for ignored in ([], [*model_flags, "--base-steps"]):
+            extra = [x for flag in ignored for x in (flag, "7")]
+            out = str(tmp_path / str(len(ignored)))
+            assert main(["train", corpus_file, out + ".ckpt", "--steps", "3",
+                         "--base-checkpoint", base, *extra[:-2]]) == 0
+            assert main(["sweep", corpus_file, out + ".csv", "--lambdas", "0", "--steps", "2",
+                         "--base-checkpoint", base, *extra]) == 0
+            outputs.append([open(out + ext, "rb").read() for ext in (".ckpt", ".csv")])
+            err = capsys.readouterr().err
+            for flag in ignored:
+                assert err.count(f"warning: {flag} is ignored with --base-checkpoint") == (
+                    1 if flag == "--base-steps" else 2)
+            assert ("warning" in err) == bool(ignored)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags, warning", [
+        (["--sampler", "square_uniform"], "warning: --sampler is ignored without --sites"),
+        (["--sites", "SITES", "--config", "square8"], "warning: --config is ignored with --sites"),
+    ], ids=["sampler-without-sites", "config-with-sites"])
+    def test_synth_validate(self, tmp_path, monkeypatch, capsys, flags, warning):
+        sp = str(tmp_path / "sites.json")
+        with open(sp, "w") as f:
+            json.dump([[1.0, 0.0], [-1.0, 0.0]], f)
+        specs = []
+
+        def record(spec, seed):
+            specs.append(spec)
+            raise StopIteration
+
+        monkeypatch.setattr(cli, "validate_scaling", record)
+        used = [sp if f == "SITES" else f for f in flags]
+        for argv in (used[:2 * ("--sites" in used)], used):
+            with pytest.raises(StopIteration):
+                main(["synth-validate", *argv])
+            assert (warning in capsys.readouterr().err) == (argv == used)
+        assert specs[0].sampler == specs[1].sampler
+        assert np.array_equal(specs[0].sites, specs[1].sites)
+
+
+@pytest.fixture
+def io_failures(tmp_path, corpus_file):
+    """Paths that fail on open: a directory, an existing file as --out-dir,
+    and a corpus that is not UTF-8; plus valid files to go with them."""
+    bad = str(tmp_path / "latin1.txt")
+    with open(bad, "wb") as f:
+        f.write("caf\xe9 au lait. ".encode("latin-1") * 20)
+    ckpt = str(tmp_path / "m.ckpt")
+    fileio.save_checkpoint(ckpt, ToyLm(ToyLmConfig(16, 16, 1, 2, 12), seed=0))
+    (tmp_path / "file").write_text("")
+    return {"DIR": str(tmp_path), "LATIN1": bad, "CKPT": ckpt, "CORPUS": corpus_file,
+            "AUDIT": os.path.join(FIXTURES, "baseline_6.jsonl"), "OUT": str(tmp_path / "out"),
+            "FILE": str(tmp_path / "file")}
+
+
+class TestIoFailures:
+    @pytest.mark.parametrize("argv", [
+        ["audit", "DIR", "AUDIT", "OUT"],
+        ["gap-fit", "DIR"],
+        ["compare", "DIR", "AUDIT", "--out-dir", "OUT"],
+        ["compare", "AUDIT", "AUDIT", "--out-dir", "FILE"],
+        ["layer-scan", "DIR", "CORPUS", "OUT"],
+        ["layer-scan", "CKPT", "LATIN1", "OUT"],
+        ["train", "LATIN1", "OUT", "--vocab-size", "16", "--hidden-dim", "16", "--layers", "1"],
+        ["sweep", "LATIN1", "OUT", "--vocab-size", "16", "--hidden-dim", "16", "--layers", "1"],
+    ], ids=["audit-dir", "gap-fit-dir", "compare-dir", "compare-out-dir-file", "layer-scan-dir",
+            "layer-scan-latin1", "train-latin1", "sweep-latin1"])
+    def test_exit_2_without_traceback(self, io_failures, argv, capsys):
+        # A traceback would be an exception escaping main.
+        assert main([io_failures.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("marginlab: data error")
+
 
 class TestSynthValidate:
     # The 3-column sites differ only in a coordinate the zero-padded
@@ -625,7 +767,11 @@ class TestSynthValidate:
         assert main(["synth-validate", "--sites", sp, "--samples", "200000"]) == 2
         assert "duplicate rows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [b"\xff[[1.0, 0.0]]", b'[[1.0, 0.0], [1.0]]', b'[["a", "b"]]'])
+    @pytest.mark.parametrize("content", [
+        b"\xff[[1.0, 0.0]]", b'[[1.0, 0.0], [1.0]]', b'[["a", "b"]]', b'[["1", "0"], ["-1", "0"]]',
+        b'[[true, false], [false, true]]', b'[[1.0]]', b'[[1.0, 0.0]]', b'[[1.0], [-1.0]]',
+        b'[1.0, 0.0]', pytest.param(b'[[1' + b'0' * 400 + b', 0], [-1, 0]]', id="1e400-int"),
+    ])
     def test_unreadable_sites_exit_2(self, tmp_path, content):
         sp = str(tmp_path / "sites.json")
         with open(sp, "wb") as f:

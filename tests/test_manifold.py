@@ -17,6 +17,7 @@ from marginlab.errors import DataError, UsageError
 from marginlab.gapfit import fit_gap_curve
 from marginlab.margins import column_margins
 from marginlab.manifold import (
+    SAMPLERS,
     ManifoldSpec,
     circle_three_sites,
     circle_two_sites,
@@ -50,7 +51,7 @@ class TestGenerate:
     def test_square_margins_match_bruteforce(self):
         rng = np.random.default_rng(3)
         sites = rng.normal(size=(4, 2))
-        spec = ManifoldSpec(2, 2, sites, "square_uniform", 5000)
+        spec = ManifoldSpec(sites, "square_uniform", 5000)
         points, margins = generate(spec, seed=1)
         for i in range(0, 5000, 500):
             logits = sorted(sites @ points[i], reverse=True)
@@ -59,8 +60,8 @@ class TestGenerate:
     def test_homogeneity_and_argmax_invariance(self):
         rng = np.random.default_rng(4)
         sites = rng.normal(size=(5, 2))
-        spec1 = ManifoldSpec(2, 2, sites, "square_uniform", 2000)
-        spec2 = ManifoldSpec(2, 2, 2.0 * sites, "square_uniform", 2000)
+        spec1 = ManifoldSpec(sites, "square_uniform", 2000)
+        spec2 = ManifoldSpec(2.0 * sites, "square_uniform", 2000)
         pts1, m1 = generate(spec1, seed=9)
         pts2, m2 = generate(spec2, seed=9)
         np.testing.assert_array_equal(pts1, pts2)
@@ -74,28 +75,37 @@ class TestGenerate:
     def test_duplicate_sites_rejected(self):
         sites = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DataError):
-            ManifoldSpec(1, 2, sites, "circle_uniform", 1000)
+            ManifoldSpec(sites, "circle_uniform", 1000)
         # Points are zero-padded: sites equal in their first two coordinates
         # have identical logits everywhere.
         sites = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
-        for k, sampler in ((1, "circle_uniform"), (2, "square_uniform")):
+        for sampler in SAMPLERS:
             with pytest.raises(DataError, match="duplicate"):
-                ManifoldSpec(k, 3, sites, sampler, 1000)
+                ManifoldSpec(sites, sampler, 1000)
 
-    def test_sampler_dim_consistency(self):
-        sites = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(UsageError):
-            ManifoldSpec(2, 2, sites, "circle_uniform", 1000)
+    @pytest.mark.parametrize("sampler, intrinsic_dim", [("circle_uniform", 1),
+                                                        ("square_uniform", 2)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dimensions_follow_sampler_and_sites(self, sampler, intrinsic_dim, d):
+        spec = ManifoldSpec(np.eye(3)[:, :d], sampler, 1000)
+        assert (spec.intrinsic_dim, spec.ambient_dim) == (intrinsic_dim, d)
+        for name in ("intrinsic_dim", "ambient_dim"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 2)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (1, 2), (2, 2, 2)])
+    def test_site_shape_must_be_sites_by_ambient(self, shape):
+        with pytest.raises(UsageError, match="need sites"):
+            ManifoldSpec(np.arange(np.prod(shape)).reshape(shape), "square_uniform", 10)
 
     @pytest.mark.parametrize("value", [math.nan, 2.5, 1e12, True, "1000"])
-    @pytest.mark.parametrize("field", ["intrinsic_dim", "ambient_dim", "sample_count"])
+    @pytest.mark.parametrize("field", ["sample_count"])
     def test_counts_must_be_integers(self, field, value):
-        # NaN passes ``sample_count < 1`` and 2.0 passes the sites' shape
-        # check; both would fail later inside numpy, so nothing is built.
-        args = {"intrinsic_dim": 1, "ambient_dim": 2, "sample_count": 1000}
+        # NaN passes ``sample_count < 1`` and would fail later inside numpy,
+        # so nothing is built.
         with pytest.raises(UsageError, match=f"{field} must be an integer"):
-            ManifoldSpec(sites=np.eye(2), sampler="circle_uniform", **{**args, field: value})
-        spec = ManifoldSpec(np.int64(1), np.int32(2), np.eye(2), "circle_uniform", np.uint64(1000))
+            ManifoldSpec(sites=np.eye(2), sampler="circle_uniform", **{field: value})
+        spec = ManifoldSpec(np.eye(2), "circle_uniform", np.uint64(1000))
         assert spec.sample_count == 1000
 
     @pytest.mark.parametrize("seed, message", [
@@ -151,7 +161,7 @@ class TestSampleBlocks:
     def test_non_finite_logit_names_global_sample(self, monkeypatch, sites, message):
         # Both paths raise on the same sample; 100,003 is not a multiple of 97.
         monkeypatch.setattr(manifold, "_CHUNK", 97)
-        spec = ManifoldSpec(1, 2, np.array(sites), "circle_uniform", 100_003)
+        spec = ManifoldSpec(np.array(sites), "circle_uniform", 100_003)
         with np.errstate(over="ignore", invalid="ignore"):
             logits = spec.sites @ one_draw(spec, 2)
             margins = np.abs(logits[1] - logits[0])
@@ -208,7 +218,7 @@ class TestOracleAlpha:
     def test_homogeneity_scales_alpha_inversely(self):
         spec1 = circle_two_sites()
         sites2 = 2.0 * spec1.sites
-        spec2 = ManifoldSpec(1, 2, sites2, "circle_uniform", spec1.sample_count)
+        spec2 = ManifoldSpec(sites2, "circle_uniform", spec1.sample_count)
         a1 = oracle_alpha(spec1)
         a2 = oracle_alpha(spec2)
         assert a2 == pytest.approx(a1 / 2.0, rel=0.01)
@@ -238,9 +248,8 @@ class TestStreamedGrid:
     @pytest.mark.parametrize("sampler", ["circle_uniform", "square_uniform"])
     def test_count_matches_bruteforce(self, monkeypatch, sampler, d, v):
         monkeypatch.setattr(manifold, "_CHUNK", 997)
-        k = 1 if sampler == "circle_uniform" else 2
         sites = np.random.default_rng(10 * d + v).normal(size=(v, d))
-        spec = ManifoldSpec(k, d, sites, sampler, 1000)
+        spec = ManifoldSpec(sites, sampler, 1000)
         n_points, eps = 5000, 0.05
         logits = np.sort(self.full_grid(spec, n_points) @ sites.T, axis=1)
         margins = logits[:, -1] - logits[:, -2]
@@ -260,7 +269,7 @@ class TestStreamedGrid:
     def test_overflow_names_grid_index(self, monkeypatch):
         monkeypatch.setattr(manifold, "_CHUNK", 97)
         sites = np.array([[1.5e308, 1.5e308], [-1.5e308, 1e308]])
-        spec = ManifoldSpec(1, 2, sites, "circle_uniform", 1000)
+        spec = ManifoldSpec(sites, "circle_uniform", 1000)
         with np.errstate(over="ignore"):
             logits = self.full_grid(spec, 20_000) @ sites.T
         first = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
@@ -291,10 +300,9 @@ class TestCertifiedOracle:
         # 37 points is under one tile; 5003 is no multiple of 64, and its
         # 71 x 71 square is no multiple of 8.
         monkeypatch.setattr(manifold, "_CHUNK", chunk)
-        k = 1 if sampler == "circle_uniform" else 2
-        rng = np.random.default_rng([d, v, n_points, k])
+        rng = np.random.default_rng([d, v, n_points, SAMPLERS.index(sampler) + 1])
         for scale, eps in zip(10.0 ** rng.uniform(-3, 3, 4), 10.0 ** rng.uniform(-4, math.log10(0.5), 4)):
-            spec = ManifoldSpec(k, d, scale * rng.normal(size=(v, d)), sampler, 1000)
+            spec = ManifoldSpec(scale * rng.normal(size=(v, d)), sampler, 1000)
             count, size = self.bruteforce(spec, n_points, eps)
             assert manifold._alpha_estimate(spec, n_points, eps) == count / (size * eps)
 
@@ -304,8 +312,8 @@ class TestCertifiedOracle:
         real = manifold.column_margins
         monkeypatch.setattr(manifold, "column_margins",
                             lambda x, start=0: evaluated.append(x.shape[1]) or real(x, start))
-        for k, sampler in ((1, "circle_uniform"), (2, "square_uniform")):
-            spec = ManifoldSpec(k, 3, np.random.default_rng(k).normal(size=(5, 3)), sampler, 1000)
+        for seed, sampler in enumerate(SAMPLERS, 1):
+            spec = ManifoldSpec(np.random.default_rng(seed).normal(size=(5, 3)), sampler, 1000)
             count, size = self.bruteforce(spec, 250_000, 0.01)
             evaluated.clear()
             assert manifold._alpha_estimate(spec, 250_000, 0.01) == count / (size * 0.01)
@@ -355,8 +363,7 @@ class TestCertifiedOracle:
         real = manifold.column_margins
         monkeypatch.setattr(manifold, "column_margins",
                             lambda x, start=0: evaluated.append(x.shape[1]) or real(x, start))
-        k = 1 if sampler == "circle_uniform" else 2
-        rng = np.random.default_rng([d, n_points, k, 13])
+        rng = np.random.default_rng([d, n_points, SAMPLERS.index(sampler) + 1, 13])
         total = below = 0
         for scale, eps in zip(10.0 ** rng.uniform(-2, 2, 3), 10.0 ** rng.uniform(-4, -1, 3)):
             sites = rng.normal(size=(5, d))
@@ -364,19 +371,19 @@ class TestCertifiedOracle:
             sites[4] *= 10.0 / np.linalg.norm(sites[4])
             dist = np.linalg.norm(sites[:, None] - sites[None], axis=2)
             assert dist.max() >= 1e3 * dist[dist > 0].min()
-            spec = ManifoldSpec(k, d, scale * sites, sampler, 1000)
+            spec = ManifoldSpec(scale * sites, sampler, 1000)
             count, size = self.bruteforce(spec, n_points, eps)
             evaluated.clear()
             assert manifold._alpha_estimate(spec, n_points, eps) == count / (size * eps)
             total, below = total + sum(evaluated) / size, below + count
         assert below > 0 and total < 3  # some points counted, some tiles skipped
 
-    @pytest.mark.parametrize("k, sampler", [(1, "circle_uniform"), (2, "square_uniform")])
-    def test_memory_is_bounded_when_no_tile_clears(self, k, sampler):
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_memory_is_bounded_when_no_tile_clears(self, sampler):
         import tracemalloc
 
         # Margins of at most 2e-3 everywhere: every tile is evaluated.
-        spec = ManifoldSpec(k, 2, 1e-3 * square_eight_sites().sites, sampler, 1000)
+        spec = ManifoldSpec(1e-3 * square_eight_sites().sites, sampler, 1000)
         tracemalloc.start()
         try:
             alpha = manifold._alpha_estimate(spec, 4_000_000, 0.01)
@@ -390,7 +397,7 @@ class TestCertifiedOracle:
         monkeypatch.setattr(manifold, "_CHUNK", 97)
         # Only the corners near (-1, 1) and (1, -1) overflow.
         sites = np.array([[0.95e308, -0.95e308], [0.1e308, 0.2e308]])
-        spec = ManifoldSpec(2, 2, sites, "square_uniform", 1000)
+        spec = ManifoldSpec(sites, "square_uniform", 1000)
         with np.errstate(over="ignore"):
             logits = TestStreamedGrid.full_grid(spec, 20_000) @ sites.T
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
@@ -502,9 +509,9 @@ class TestGradientFloor:
     def assert_matches_walk(self, sites):
         circle, square = self.walk(sites)
         d = sites.shape[1]
-        assert gradient_floor(ManifoldSpec(1, d, sites, "circle_uniform", 1000)) == pytest.approx(
+        assert gradient_floor(ManifoldSpec(sites, "circle_uniform", 1000)) == pytest.approx(
             circle, rel=1e-12)
-        assert gradient_floor(ManifoldSpec(2, d, sites, "square_uniform", 1000)) == pytest.approx(
+        assert gradient_floor(ManifoldSpec(sites, "square_uniform", 1000)) == pytest.approx(
             square, rel=1e-12)
         return circle, square
 
@@ -534,7 +541,7 @@ class TestGradientFloor:
         assert self.assert_matches_walk(sites)[0] == 1.0
 
     def test_overflowing_distance_is_data_error(self):
-        spec = ManifoldSpec(1, 2, np.array([[1e308, 0.0], [-1e308, 0.0]]), "circle_uniform", 1000)
+        spec = ManifoldSpec(np.array([[1e308, 0.0], [-1e308, 0.0]]), "circle_uniform", 1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="overflows"):

@@ -161,6 +161,16 @@ class TestColumnMargins:
             assert got.dtype == want.dtype, kind
             assert np.array_equal(got, want), kind
 
+    def test_two_rows(self):
+        # V = 2 runs the general running top and runner-up: every ordered pair
+        # of tied, signed-zero and distinct values, and 65,536 random pairs.
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300])
+        pairs = np.stack(np.meshgrid(values, values)).reshape(2, -1)
+        rand = np.random.default_rng(2).normal(size=(2, 65_536))
+        for logits in (pairs, rand, emulate_bf16(rand * 0.05)):
+            assert np.array_equal(column_margins(logits), top2_stats(logits.T)[2])
+        assert (column_margins(pairs) == 0.0).sum() == 9  # 7 ties and (0, -0) both ways
+
     @pytest.mark.parametrize("v", [8, 50])
     def test_ties_and_zeros_occur(self, v):
         rows = _selection_inputs(v)
@@ -279,7 +289,7 @@ class TestAudit:
         recs = sample_records()
         audit = Audit.from_records(recs)
         assert isinstance(audit[1:3], Audit) and audit[1:3] == recs[1:3]
-        assert [recs[0]] + audit[1:] == recs
+        assert Audit.concat([[recs[0]], audit[1:]]) == recs
         assert Audit.concat([audit[:3], recs[3:]]) == audit
 
     def test_eq_is_one_bool(self):
