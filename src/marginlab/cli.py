@@ -128,14 +128,10 @@ def _fit_report(fit: GapFit) -> dict:
 def _cmd_audit(args) -> int:
     header, blocks = fileio.read_logits_blocks(args.logits)
     vocab = header["cols"]
-    if args.unembedding and not args.fp32_recompute:
-        print("warning: --unembedding is ignored without --fp32-recompute", file=sys.stderr)
     if args.fp32_recompute:
-        if not args.unembedding:
-            raise UsageError("--fp32-recompute requires --unembedding")
-        unemb, _ = fileio.read_logits(args.unembedding)
+        unemb, _ = fileio.read_logits(args.fp32_recompute)
         if unemb.shape[1] != vocab or not np.isfinite(unemb).all():
-            raise DataError(f"{args.unembedding}: unembedding must be finite and as wide as "
+            raise DataError(f"{args.fp32_recompute}: unembedding must be finite and as wide as "
                             f"the {vocab}-wide hidden states in {args.logits}")
         vocab = unemb.shape[0]
     targets = _read_targets(args.targets, header["rows"], vocab)
@@ -191,8 +187,7 @@ def _cmd_gap_fit(args) -> int:
 def _cmd_compare(args) -> int:
     baseline, _ = fileio.read_audit(args.baseline)
     polished, _ = fileio.read_audit(args.polished)
-    os.makedirs(args.out_dir, exist_ok=True)
-
+    # Every section is computed before the first file is written.
     churn = churn_report(baseline, polished)
     rotation = rotation_report(baseline, polished)
     bands_base = band_accuracy(baseline)
@@ -212,9 +207,22 @@ def _cmd_compare(args) -> int:
         "expansion": expansion,
     }
 
+    if args.freq_counts:
+        counts = _read_id_map(args.freq_counts, "frequency counts", int)
+        bundle["frequency"] = frequency_audit(baseline, polished, counts)
+
+    if args.token_texts:
+        texts = _read_id_map(args.token_texts, "token texts", str)
+        targets = baseline.target.tolist()
+        missing = sorted(set(targets) - set(texts))
+        if missing:
+            raise DataError(f"{args.token_texts}: no text for target token {missing[0]}")
+        bundle["classes"] = class_audit(baseline, polished, [texts[t] for t in targets])
+
     def out(name: str) -> str:
         return os.path.join(args.out_dir, name)
 
+    os.makedirs(args.out_dir, exist_ok=True)
     fileio.write_csv(out("churn.csv"), "total,churned,w2r,r2w,flip_ratio,net_corrected", [churn])
     fileio.write_csv(out("rotation.csv"), "rotated,rotated_wider,mean_margin_delta", [rotation])
     fileio.write_csv(
@@ -224,28 +232,15 @@ def _cmd_compare(args) -> int:
          for b in table.bands],
     )
     fileio.write_csv(out("expansion.csv"), "pct_wider,mean_delta,median_delta", [expansion])
-
-    if args.freq_counts:
-        counts = _read_id_map(args.freq_counts, "frequency counts", int)
-        freq = frequency_audit(baseline, polished, counts)
-        bundle["frequency"] = freq
+    if "frequency" in bundle:
         fileio.write_csv(
             out("frequency.csv"),
             "bucket,count,baseline_accuracy,polished_accuracy,delta,net_corrected,share_of_net",
-            freq.buckets,
+            bundle["frequency"].buckets,
         )
-
-    if args.token_texts:
-        texts = _read_id_map(args.token_texts, "token texts", str)
-        targets = baseline.target.tolist()
-        missing = sorted(set(targets) - set(texts))
-        if missing:
-            raise DataError(f"{args.token_texts}: no text for target token {missing[0]}")
-        classes = class_audit(baseline, polished, [texts[t] for t in targets])
-        bundle["classes"] = classes
-        fileio.write_csv(
-            out("classes.csv"), "class,count,w2r,r2w,net_corrected,share_of_net", classes.rows
-        )
+    if "classes" in bundle:
+        fileio.write_csv(out("classes.csv"), "class,count,w2r,r2w,net_corrected,share_of_net",
+                         bundle["classes"].rows)
 
     fileio.write_report_json(out("bundle.json"), bundle)
     print(
@@ -270,30 +265,26 @@ def _mrp_from_args(args, lambda_mrp: float = MrpConfig.lambda_mrp) -> MrpConfig:
                      **_given(args, ("tau", "k")))
 
 
-# ToyLmConfig fields that train and sweep take as flags.
+# ToyLmConfig fields that train takes as flags.
 _MODEL_FLAGS = ("vocab_size", "hidden_dim", "layers", "heads", "context")
 
 
-def _model_from_args(args) -> ToyLm:
+def _train_config(args, mrp: MrpConfig) -> TrainConfig:
+    return TrainConfig(steps=args.steps, learning_rate=args.lr, batch_size=args.batch_size,
+                       seed=args.seed, mrp=mrp)
+
+
+def _cmd_train(args) -> int:
     given = _given(args, _MODEL_FLAGS)
     if args.base_checkpoint:
         for field in given:
             print(f"warning: --{field.replace('_', '-')} is ignored with --base-checkpoint",
                   file=sys.stderr)
         model, _ = fileio.load_checkpoint(args.base_checkpoint)
-        return model
-    return ToyLm(ToyLmConfig(**given), seed=args.seed)
-
-
-def _train_config(args, steps: int, mrp: MrpConfig) -> TrainConfig:
-    return TrainConfig(steps=steps, learning_rate=args.lr, batch_size=args.batch_size,
-                       seed=args.seed, mrp=mrp)
-
-
-def _cmd_train(args) -> int:
-    model = _model_from_args(args)
+    else:
+        model = ToyLm(ToyLmConfig(**given), seed=args.seed)
     tokens = _load_corpus(args.corpus, model.config.vocab_size)
-    config = _train_config(args, args.steps, _mrp_from_args(args, args.lambda_mrp))
+    config = _train_config(args, _mrp_from_args(args, args.lambda_mrp))
     log = train(model, tokens, config)
     fileio.save_checkpoint(args.out_checkpoint, model, step=config.steps,
                            train_config=asdict(config))
@@ -312,22 +303,14 @@ def _cmd_sweep(args) -> int:
         lambdas = [float(v) for v in args.lambdas.split(",") if v != ""]
     except ValueError as e:
         raise UsageError(f"bad --lambdas list: {e}") from e
-    # Every flag is checked before the base run.
+    # Every flag is checked before the first lambda run.
     check_lambdas(lambdas)
-    if args.base_checkpoint and args.base_steps is not None:
-        print("warning: --base-steps is ignored with --base-checkpoint", file=sys.stderr)
-    base_steps = 150 if args.base_steps is None else args.base_steps
-    if base_steps < 0:
-        raise UsageError(f"--base-steps must be >= 0, got {base_steps}")
-    run_cfg = _train_config(args, args.steps, _mrp_from_args(args))
-    model = _model_from_args(args)
+    run_cfg = _train_config(args, _mrp_from_args(args))
+    model, _ = fileio.load_checkpoint(args.checkpoint)
     if run_cfg.mrp.objective == "fisher" and run_cfg.mrp.k > model.config.vocab_size:
         raise UsageError(f"--k {run_cfg.mrp.k} exceeds the vocabulary size "
                          f"{model.config.vocab_size}")
     tokens = _load_corpus(args.corpus, model.config.vocab_size)
-    if not args.base_checkpoint and base_steps > 0:
-        # The base run is plain CE: lambda 0, ce_weight 1.
-        train(model, tokens, _train_config(args, base_steps, MrpConfig()))
     rows, _baseline = dose_response(model, tokens, lambdas, run_cfg)
 
     fileio.write_csv(
@@ -407,19 +390,14 @@ def _cmd_layer_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_train_flags(p) -> None:
-    """The schedule, model and loss flags of ``train`` and ``sweep``, each
-    defaulting to its config field's default (the model flags and ``--tau``
-    and ``--k`` are None when not given, so an ignored one can warn)."""
+def _add_run_flags(p) -> None:
+    """The schedule and loss flags of ``train`` and ``sweep``, each defaulting
+    to its config field's default (``--tau`` and ``--k`` are None when not
+    given, so an ignored one can warn)."""
     p.add_argument("--steps", type=int, default=TrainConfig.steps)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
-    for field in _MODEL_FLAGS:
-        p.add_argument(f"--{field.replace('_', '-')}", type=int,
-                       help=f"default {getattr(ToyLmConfig, field)}; "
-                            "ignored with --base-checkpoint")
-    p.add_argument("--base-checkpoint", help="start from this checkpoint instead of a fresh model")
     p.add_argument("--loss", choices=OBJECTIVES, default=MrpConfig.objective)
     p.add_argument("--tau", type=float, default=None,
                    help=f"margin threshold for the margin loss (default {MrpConfig.tau})")
@@ -439,9 +417,9 @@ def build_parser() -> _Parser:
     p.add_argument("out", help="output audit JSONL path")
     p.add_argument("--bf16-emulate", action="store_true",
                    help="round logits to bfloat16 first (artifact reproduction)")
-    p.add_argument("--fp32-recompute", action="store_true",
-                   help="treat the input as hidden states and recompute logits at fp32")
-    p.add_argument("--unembedding", help="unembedding container for --fp32-recompute")
+    p.add_argument("--fp32-recompute", metavar="UNEMBEDDING",
+                   help="treat the input as hidden states and recompute logits at fp32 "
+                        "with this unembedding container")
     p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_audit)
 
@@ -472,25 +450,29 @@ def build_parser() -> _Parser:
     p.add_argument("out_checkpoint")
     p.add_argument("--metrics", help="per-step metrics CSV path")
     p.add_argument("--lambda-mrp", type=float, default=MrpConfig.lambda_mrp)
-    _add_train_flags(p)
+    _add_run_flags(p)
+    for field in _MODEL_FLAGS:
+        p.add_argument(f"--{field.replace('_', '-')}", type=int,
+                       help=f"default {getattr(ToyLmConfig, field)}; "
+                            "ignored with --base-checkpoint")
+    p.add_argument("--base-checkpoint", help="start from this checkpoint instead of a fresh model")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("sweep", help="dose-response sweep over lambda values")
+    p = sub.add_parser("sweep", help="dose-response sweep over lambda values from a checkpoint")
+    p.add_argument("checkpoint", help="base model, as written by train")
     p.add_argument("corpus")
     p.add_argument("out", help="summary CSV path")
     p.add_argument("--lambdas", default="0,0.15,0.3,0.6",
                    help="comma-separated ascending lambda list")
-    p.add_argument("--base-steps", type=int,
-                   help="pure-CE steps to build the base model (default 150; "
-                        "ignored with --base-checkpoint)")
-    _add_train_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("synth-validate",
                        help="validate the linear scaling law on a synthetic manifold")
     p.add_argument("--config", choices=sorted(PRESETS),
                    help="preset (default circle2); ignored with --sites")
-    p.add_argument("--sites", help="JSON file with an explicit site matrix")
+    p.add_argument("--sites", help="JSON file with an explicit site matrix; only the presets "
+                                   "are known to pass the oracle's grid-doubling check")
     p.add_argument("--sampler", choices=SAMPLERS,
                    help=f"sampler for --sites (default {SAMPLERS[0]}); ignored without --sites")
     p.add_argument("--samples", type=int, default=1_000_000)

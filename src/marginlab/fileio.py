@@ -292,15 +292,16 @@ def read_audit(path: str) -> tuple[Audit, dict]:
         raise DataError(f"{path}: unparseable audit header: {e}") from e
     if not isinstance(header, dict):
         raise DataError(f"{path}: audit header is not a JSON object")
-    if header.get("version") != AUDIT_VERSION:
+    # type() rejects true and 1.0, which == would take for 1.
+    if type(header.get("version")) is not int or header["version"] != AUDIT_VERSION:
         raise DataError(
             f"{path}: audit version {header.get('version')!r} is not {AUDIT_VERSION}"
         )
     body = lines[1:]
-    if header.get("count") != len(body):
+    if type(header.get("count")) is not int or header["count"] != len(body):
         raise DataError(
-            f"{path}: header count {header.get('count')} does not match "
-            f"{len(body)} record lines"
+            f"{path}: audit count {header.get('count')!r} is not {len(body)}, "
+            f"the number of record lines"
         )
     try:
         objs = json.loads("[" + ",".join(body) + "]")
@@ -367,11 +368,14 @@ def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
         raise DataError(f"{path}: unparseable checkpoint header: {e}") from e
     if not isinstance(header, dict) or header.get("kind") != "marginlab-checkpoint":
         raise DataError(f"{path}: not a marginlab checkpoint")
-    if header.get("version") != CHECKPOINT_VERSION:
+    if type(header.get("version")) is not int or header["version"] != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: checkpoint version {header.get('version')!r} is not "
             f"{CHECKPOINT_VERSION}"
         )
+    step = header.get("step")
+    if type(step) is not int or step < 0:
+        raise DataError(f"{path}: checkpoint step {step!r} is not a non-negative integer")
     config, seed = header.get("config"), header.get("seed")
     field_types = {key: type(v) for key, v in asdict(ToyLmConfig()).items()}
     if not isinstance(config, dict) or {k: type(v) for k, v in config.items()} != field_types:

@@ -5,12 +5,11 @@ import math
 import os
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from marginlab import cli, fileio, objectives
+from marginlab import cli, fileio
 from marginlab.cli import main
 from marginlab.gapfit import GapFit, GridSpec
 from marginlab.margins import MarginRecord, compute_margins
@@ -51,6 +50,14 @@ def corpus_file(tmp_path):
     path = str(tmp_path / "corpus.txt")
     with open(path, "w") as f:
         f.write(" ".join(parts))
+    return path
+
+
+@pytest.fixture
+def base_ckpt(tmp_path):
+    """An untrained 16-token model's checkpoint, a base for sweep."""
+    path = str(tmp_path / "base.ckpt")
+    fileio.save_checkpoint(path, ToyLm(ToyLmConfig(16, 16, 1, 2, 12), seed=0))
     return path
 
 
@@ -105,22 +112,19 @@ class TestAuditCommand:
         with open(tp, "w") as f:
             json.dump([0, 1, 2, 3, 4], f)
         out = str(tmp_path / "audit.jsonl")
-        assert main(["audit", hp, tp, out, "--fp32-recompute", "--unembedding", up]) == 0
+        assert main(["audit", hp, tp, out, "--fp32-recompute", up]) == 0
         records, _ = fileio.read_audit(out)
         oracle = hidden.astype(np.float32) @ unemb.astype(np.float32).T
         assert records[0].top1_id == int(np.argmax(oracle[0]))
 
-    def test_fp32_recompute_needs_unembedding(self, tmp_path, tiny_logits):
+    def test_fp32_recompute_needs_a_value(self, tmp_path, tiny_logits, capsys):
         lp, tp, _ = tiny_logits
-        assert main(["audit", lp, tp, str(tmp_path / "x.jsonl"), "--fp32-recompute"]) == 1
-
-    def test_unembedding_without_fp32_recompute_warns(self, tmp_path, tiny_logits, capsys):
-        lp, tp, _ = tiny_logits
-        out = str(tmp_path / "x.jsonl")
-        assert main(["audit", lp, tp, out, "--unembedding", str(tmp_path / "missing.bin")]) == 0
-        assert "warning: --unembedding is ignored without --fp32-recompute" in (
-            capsys.readouterr().err)
-        assert len(fileio.read_audit(out)[0]) == 3
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as e:
+            main(["audit", lp, tp, str(out), "--fp32-recompute"])
+        assert e.value.code == 1
+        assert "--fp32-recompute: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_logits_exits_2(self, tmp_path, tiny_logits):
         _, tp, _ = tiny_logits
@@ -206,7 +210,7 @@ class TestFp32RecomputeData:
             unemb[2, 0] = np.inf
         hp, up, tp = _recompute_inputs(tmp_path, hidden, unemb)
         out = str(tmp_path / "a.jsonl")
-        assert main(["audit", hp, tp, out, "--fp32-recompute", "--unembedding", up]) == 2
+        assert main(["audit", hp, tp, out, "--fp32-recompute", up]) == 2
         err = capsys.readouterr().err
         assert "data error" in err
         assert ("position 3" in err) == (case == "nan hidden")
@@ -219,7 +223,7 @@ class TestFp32RecomputeData:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["audit", hp, tp, str(tmp_path / "a.jsonl"),
-                         "--fp32-recompute", "--unembedding", up])
+                         "--fp32-recompute", up])
         assert code == 2
         assert "non-finite logit at position 0" in capsys.readouterr().err
 
@@ -275,7 +279,7 @@ class TestStreamedAudit:
         tp, out = str(tmp_path / "t.json"), str(tmp_path / "a.jsonl")
         with open(tp, "w") as f:
             json.dump(targets.tolist(), f)
-        assert main(["audit", hp, tp, out, "--fp32-recompute", "--unembedding", up]) == 0
+        assert main(["audit", hp, tp, out, "--fp32-recompute", up]) == 0
         expected = compute_margins(recompute_fp32_logits(hidden, unemb), targets)
         assert fileio.read_audit(out)[0] == expected
 
@@ -438,6 +442,7 @@ class TestCompareCommand:
         assert main(["compare", ap, ap, "--out-dir", str(tmp_path / "cmp"), flag, mp]) == 2
         err = capsys.readouterr().err
         assert err.startswith("marginlab: data error") and message in err
+        assert not (tmp_path / "cmp").exists()  # nothing is written before every check
 
     def test_misaligned_exits_2(self, tmp_path):
         a = [MarginRecord(0, 1, 2, 3, 0.5, False)]
@@ -534,6 +539,22 @@ class TestBadAuditRecords:
         assert "line 501" in capsys.readouterr().err
 
 
+class TestAuditHeader:
+    @pytest.mark.parametrize("rows, field, value", [
+        (1, "version", True), (1, "version", 1.0), (3, "count", 3.0), (1, "count", True),
+    ], ids=["version-true", "version-1.0", "count-3.0", "count-true"])
+    def test_non_integer_exits_2(self, tmp_path, capsys, rows, field, value):
+        # A type check, not ==, rejects these: True == 1 and 3.0 == 3 in Python.
+        ap = str(tmp_path / "a.jsonl")
+        logits = np.random.default_rng(0).normal(size=(rows, 4)).astype(np.float32)
+        fileio.write_audit(ap, compute_margins(logits, np.zeros(rows, dtype=int)))
+        header, *body = open(ap).read().splitlines(keepends=True)
+        with open(ap, "w") as f:
+            f.write(json.dumps({**json.loads(header), field: value}) + "\n" + "".join(body))
+        assert main(["gap-fit", ap]) == 2
+        assert f"audit {field} {value!r} is not" in capsys.readouterr().err
+
+
 class TestTrainCommands:
     def test_train_and_metrics(self, tmp_path, corpus_file, capsys):
         ckpt = str(tmp_path / "model.ckpt")
@@ -577,7 +598,7 @@ class TestTrainCommands:
         ("margin", [], False, MrpConfig.tau),
     ])
     def test_tau_ignored_warning_for_fisher(self, capsys, loss, flags, warned, tau):
-        for command in (["train", "c.txt", "m.ckpt"], ["sweep", "c.txt", "s.csv"]):
+        for command in (["train", "c.txt", "m.ckpt"], ["sweep", "b.ckpt", "c.txt", "s.csv"]):
             args = cli.build_parser().parse_args([*command, "--loss", loss, *flags])
             assert cli._mrp_from_args(args) == MrpConfig(objective=loss, tau=tau)
             err = capsys.readouterr().err
@@ -598,12 +619,15 @@ class TestTrainCommands:
         assert open(c1, "rb").read() == open(c2, "rb").read()
 
     def test_sweep_summary(self, tmp_path, corpus_file):
-        out = str(tmp_path / "sweep.csv")
-        rc = main([
-            "sweep", corpus_file, out, "--lambdas", "0,0.3",
-            "--base-steps", "30", "--steps", "8", "--loss", "fisher",
+        base, out = str(tmp_path / "base.ckpt"), str(tmp_path / "sweep.csv")
+        assert main([
+            "train", corpus_file, base, "--steps", "30", "--batch-size", "2",
             "--vocab-size", "16", "--hidden-dim", "16", "--layers", "1",
-            "--heads", "2", "--context", "12", "--batch-size", "2",
+            "--heads", "2", "--context", "12",
+        ]) == 0
+        rc = main([
+            "sweep", base, corpus_file, out, "--lambdas", "0,0.3",
+            "--steps", "8", "--loss", "fisher", "--batch-size", "2",
         ])
         assert rc == 0
         lines = open(out).read().splitlines()
@@ -616,85 +640,55 @@ class TestTrainCommands:
         (["--lambdas=0.3,0.1"], "sorted ascending"),
         (["--ce-weight", "-1"], "ce_weight must be nonnegative"),
         (["--loss", "fisher", "--k", "1000"], "--k 1000 exceeds the vocabulary size 16"),
-        (["--base-steps=-5"], "--base-steps must be >= 0, got -5"),
         (["--steps", "0"], "steps must be >= 1"),
         (["--lr", "nan"], "learning_rate must be finite"),
         (["--loss", "fisher", "--tau", "0.3", "--ce-weight=-1"],
          "warning: --tau is ignored for the fisher loss"),
     ])
-    def test_bad_flags_exit_1_before_base_run(self, tmp_path, corpus_file, capsys, monkeypatch,
-                                              flags, message):
+    def test_bad_flags_exit_1_before_training(self, tmp_path, corpus_file, base_ckpt, capsys,
+                                              monkeypatch, flags, message):
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
         monkeypatch.setattr(cli, "train", no_training)
         monkeypatch.setattr(cli, "dose_response", no_training)
         out = tmp_path / "s.csv"
-        assert main(["sweep", corpus_file, str(out), "--base-steps", "300", "--vocab-size",
-                     "16", "--hidden-dim", "16", "--layers", "1", "--heads", "2",
-                     "--context", "12", *flags]) == 1
+        assert main(["sweep", base_ckpt, corpus_file, str(out), *flags]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_has_no_lambda_mrp(self, capsys):
         # Each --lambdas value replaced it, so it changed no output.
         with pytest.raises(SystemExit) as e:
-            main(["sweep", "c.txt", "s.csv", "--lambda-mrp", "5.0"])
+            main(["sweep", "b.ckpt", "c.txt", "s.csv", "--lambda-mrp", "5.0"])
         assert e.value.code == 1
         assert "unrecognized arguments: --lambda-mrp" in capsys.readouterr().err
 
-    def test_sweep_base_run_evaluates_no_objective(self, tmp_path, corpus_file, monkeypatch):
-        # The base run is lambda 0, where the objective adds nothing: its model
-        # equals a `train --loss fisher --lambda-mrp 0` run, which evaluates
-        # fisher_loss at every step, and the sweep's CSV bytes match.
-        calls, in_base = [], []
-        real_train, real_fisher = cli.train, objectives.fisher_loss
-
-        def base_train(*args, **kwargs):
-            in_base.append(True)
-            try:
-                return real_train(*args, **kwargs)
-            finally:
-                in_base.pop()
-
-        monkeypatch.setattr(cli, "train", base_train)
-        monkeypatch.setattr(objectives, "fisher_loss",
-                            lambda *a, **k: calls.append(bool(in_base)) or real_fisher(*a, **k))
-        flags = ["--loss", "fisher", "--seed", "3", "--batch-size", "2"]
-        model = ["--vocab-size", "16", "--hidden-dim", "16", "--layers", "1", "--heads", "2",
-                 "--context", "12"]
-        fresh, loaded, ckpt = (str(tmp_path / n) for n in ("fresh.csv", "loaded.csv", "b.ckpt"))
-        assert main(["sweep", corpus_file, fresh, "--lambdas", "0,0.5", "--base-steps", "20",
-                     "--steps", "4", *flags, *model]) == 0
-        assert calls and not any(calls)  # fisher ran in the lambda runs only
-        assert main(["train", corpus_file, ckpt, "--steps", "20", "--lambda-mrp", "0",
-                     *flags, *model]) == 0
-        assert calls.count(True) == 20
-        assert main(["sweep", corpus_file, loaded, "--lambdas", "0,0.5", "--steps", "4",
-                     "--base-checkpoint", ckpt, *flags]) == 0
-        assert open(fresh, "rb").read() == open(loaded, "rb").read()
+    @pytest.mark.parametrize("flag", ["--base-steps", "--vocab-size", "--hidden-dim", "--layers",
+                                      "--heads", "--context", "--base-checkpoint"])
+    def test_sweep_has_no_model_flags(self, capsys, flag):
+        # The checkpoint fixes the model; train is the one way to build it.
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "b.ckpt", "c.txt", "s.csv", flag, "7"])
+        assert e.value.code == 1
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
 
 
 class TestIgnoredFlags:
     """A flag the chosen mode ignores prints a warning and changes no output."""
 
-    def test_model_flags_with_base_checkpoint(self, tmp_path, corpus_file, capsys):
-        base = str(tmp_path / "base.ckpt")
-        fileio.save_checkpoint(base, ToyLm(ToyLmConfig(16, 16, 1, 2, 12), seed=0))
+    def test_model_flags_with_base_checkpoint(self, tmp_path, corpus_file, base_ckpt, capsys):
         model_flags = ["--vocab-size", "--hidden-dim", "--layers", "--heads", "--context"]
         outputs = []
-        for ignored in ([], [*model_flags, "--base-steps"]):
+        for ignored in ([], model_flags):
             extra = [x for flag in ignored for x in (flag, "7")]
-            out = str(tmp_path / str(len(ignored)))
-            assert main(["train", corpus_file, out + ".ckpt", "--steps", "3",
-                         "--base-checkpoint", base, *extra[:-2]]) == 0
-            assert main(["sweep", corpus_file, out + ".csv", "--lambdas", "0", "--steps", "2",
-                         "--base-checkpoint", base, *extra]) == 0
-            outputs.append([open(out + ext, "rb").read() for ext in (".ckpt", ".csv")])
+            out = str(tmp_path / f"{len(ignored)}.ckpt")
+            assert main(["train", corpus_file, out, "--steps", "3",
+                         "--base-checkpoint", base_ckpt, *extra]) == 0
+            outputs.append(open(out, "rb").read())
             err = capsys.readouterr().err
             for flag in ignored:
-                assert err.count(f"warning: {flag} is ignored with --base-checkpoint") == (
-                    1 if flag == "--base-steps" else 2)
+                assert err.count(f"warning: {flag} is ignored with --base-checkpoint") == 1
             assert ("warning" in err) == bool(ignored)
         assert outputs[0] == outputs[1]
 
@@ -746,7 +740,7 @@ class TestIoFailures:
         ["layer-scan", "DIR", "CORPUS", "OUT"],
         ["layer-scan", "CKPT", "LATIN1", "OUT"],
         ["train", "LATIN1", "OUT", "--vocab-size", "16", "--hidden-dim", "16", "--layers", "1"],
-        ["sweep", "LATIN1", "OUT", "--vocab-size", "16", "--hidden-dim", "16", "--layers", "1"],
+        ["sweep", "CKPT", "LATIN1", "OUT"],
     ], ids=["audit-dir", "gap-fit-dir", "compare-dir", "compare-out-dir-file", "layer-scan-dir",
             "layer-scan-latin1", "train-latin1", "sweep-latin1"])
     def test_exit_2_without_traceback(self, io_failures, argv, capsys):
@@ -928,12 +922,9 @@ class TestFlagDefaults:
         assert model.config == ToyLmConfig() and model.seed == TrainConfig.seed
         assert config == TrainConfig()
 
-    def test_sweep(self, tmp_path, corpus_file, calls):
-        assert main(["sweep", corpus_file, str(tmp_path / "s.csv")]) == 0
-        [((base, _, base_config), _), ((model, _, _, config), _)] = calls
-        assert model is base
-        assert model.config == ToyLmConfig() and model.seed == TrainConfig.seed
-        assert base_config == replace(TrainConfig(), steps=150)  # --base-steps
+    def test_sweep(self, tmp_path, corpus_file, base_ckpt, calls):
+        assert main(["sweep", base_ckpt, corpus_file, str(tmp_path / "s.csv")]) == 0
+        [((_, _, _, config), _)] = calls
         assert config == TrainConfig()
 
     def test_gap_fit(self, calls):
@@ -972,6 +963,10 @@ BAD_CHECKPOINTS = {
     ),
     "manifest omits a parameter": (_omit_last_param, "manifest does not match"),
     "NaN parameter value": (_nan_first_value, "non-finite values"),
+    # A type check, not ==, rejects these: True == 1 and 2.0 == 2 in Python.
+    "version 2.0": (lambda h, p: ({**h, "version": 2.0}, p), "checkpoint version 2.0 is not 2"),
+    "step true": (lambda h, p: ({**h, "step": True}, p), "checkpoint step True is not"),
+    "step -3.5": (lambda h, p: ({**h, "step": -3.5}, p), "checkpoint step -3.5 is not"),
 }
 
 
@@ -998,7 +993,8 @@ class TestBadFlagValues:
 
     @pytest.mark.parametrize("value", ["-1", str(2**63), "1.5"])
     @pytest.mark.parametrize("argv", [["audit", "l.bin", "t.json", "a.jsonl"],
-                                      ["train", "c.txt", "m.ckpt"], ["sweep", "c.txt", "s.csv"],
+                                      ["train", "c.txt", "m.ckpt"],
+                                      ["sweep", "b.ckpt", "c.txt", "s.csv"],
                                       ["synth-validate"]], ids=lambda a: a[0])
     def test_seed_outside_range_exits_1(self, argv, value, capsys):
         with pytest.raises(SystemExit) as e:
