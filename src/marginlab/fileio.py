@@ -7,7 +7,8 @@ Formats are designed for bit-exact round trips:
   rounded float32 pattern and widen exactly on read.
 * AuditFile: JSONL; a header line followed by one margin record per
   line.  Floats are serialized with ``repr``, which round-trips float64
-  exactly.
+  exactly.  Record lines in the writer's exact form are read as columns;
+  any other valid JSONL is read through ``json`` to the same result.
 * Checkpoint: one JSON header line (config, seed, step, parameter
   manifest) + concatenated raw little-endian float64 blocks.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -258,36 +260,171 @@ def write_audit(
     atomic_write_bytes(path, chunks())
 
 
-def _audit_of(objs: list) -> Audit:
-    """The audit of parsed record objects; KeyError, TypeError or
-    UsageError for a record with a missing key or a value of the wrong type."""
-    columns = []
-    for key, types in _RECORD_KEYS:
-        column = [obj[key] for obj in objs]
-        if not set(map(type, column)).issubset(types):
+# The columnar reader takes a record line only in the writer's exact form: a
+# start that holds `correct`, then five key segments, each from a comma through
+# the ": " after its key and followed by the margin or an id, then "}\n".
+_LINE_TRUE, _LINE_FALSE = b'{"correct": true, "', b'{"correct": false, '
+_KEY_SEGMENTS = (b', "margin": ', b', "position_index": ', b', "target_id": ',
+                 b', "top1_id": ', b', "top2_id": ')
+_SEG_LENGTHS = np.array([len(s) for s in _KEY_SEGMENTS])
+# The start and the segments are compared as 8-byte words of one 24-byte
+# window each, the bytes past their end masked off.
+_SEG_WIDTH = 24
+
+
+def _words(*texts: bytes) -> np.ndarray:
+    """Each text, zero-padded to _SEG_WIDTH bytes, as a row of 8-byte words."""
+    return np.frombuffer(b"".join(t.ljust(_SEG_WIDTH, b"\0") for t in texts), "<u8").reshape(len(texts), -1)
+
+
+_SEG_WORDS = _words(_LINE_TRUE, *_KEY_SEGMENTS)
+_SEG_MASK = _words(*(b"\xff" * len(t) for t in (_LINE_TRUE, *_KEY_SEGMENTS)))
+_FALSE_WORDS = _words(_LINE_FALSE)[0]
+_ID_DIGITS = 19  # an int64 has at most 19 decimal digits
+_MARGIN_WIDTH = 24  # the longest float64 repr: -1.2345678901234567e-308
+# Margins must match the JSON number grammar with a fraction, a signed exponent
+# or both, as repr(float) writes them; the DFA runs over byte classes:
+# 0 past the margin's end (NUL), 1 '-', 2 '0', 3 '1'-'9', 4 '.', 5 'e', 6 '+', 7 other.
+_BYTE_CLASS = np.full(256, 7, np.uint8)
+_BYTE_CLASS[list(b"\0-0123456789.e+")] = [0, 1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5, 6]
+# States: 0 start, 1 sign, 2 leading 0, 3 integer digits, 4 '.', 5 fraction
+# digits, 6 'e', 7 exponent sign, 8 exponent digits, 9 accepted, 10 dead.
+_NUMBER_DFA = np.array([
+    # end '-' '0' 1-9 '.' 'e' '+' other
+    [10, 1, 2, 3, 10, 10, 10, 10],
+    [10, 10, 2, 3, 10, 10, 10, 10],
+    [10, 10, 10, 10, 4, 6, 10, 10],
+    [10, 10, 3, 3, 4, 6, 10, 10],
+    [10, 10, 5, 5, 10, 10, 10, 10],
+    [9, 10, 5, 5, 10, 6, 10, 10],
+    [10, 7, 10, 10, 10, 10, 7, 10],
+    [10, 10, 8, 8, 10, 10, 10, 10],
+    [9, 10, 8, 8, 10, 10, 10, 10],
+    [9, 10, 10, 10, 10, 10, 10, 10],
+    [10] * 8,
+], np.uint8)
+_ACCEPT = 9
+# Bytes per slice of the newline scan: bounds its temporaries.
+_SCAN_BYTES = 1 << 20
+
+
+def _windows(buf: np.ndarray, width: int, at: np.ndarray) -> np.ndarray:
+    """Copies of the ``width`` bytes of ``buf`` from each offset in ``at``."""
+    return np.lib.stride_tricks.sliding_window_view(buf, width)[at]
+
+
+def _record_block(buf: np.ndarray, ends: np.ndarray):
+    """(ids [4, L], margins, correct) of the L record lines that end at
+    ``ends`` in ``buf`` (zeros after the last); None unless each line is in
+    the writer's exact form."""
+    n = ends.size
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    comma = np.flatnonzero(buf == ord(","))
+    if comma.size != n * len(_KEY_SEGMENTS):
+        return None
+    comma = comma.reshape(n, len(_KEY_SEGMENTS))
+    if not (buf[ends - 1] == ord("}")).all():
+        return None
+    words = _windows(buf, _SEG_WIDTH, np.column_stack((starts, comma))).view("<u8") & _SEG_MASK
+    match = words == _SEG_WORDS
+    correct = match[:, 0].all(axis=1)
+    if not (match[:, 1:].all() and (correct | (words[:, 0] == _FALSE_WORDS).all(axis=1)).all()):
+        return None
+
+    # Each value runs from the end of its key segment to the next comma or
+    # "}".  None is empty, so no row of commas runs into the next line, and a
+    # line with an extra comma fails a check of its bytes.
+    lo, hi = comma + _SEG_LENGTHS, np.column_stack((comma[:, 1:], ends - 1))
+    width = hi - lo
+    if not (width >= 1).all():
+        return None
+
+    lo, hi, width = lo[:, 1:], hi[:, 1:], width[:, 1:]
+    if not ((width <= _ID_DIGITS) & ((buf[lo] != ord("0")) | (width == 1))).all():
+        return None
+    w = int(width.max())
+    digits = _windows(buf, w, hi - w) - np.uint8(ord("0"))  # right-aligned
+    digits *= np.arange(w) >= (w - width)[..., None]  # clear what precedes each id
+    if (digits > 9).any():
+        return None
+    ids = np.zeros(width.shape, np.uint64)
+    for column in np.moveaxis(digits, -1, 0):
+        ids = ids * np.uint64(10) + column
+    if (ids > np.iinfo(np.int64).max).any():
+        return None
+
+    lo, width = comma[:, 0] + _SEG_LENGTHS[0], comma[:, 1] - comma[:, 0] - _SEG_LENGTHS[0]
+    text = _windows(buf, _MARGIN_WIDTH + 1, lo)
+    text *= np.arange(_MARGIN_WIDTH + 1) < width[:, None]  # clear what follows each margin
+    if np.count_nonzero(text) != width.sum():  # a NUL inside one, or one too long
+        return None
+    state = np.zeros(n, np.uint8)
+    for column in np.take(_BYTE_CLASS, text[:, : width.max() + 1].T):
+        state = np.take(_NUMBER_DFA, state * np.uint8(_NUMBER_DFA.shape[1]) + column)
+    if not (state == _ACCEPT).all():
+        return None
+    margin = text.view(f"S{_MARGIN_WIDTH + 1}")[:, 0].astype(np.float64)  # correctly rounded
+    return ids.T.astype(np.int64), margin, correct
+
+
+def _record_columns(raw: bytes, start: int) -> Audit | None:
+    """The audit of the record lines in ``raw[start:]``, read as columns in
+    blocks of ``_WRITE_BLOCK`` lines; None unless every line is a record line
+    in the writer's exact form (see ``_record_block``) ending in a newline."""
+    body = np.frombuffer(raw, np.uint8, offset=start)
+    ends = np.concatenate([np.empty(0, np.intp)] + [
+        np.flatnonzero(body[a : a + _SCAN_BYTES] == ord("\n")) + a
+        for a in range(0, body.size, _SCAN_BYTES)
+    ])
+    if body.size and (not ends.size or ends[-1] != body.size - 1):
+        return None
+    firsts = np.concatenate(([0], ends[_WRITE_BLOCK - 1 :: _WRITE_BLOCK] + 1))
+    # One buffer for every block, with zeros after the block for the windows.
+    pad = max(_SEG_WIDTH, _MARGIN_WIDTH + 1)
+    buf = np.zeros(int(np.diff(firsts, append=body.size).max(initial=0)) + pad, np.uint8)
+    ids, margin, correct = np.empty((4, ends.size), np.int64), np.empty(ends.size), np.empty(ends.size, bool)
+    for lo, first in zip(range(0, ends.size, _WRITE_BLOCK), firsts.tolist()):
+        hi = min(lo + _WRITE_BLOCK, ends.size)
+        size = ends[hi - 1] + 1 - first
+        buf[:size] = body[first : first + size]
+        buf[size:] = 0
+        block = _record_block(buf, ends[lo:hi] - first)
+        if block is None:
+            return None
+        ids[:, lo:hi], margin[lo:hi], correct[lo:hi] = block
+    return Audit(*ids, margin, correct)
+
+
+def _record_row(obj) -> list:
+    """The values of one parsed record line in Audit column order; KeyError,
+    TypeError or UsageError for a missing key, a value of the wrong type or
+    an integer that its column cannot hold."""
+    row = [obj[key] for key, _ in _RECORD_KEYS]
+    for (key, types), value in zip(_RECORD_KEYS, row):
+        if type(value) not in types:
             raise TypeError(f"{key!r} must be {' or '.join(t.__name__ for t in types)}")
-        columns.append(column)
-    return Audit(*columns)
+    if any(type(value) is int and not -(2**63) <= value < 2**63 for value in row):
+        Audit(*([value] for value in row))  # UsageError unless its column can hold the value
+    return row
 
 
-def read_audit(path: str) -> tuple[Audit, dict]:
-    """Returns (audit, header).  All record lines are parsed in one
-    ``json.loads``; only if that fails is the file scanned line by line,
-    to name the bad line in the ``DataError``."""
+# Header fields beyond version and count, each checked when present:
+# (key, accepts, what it must be).
+_HEADER_FIELDS = (
+    ("dtype", lambda v: v in ("f32", "bf16"), "'f32' or 'bf16'"),
+    ("seed", lambda v: v is None or (type(v) is int and 0 <= v < 2**63),
+     "null or an integer in [0, 2**63)"),
+    ("tau", lambda v: v is None or type(v) is int or (type(v) is float and math.isfinite(v)),
+     "null or a finite number"),
+    ("created", lambda v: type(v) is str, "a string"),
+)
+
+
+def _audit_header(path: str, line: str, records: int) -> dict:
+    """The parsed header line of an audit with ``records`` record lines;
+    a ``DataError`` that names the field for a bad one."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            file_lines = f.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text: {e}") from e
-    lines = [ln for ln in file_lines if ln]
-
-    def line_of(record: int) -> int:  # file line number, blank lines counted
-        return [n for n, ln in enumerate(file_lines, 1) if ln][record + 1]
-
-    if not lines:
-        raise DataError(f"{path}: empty audit file")
-    try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: unparseable audit header: {e}") from e
     if not isinstance(header, dict):
@@ -297,30 +434,63 @@ def read_audit(path: str) -> tuple[Audit, dict]:
         raise DataError(
             f"{path}: audit version {header.get('version')!r} is not {AUDIT_VERSION}"
         )
-    body = lines[1:]
-    if type(header.get("count")) is not int or header["count"] != len(body):
+    if type(header.get("count")) is not int or header["count"] != records:
         raise DataError(
-            f"{path}: audit count {header.get('count')!r} is not {len(body)}, "
+            f"{path}: audit count {header.get('count')!r} is not {records}, "
             f"the number of record lines"
         )
+    for key, accepts, rule in _HEADER_FIELDS:
+        if key in header and not accepts(header[key]):
+            raise DataError(f"{path}: audit {key} {header[key]!r} is not {rule}")
+    return header
+
+
+def _json_records(path: str, raw: bytes) -> tuple[dict, Audit, list[int]]:
+    """(header, audit, file line number of each record) of any valid JSONL
+    audit, parsed line by line with ``json``; blank lines are skipped but
+    counted, and a ``DataError`` names the first bad line."""
     try:
-        objs = json.loads("[" + ",".join(body) + "]")
-        if len(objs) != len(body):
-            raise ValueError("a line holds more than one record")
-        audit = _audit_of(objs)
-    except (ValueError, KeyError, TypeError, UsageError) as e:
-        for i, ln in enumerate(body):
-            try:
-                _audit_of([json.loads(ln)])
-            except (ValueError, KeyError, TypeError, UsageError) as line_error:
-                raise DataError(
-                    f"{path}: bad record on line {line_of(i)}: {line_error!r}"
-                ) from line_error
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
+    if not lines:
+        raise DataError(f"{path}: empty audit file")
+    header = _audit_header(path, lines[0][1], len(lines) - 1)
+    rows = []
+    for n, ln in lines[1:]:
+        try:
+            rows.append(_record_row(json.loads(ln)))
+        except (ValueError, KeyError, TypeError, UsageError) as e:
+            raise DataError(f"{path}: bad record on line {n}: {e!r}") from e
+    try:
+        audit = Audit(*(zip(*rows) if rows else [()] * len(_RECORD_KEYS)))
+    except UsageError as e:  # integer margins that fit one by one but not as one column
         raise DataError(f"{path}: bad records: {e!r}") from e
+    return header, audit, [n for n, _ in lines[1:]]
+
+
+def read_audit(path: str) -> tuple[Audit, dict]:
+    """Returns (audit, header).  A file in the writer's exact form is read
+    as columns; any other goes through ``json`` line by line, which reads
+    every valid JSONL audit alike and names the first bad line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    cut = raw.find(b"\n")
+    try:
+        head = raw[:cut].decode("utf-8") if cut > 0 else ""
+    except UnicodeDecodeError:
+        head = ""
+    # A header line holding another line break is left to json's splitlines.
+    audit = _record_columns(raw, cut + 1) if head.splitlines() == [head] else None
+    if audit is None:
+        header, audit, line_numbers = _json_records(path, raw)
+    else:
+        header, line_numbers = _audit_header(path, head, len(audit)), range(2, len(audit) + 2)
     bad = audit.first_invalid()
     if bad is not None:
         raise DataError(
-            f"{path}: bad record on line {line_of(bad)}: {audit[bad]} breaks {_INVARIANTS}"
+            f"{path}: bad record on line {line_numbers[bad]}: {audit[bad]} breaks {_INVARIANTS}"
         )
     return audit, header
 

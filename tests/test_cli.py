@@ -554,6 +554,39 @@ class TestAuditHeader:
         assert main(["gap-fit", ap]) == 2
         assert f"audit {field} {value!r} is not" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", 5), ("dtype", "f16"), ("dtype", None),
+        ("seed", True), ("seed", -1), ("seed", 2**63), ("seed", 1.0),
+        ("tau", "x"), ("tau", True), ("tau", float("nan")), ("tau", float("inf")),
+        ("created", []), ("created", None), ("created", 0),
+    ])
+    def test_bad_field_exits_2(self, tmp_path, capsys, field, value):
+        good, bad = str(tmp_path / "good.jsonl"), str(tmp_path / "bad.jsonl")
+        logits = np.random.default_rng(1).normal(size=(4, 5)).astype(np.float32)
+        fileio.write_audit(good, compute_margins(logits, np.zeros(4, dtype=int)))
+        header, *body = open(good).read().splitlines(keepends=True)
+        with open(bad, "w") as f:
+            f.write(json.dumps({**json.loads(header), field: value}) + "\n" + "".join(body))
+        for argv in (["gap-fit", bad], ["compare", good, bad, "--out-dir", str(tmp_path / "c")],
+                     ["compare", bad, good, "--out-dir", str(tmp_path / "c")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"audit {field} {value!r} is not" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", "bf16"), ("seed", 0), ("seed", 2**63 - 1), ("seed", None), ("tau", 0.25),
+        ("tau", 1), ("tau", None), ("created", ""),
+    ])
+    def test_good_field_reads(self, tmp_path, field, value):
+        ap = str(tmp_path / "a.jsonl")
+        logits = np.random.default_rng(1).normal(size=(4, 5)).astype(np.float32)
+        fileio.write_audit(ap, compute_margins(logits, np.zeros(4, dtype=int)))
+        header, *body = open(ap).read().splitlines(keepends=True)
+        with open(ap, "w") as f:
+            f.write(json.dumps({**json.loads(header), field: value}) + "\n" + "".join(body))
+        assert fileio.read_audit(ap)[1][field] == value
+        assert main(["compare", ap, ap, "--out-dir", str(tmp_path / "c")]) == 0
+
 
 class TestTrainCommands:
     def test_train_and_metrics(self, tmp_path, corpus_file, capsys):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginlab import fileio
 from marginlab.errors import DataError, UsageError
@@ -213,7 +215,92 @@ BAD_RECORD_LINES = {
 }
 
 
+# A written audit whose second record (file line 3) these edits change into
+# valid JSONL that is not in the writer's exact form, or into a bad line.
+WRITTEN_RECORDS = [MarginRecord(0, 4, 4, 5, 0.5, True), MarginRecord(1, 7, 4, 5, 0.25, False),
+                   MarginRecord(2, 1, 1, 0, 0.125, True)]
+LINE_3 = '{"correct": false, "margin": 0.25, "position_index": 1, "target_id": 7, "top1_id": 4, "top2_id": 5}'
+
+
+def edit_line_3(old, new):
+    return lambda text: text.replace(LINE_3, LINE_3.replace(old, new))
+
+
+FALLBACK_EDITS = {
+    "swapped top1_id/top2_id keys": edit_line_3('"top1_id": 4, "top2_id"', '"top2_id": 4, "top1_id"'),
+    "margin 1E5": edit_line_3("0.25", "1E5"),
+    "margin 1e5": edit_line_3("0.25", "1e5"),
+    "integer margin": edit_line_3("0.25", "2"),
+    "extra space": edit_line_3('"margin": ', '"margin":  '),
+    "extra space before an id": edit_line_3('"target_id": ', '"target_id":  '),
+    "margin longer than a repr": edit_line_3("0.25", "0.250000000000000000000000"),
+    "CRLF line endings": lambda text: text.replace("\n", "\r\n"),
+    "blank lines": lambda text: text.replace("\n", "\n\n\n", 2),
+    "no final newline": lambda text: text[:-1],
+    "leading blank line": lambda text: "\n" + text,
+}
+REFUSED_EDITS = {
+    "margin 07": edit_line_3("0.25", "07"),
+    "margin .5": edit_line_3("0.25", ".5"),
+    "margin 1.": edit_line_3("0.25", "1."),
+    "margin 01.5": edit_line_3("0.25", "01.5"),
+    "margin 1e": edit_line_3("0.25", "1e"),
+    "NUL after the margin": edit_line_3("0.25", "0.25\0"),
+    "id 04": edit_line_3('"top1_id": 4', '"top1_id": 04'),
+    "id 7e": edit_line_3('"target_id": 7', '"target_id": 7e'),
+    "empty id": edit_line_3('"target_id": 7', '"target_id": '),
+    "correct faLse": edit_line_3("false", "faLse"),
+    "] for }": edit_line_3("5}", "5]"),
+    "a comma moved to the next line": lambda text: edit_line_3(', "top2_id": 5', "")(text).replace(
+        '"top2_id": 0}', '"top2_id": 0, "x": 1}'),
+    "id beyond int64": edit_line_3('"position_index": 1', f'"position_index": {2**63}'),
+}
+
+
+def edited_audit(tmp_path, edit):
+    """(path, bytes) of WRITTEN_RECORDS written by write_audit, then edited."""
+    path = str(tmp_path / "audit.jsonl")
+    fileio.write_audit(path, WRITTEN_RECORDS, created="x")
+    with open(path, "rb") as f:
+        raw = edit(f.read().decode()).encode()
+    with open(path, "wb") as f:
+        f.write(raw)
+    return path, raw
+
+
+def read_outcome(path):
+    """read_audit's header and column bytes, or its DataError message."""
+    try:
+        audit, header = fileio.read_audit(path)
+    except DataError as e:
+        return str(e)
+    return header, [c.tobytes() for c in audit.columns()]
+
+
 class TestAuditRecordChecks:
+    @pytest.mark.parametrize("kind", sorted(FALLBACK_EDITS) + sorted(REFUSED_EDITS))
+    def test_other_lines_read_as_json_does(self, tmp_path, monkeypatch, kind):
+        """The columnar parser refuses the file; read_audit then gives the
+        json path's result or DataError."""
+        path, raw = edited_audit(tmp_path, {**FALLBACK_EDITS, **REFUSED_EDITS}[kind])
+        assert fileio._record_columns(raw, raw.find(b"\n") + 1) is None
+        outcome = read_outcome(path)
+        monkeypatch.setattr(fileio, "_record_columns", lambda raw, start: None)
+        assert outcome == read_outcome(path)
+        if kind in REFUSED_EDITS:
+            assert "bad record on line 3:" in outcome
+        else:
+            assert not isinstance(outcome, str), outcome
+
+    @pytest.mark.parametrize("margin", ["-0.25", "1e+999"])
+    def test_exact_form_breaking_an_invariant_names_the_line(self, tmp_path, monkeypatch, margin):
+        path, raw = edited_audit(tmp_path, edit_line_3("0.25", margin))
+        assert fileio._record_columns(raw, raw.find(b"\n") + 1) is not None
+        outcome = read_outcome(path)
+        assert "bad record on line 3:" in outcome
+        monkeypatch.setattr(fileio, "_record_columns", lambda raw, start: None)
+        assert outcome == read_outcome(path)
+
     @pytest.mark.parametrize("kind", sorted(BAD_RECORD_LINES))
     def test_reader_names_the_bad_line(self, tmp_path, kind):
         path = audit_with_line(tmp_path, BAD_RECORD_LINES[kind])
@@ -314,6 +401,8 @@ class TestStreamedAuditWriter:
         _, header = fileio.read_audit(path)
         assert open(path).read() == oracle_audit_text(header, list(audit))
         assert os.listdir(tmp_path) == ["audit.jsonl"]
+        raw = open(path, "rb").read()
+        assert fileio._record_columns(raw, raw.find(b"\n") + 1) == audit
 
     def test_peak_memory_is_bounded(self, tmp_path):
         import tracemalloc
@@ -329,6 +418,71 @@ class TestStreamedAuditWriter:
             tracemalloc.stop()
         # Building the whole text at once would peak at about 510 bytes per position.
         assert peak < 100 * n
+
+
+IDS = st.one_of(st.integers(0, 600), st.integers(0, 2**63 - 1))
+MARGINS = st.one_of(
+    st.sampled_from([5e-324, -0.0, 0.0, 1e-05, 1e16, 2.0**53 + 2, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e16, allow_infinity=False),
+    # 17 significant digits
+    st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(10**16, 10**17 - 1), st.integers(-340, 290)),
+)
+
+
+@st.composite
+def written_audits(draw):
+    """Rows that keep the record invariants, and write_audit's header fields."""
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        top1 = draw(IDS)
+        top2 = draw(IDS.filter(lambda i: i != top1))
+        target = draw(st.one_of(st.just(top1), IDS))
+        rows.append(MarginRecord(draw(IDS), target, top1, top2, draw(MARGINS), target == top1))
+    fields = dict(
+        dtype=draw(st.sampled_from(["f32", "bf16"])),
+        tau=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+        seed=draw(st.none() | st.integers(0, 2**63 - 1)),
+        created=draw(st.text(max_size=8)),
+    )
+    return rows, fields
+
+
+class TestColumnarAuditReader:
+    """read_audit's columnar parser against its json path."""
+
+    @given(written_audits())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_written_audits_read_as_json_does(self, tmp_path_factory, drawn):
+        rows, fields = drawn
+        path = str(tmp_path_factory.mktemp("audit") / "audit.jsonl")
+        fileio.write_audit(path, rows, **fields)
+        raw = open(path, "rb").read()
+        columns = fileio._record_columns(raw, raw.find(b"\n") + 1)
+        assert columns is not None
+        header, reference, _ = fileio._json_records(path, raw)
+        assert [c.tobytes() for c in columns.columns()] == [c.tobytes() for c in reference.columns()]
+        assert fileio.read_audit(path)[1] == header
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        import tracemalloc
+
+        n = 200_000
+        rng = np.random.default_rng(6)
+        audit = compute_margins(rng.normal(size=(n, 16)), rng.integers(0, 16, n))
+        path = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(path, audit, created="x")
+        tracemalloc.start()
+        try:
+            back, _ = fileio.read_audit(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == audit
+        # The file holds about 120 bytes per position and the reader peaked at
+        # about 225; the json path peaked at about 640, and parsing the whole
+        # file as one block at about 810.
+        assert peak < 300 * n
 
 
 class TestCheckpoint:
