@@ -2,8 +2,8 @@
 
 All operations take a baseline and a polished audit of the *same*
 positions (equal counts, matching position indices and targets) and
-aggregate position-level changes.  Each report takes ``Audit`` objects or
-sequences of ``MarginRecord`` (converted once, on entry):
+aggregate position-level changes.  Each report takes ``Audit`` objects
+and works on their columns:
 
 * churn: top-1 prediction changed, split into wrong-to-right and
   right-to-wrong flips;
@@ -17,13 +17,12 @@ Every report is a pure aggregate, invariant under permuting positions.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .margins import Audit, MarginRecord, nearest_rank_quantile
+from .margins import Audit, nearest_rank_quantile
 
 __all__ = [
     "ChurnReport",
@@ -104,10 +103,9 @@ class FrequencyBuckets:
     total_net_corrected: int
 
 
-def _aligned(baseline, polished) -> tuple[Audit, Audit]:
-    """Both audits as ``Audit``, after checking that they cover the same
-    positions with the same targets."""
-    baseline, polished = Audit.from_records(baseline), Audit.from_records(polished)
+def _check_aligned(baseline: Audit, polished: Audit) -> None:
+    """``DataError`` unless both audits cover the same positions with the
+    same targets."""
     if len(baseline) != len(polished):
         raise DataError(
             f"audit size mismatch: {len(baseline)} vs {len(polished)} positions"
@@ -120,7 +118,6 @@ def _aligned(baseline, polished) -> tuple[Audit, Audit]:
             f"({b.position_index}, target {b.target_id}) vs "
             f"({p.position_index}, target {p.target_id})"
         )
-    return baseline, polished
 
 
 def _tally(baseline: Audit, polished: Audit, group: np.ndarray, n_groups: int) -> list[list[int]]:
@@ -136,9 +133,9 @@ def _share(net: int, total: int) -> float | None:
     return net / total if total != 0 else None
 
 
-def churn_report(baseline: Sequence[MarginRecord], polished: Sequence[MarginRecord]) -> ChurnReport:
+def churn_report(baseline: Audit, polished: Audit) -> ChurnReport:
     """Count top-1 changes and their correctness flips."""
-    baseline, polished = _aligned(baseline, polished)
+    _check_aligned(baseline, polished)
     ww, w2r, r2w, rr = _tally(baseline, polished, baseline.top1 != polished.top1, 2)[1]
     return ChurnReport(
         total=len(baseline),
@@ -150,11 +147,9 @@ def churn_report(baseline: Sequence[MarginRecord], polished: Sequence[MarginReco
     )
 
 
-def rotation_report(
-    baseline: Sequence[MarginRecord], polished: Sequence[MarginRecord]
-) -> RotationReport:
+def rotation_report(baseline: Audit, polished: Audit) -> RotationReport:
     """Positions whose top-1 held but whose runner-up changed."""
-    baseline, polished = _aligned(baseline, polished)
+    _check_aligned(baseline, polished)
     rotated = (baseline.top1 == polished.top1) & (baseline.top2 != polished.top2)
     deltas = polished.margin[rotated] - baseline.margin[rotated]
     return RotationReport(
@@ -164,10 +159,9 @@ def rotation_report(
     )
 
 
-def band_accuracy(audit: Sequence[MarginRecord]) -> BandTable:
+def band_accuracy(audit: Audit) -> BandTable:
     """Accuracy within the half-open margin bands
     [0, 0.5), [0.5, 1), [1, 2), [2, 5), [5, inf)."""
-    audit = Audit.from_records(audit)
     if not len(audit):
         raise UsageError("band_accuracy requires a non-empty audit")
     lows = (0.0,) + BAND_EDGES
@@ -187,11 +181,9 @@ def band_accuracy(audit: Sequence[MarginRecord]) -> BandTable:
     )
 
 
-def expansion_report(
-    baseline: Sequence[MarginRecord], polished: Sequence[MarginRecord]
-) -> ExpansionReport:
+def expansion_report(baseline: Audit, polished: Audit) -> ExpansionReport:
     """Margin delta (polished minus baseline) over all positions."""
-    baseline, polished = _aligned(baseline, polished)
+    _check_aligned(baseline, polished)
     deltas = polished.margin - baseline.margin
     return ExpansionReport(
         pct_wider=float(np.count_nonzero(deltas > 0)) / deltas.size,
@@ -209,16 +201,14 @@ def _bucket_label(lo: int, hi: int | None) -> str:
 
 
 def frequency_audit(
-    baseline: Sequence[MarginRecord],
-    polished: Sequence[MarginRecord],
-    target_counts: dict[int, int],
+    baseline: Audit, polished: Audit, target_counts: dict[int, int]
 ) -> FrequencyBuckets:
     """Per-frequency-bucket accuracy deltas and shares of net corrections.
 
     ``target_counts`` maps each target token id to its occurrence count in
     the audit corpus; a missing target, or a count below 1, is a data error.
     """
-    baseline, polished = _aligned(baseline, polished)
+    _check_aligned(baseline, polished)
     ids, inverse = np.unique(baseline.target, return_inverse=True)
     missing = [t for t in ids.tolist() if t not in target_counts]
     if missing:

@@ -130,30 +130,16 @@ def as_tensor(x) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D/2-D operands (np.matmul shape rules)."""
+    """Matrix product of 2-D operands."""
     av, bv = a.values, b.values
-    if av.ndim > 2 or bv.ndim > 2:
-        raise UsageError("matmul supports 1-D and 2-D operands only")
-    try:
-        out = av @ bv
-    except ValueError as e:
-        raise UsageError(f"matmul shape mismatch: {av.shape} @ {bv.shape}") from e
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+        raise UsageError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
 
     def backward(g):
-        if av.ndim == 1 and bv.ndim == 1:
-            _accumulate(a, g * bv)
-            _accumulate(b, g * av)
-        elif av.ndim == 1:  # (n,) @ (n,k) -> (k,)
-            _accumulate(a, bv @ g)
-            _accumulate(b, np.outer(av, g))
-        elif bv.ndim == 1:  # (m,n) @ (n,) -> (m,)
-            _accumulate(a, np.outer(g, bv))
-            _accumulate(b, av.T @ g)
-        else:
-            _accumulate(a, g @ bv.T)
-            _accumulate(b, av.T @ g)
+        _accumulate(a, g @ bv.T)
+        _accumulate(b, av.T @ g)
 
-    return _make(out, (a, b), backward)
+    return _make(av @ bv, (a, b), backward)
 
 
 def matmul_t(a: Tensor, b: Tensor) -> Tensor:

@@ -26,14 +26,14 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, astuple, is_dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DataError, UsageError
-from .margins import Audit, MarginRecord
+from .margins import Audit
 from .precision import emulate_bf16
 from .toylm import ToyLm, ToyLmConfig
 
@@ -222,15 +222,15 @@ _WRITE_BLOCK = 16_384
 
 def write_audit(
     path: str,
-    records: Audit | Sequence[MarginRecord],
+    audit: Audit,
     dtype: str = "f32",
     tau: float | None = None,
     seed: int | None = None,
     created: str | None = None,
 ) -> None:
-    """Write an audit as JSONL; a record that breaks an invariant is a
-    ``UsageError``."""
-    audit = Audit.from_records(records)
+    """Write an audit as JSONL.  A record that breaks an invariant, or a
+    header value that ``read_audit`` would refuse, is a ``UsageError``
+    raised before any file is created."""
     bad = audit.first_invalid()
     if bad is not None:
         raise UsageError(f"record {bad} {audit[bad]} breaks {_INVARIANTS}")
@@ -242,6 +242,9 @@ def write_audit(
         "created": created if created is not None else created_stamp(),
         "seed": seed,
     }
+    for key, accepts, rule in _HEADER_FIELDS:
+        if not accepts(header[key]):
+            raise UsageError(f"audit {key} {header[key]!r} is not {rule}")
 
     def chunks():
         yield (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
@@ -408,8 +411,8 @@ def _record_row(obj) -> list:
     return row
 
 
-# Header fields beyond version and count, each checked when present:
-# (key, accepts, what it must be).
+# Header fields beyond version and count, checked by the writer and, when
+# present, by the reader: (key, accepts, what it must be).
 _HEADER_FIELDS = (
     ("dtype", lambda v: v in ("f32", "bf16"), "'f32' or 'bf16'"),
     ("seed", lambda v: v is None or (type(v) is int and 0 <= v < 2**63),
@@ -526,7 +529,8 @@ def save_checkpoint(path: str, model: ToyLm, step: int = 0, train_config: dict |
 def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
     """Returns (model, header).  The config, seed and parameter manifest
     must be what ``save_checkpoint`` writes for such a model, the payload
-    exactly its parameters' bytes, and every value finite."""
+    exactly its parameters' bytes, and every value finite.  ``train_config``
+    is provenance, read back by nothing, but must be null or an object."""
     with open(path, "rb") as f:
         raw = f.read()
     nl = raw.find(b"\n")
@@ -552,6 +556,9 @@ def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
         raise DataError(f"{path}: checkpoint config {config!r} does not match ToyLmConfig's fields and types")
     if type(seed) is not int or seed < 0:
         raise DataError(f"{path}: checkpoint seed {seed!r} is not a non-negative integer")
+    train_config = header.get("train_config")
+    if train_config is not None and not isinstance(train_config, dict):
+        raise DataError(f"{path}: checkpoint train_config {train_config!r} is not null or a JSON object")
     try:
         model = ToyLm(ToyLmConfig(**config), seed=seed)
     except UsageError as e:

@@ -103,9 +103,11 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None, *,
     s.sort()
     eps_lo, eps_hi = float(s[k_lo - 1]), float(s[k_hi - 1])
     if eps_lo <= 0.0 or eps_hi <= eps_lo:
+        zeros = int(np.count_nonzero(m == 0.0))
         raise NumericalError(
-            f"degenerate threshold grid [{eps_lo}, {eps_hi}]; margins may be "
-            "all zero or nearly constant"
+            f"degenerate threshold grid [{eps_lo}, {eps_hi}] between the "
+            f"{grid_spec.quantile_lo} and {grid_spec.quantile_hi} margin quantiles: "
+            f"{zeros} of {m.size} margins ({zeros / m.size:.2%}) are exactly 0"
         )
 
     grid = np.geomspace(eps_lo, eps_hi, grid_spec.count)

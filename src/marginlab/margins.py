@@ -62,8 +62,8 @@ class Audit:
     ``margin`` and bool ``correct`` (other kinds raise ``UsageError``).
 
     ``len``, iteration and integer indexing give ``MarginRecord`` rows, a
-    slice gives an ``Audit``, and ``==`` (against an ``Audit`` or a
-    sequence of records) compares every column and returns one bool.
+    slice gives an ``Audit``, and ``==`` against another ``Audit``
+    compares every column and returns one bool.
     """
 
     position: np.ndarray
@@ -86,21 +86,9 @@ class Audit:
             object.__setattr__(self, name, col.astype(dtype, copy=False))
 
     @classmethod
-    def from_records(cls, records) -> "Audit":
-        """The audit of a sequence of ``MarginRecord``; an ``Audit`` is
-        returned as it is."""
-        if isinstance(records, Audit):
-            return records
-        rows = [
-            (r.position_index, r.target_id, r.top1_id, r.top2_id, r.margin, r.correct)
-            for r in records
-        ]
-        return cls(*(zip(*rows) if rows else [()] * len(_COLUMNS)))
-
-    @classmethod
     def concat(cls, parts) -> "Audit":
-        """The rows of every part, in order; positions are kept as they are."""
-        parts = [cls.from_records(p) for p in parts]
+        """The rows of every ``Audit`` in ``parts``, in order; positions are
+        kept as they are."""
         return cls(*(np.concatenate(cols) for cols in zip(*(p.columns() for p in parts))))
 
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -130,12 +118,8 @@ class Audit:
         return map(MarginRecord, *(c.tolist() for c in self.columns()))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Audit, list, tuple)):
+        if not isinstance(other, Audit):
             return NotImplemented
-        try:
-            other = Audit.from_records(other)
-        except (AttributeError, UsageError):
-            return False
         return all(np.array_equal(a, b) for a, b in zip(self.columns(), other.columns()))
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -34,7 +33,7 @@ import numpy as np
 
 from .audit import _share, _tally, churn_report
 from .errors import DataError
-from .margins import Audit, MarginRecord
+from .margins import Audit
 
 __all__ = [
     "TokenClass",
@@ -113,18 +112,13 @@ class ClassAudit:
     total_net_corrected: int
 
 
-def class_audit(
-    baseline: Sequence[MarginRecord],
-    polished: Sequence[MarginRecord],
-    token_texts: Sequence[str],
-) -> ClassAudit:
+def class_audit(baseline: Audit, polished: Audit, token_texts: list[str]) -> ClassAudit:
     """Net corrections per token class, with shares of the total.
 
     ``token_texts[i]`` is the decoded text of position i's target token;
     each distinct text is classified once.  The fragment class gets its
     own row like every other class.
     """
-    baseline, polished = Audit.from_records(baseline), Audit.from_records(polished)
     if len(token_texts) != len(baseline):
         raise DataError(
             f"token text count {len(token_texts)} does not match "

@@ -418,11 +418,11 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
         )
         assert cli_main(["layer-scan", ckpt, corpus_path, scan]) == 0
         margins = (np.arange(2000) + 0.5) / 2000
-        from marginlab.margins import MarginRecord
+        from marginlab.margins import Audit
 
-        recs = [
-            MarginRecord(i, 0, 1, 2, float(m), False) for i, m in enumerate(margins)
-        ]
+        n = margins.size
+        recs = Audit(np.arange(n), np.zeros(n, int), np.ones(n, int), np.full(n, 2), margins,
+                     np.zeros(n, bool))
         ap = str(tmp_path / f"uniform{run}.jsonl")
         fileio.write_audit(ap, recs, created="2026-08-08T00:00:00Z")
         assert cli_main(["gap-fit", ap, "--out", fit]) == 0

@@ -14,21 +14,18 @@ from marginlab.audit import (
 )
 from marginlab.errors import DataError, UsageError
 from marginlab.fileio import read_audit
-from marginlab.margins import Audit, MarginRecord
-from marginlab.tokenclass import class_audit
+from marginlab.margins import Audit
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def rec(pos, target, top1, top2, margin):
-    return MarginRecord(
-        position_index=pos,
-        target_id=target,
-        top1_id=top1,
-        top2_id=top2,
-        margin=margin,
-        correct=top1 == target,
-    )
+    return (pos, target, top1, top2, margin, top1 == target)
+
+
+def audit_of(rows):
+    """The audit of (position, target, top1, top2, margin, correct) rows."""
+    return Audit(*zip(*rows)) if rows else Audit(*[()] * 6)
 
 
 def random_audit_pair(rng, n, vocab=30):
@@ -48,7 +45,7 @@ def random_audit_pair(rng, n, vocab=30):
         else:
             p_top2 = b_top2 if b_top2 != p_top1 else (p_top1 + 1) % vocab
         polished.append(rec(i, target, p_top1, p_top2, float(rng.exponential())))
-    return baseline, polished
+    return audit_of(baseline), audit_of(polished)
 
 
 # The shipped 6-position fixture pair: 2 W->R, 1 R->W, 1 W->W', 2 unchanged
@@ -92,7 +89,7 @@ class TestChurn:
     def test_misalignment_is_data_error(self):
         with pytest.raises(DataError):
             churn_report(FIXTURE_BASELINE, FIXTURE_POLISHED[:-1])
-        moved = Audit.concat([[rec(9, 5, 9, 5, 0.3)], FIXTURE_POLISHED[1:]])
+        moved = Audit.concat([audit_of([rec(9, 5, 9, 5, 0.3)]), FIXTURE_POLISHED[1:]])
         with pytest.raises(DataError):
             churn_report(FIXTURE_BASELINE, moved)
 
@@ -100,8 +97,8 @@ class TestChurn:
         rng = np.random.default_rng(3)
         baseline, polished = random_audit_pair(rng, 500)
         perm = rng.permutation(500)
-        pb = [baseline[i] for i in perm]
-        pp = [polished[i] for i in perm]
+        pb = Audit(*(c[perm] for c in baseline.columns()))
+        pp = Audit(*(c[perm] for c in polished.columns()))
         assert churn_report(baseline, polished) == churn_report(pb, pp)
         r1, r2 = rotation_report(baseline, polished), rotation_report(pb, pp)
         assert (r1.rotated, r1.rotated_wider) == (r2.rotated, r2.rotated_wider)
@@ -139,23 +136,23 @@ class TestRotation:
 
 class TestBands:
     def test_single_low_margin_position(self):
-        table = band_accuracy([rec(0, 1, 1, 2, 0.3)])
+        table = band_accuracy(audit_of([rec(0, 1, 1, 2, 0.3)]))
         assert table.bands[0].count == 1
         assert table.bands[0].accuracy == 1.0
         assert table.overall_accuracy == 1.0
 
     def test_boundary_half_open(self):
-        table = band_accuracy([rec(0, 1, 1, 2, 0.5)])
+        table = band_accuracy(audit_of([rec(0, 1, 1, 2, 0.5)]))
         assert table.bands[0].count == 0
         assert table.bands[1].count == 1  # 0.5 lands in [0.5, 1)
 
     def test_partition_matches_bruteforce(self):
         rng = np.random.default_rng(7)
-        audit = [
+        rows = [
             rec(i, int(rng.integers(0, 5)), int(rng.integers(0, 5)), 0, float(rng.exponential() * 2))
             for i in range(10_000)
         ]
-        audit = [r for r in audit if r.top1_id != r.top2_id] or audit
+        audit = audit_of([r for r in rows if r[2] != r[3]] or rows)
         table = band_accuracy(audit)
         edges = [0.0, 0.5, 1.0, 2.0, 5.0, float("inf")]
         for row, (lo, hi) in zip(table.bands, zip(edges[:-1], edges[1:])):
@@ -169,7 +166,7 @@ class TestBands:
 
     def test_empty_audit_raises(self):
         with pytest.raises(UsageError):
-            band_accuracy([])
+            band_accuracy(audit_of([]))
 
 
 class TestExpansion:
@@ -180,8 +177,8 @@ class TestExpansion:
         assert r.median_delta == 0.0
 
     def test_half_wider(self):
-        base = [rec(0, 1, 1, 2, 1.0), rec(1, 1, 1, 2, 1.0)]
-        pol = [rec(0, 1, 1, 2, 2.0), rec(1, 1, 1, 2, 1.0)]
+        base = audit_of([rec(0, 1, 1, 2, 1.0), rec(1, 1, 1, 2, 1.0)])
+        pol = audit_of([rec(0, 1, 1, 2, 2.0), rec(1, 1, 1, 2, 1.0)])
         r = expansion_report(base, pol)
         assert r.pct_wider == 0.5
         assert r.mean_delta == pytest.approx(0.5)
@@ -198,7 +195,7 @@ class TestExpansion:
 
 class TestFrequency:
     def test_all_singletons_one_bucket(self):
-        base = [rec(i, i, i, i + 1, 0.5) for i in range(5)]
+        base = audit_of([rec(i, i, i, i + 1, 0.5) for i in range(5)])
         counts = {i: 1 for i in range(5)}
         fb = frequency_audit(base, base, counts)
         assert fb.buckets[0].label == "1"
@@ -206,8 +203,8 @@ class TestFrequency:
         assert all(b.count == 0 for b in fb.buckets[1:])
 
     def test_bucket_edges(self):
-        base = [rec(0, 10, 11, 12, 0.1), rec(1, 20, 20, 12, 0.2)]
-        pol = [rec(0, 10, 10, 12, 0.3), rec(1, 20, 20, 12, 0.2)]
+        base = audit_of([rec(0, 10, 11, 12, 0.1), rec(1, 20, 20, 12, 0.2)])
+        pol = audit_of([rec(0, 10, 10, 12, 0.3), rec(1, 20, 20, 12, 0.2)])
         counts = {10: 5, 20: 150}
         fb = frequency_audit(base, pol, counts)
         by_label = {b.label: b for b in fb.buckets}
@@ -225,32 +222,17 @@ class TestFrequency:
         assert sum(b.count for b in fb.buckets) == len(baseline)
 
     def test_missing_count_is_data_error(self):
-        base = [rec(0, 1, 1, 2, 0.5)]
+        base = audit_of([rec(0, 1, 1, 2, 0.5)])
         with pytest.raises(DataError):
             frequency_audit(base, base, {2: 1})
 
     def test_count_below_one_is_data_error(self):
-        base = [rec(0, 1, 1, 2, 0.5), rec(1, 3, 3, 2, 0.5)]
+        base = audit_of([rec(0, 1, 1, 2, 0.5), rec(1, 3, 3, 2, 0.5)])
         with pytest.raises(DataError, match="token 3"):
             frequency_audit(base, base, {1: 4, 3: 0})
 
     def test_count_beyond_int64_is_top_bucket(self):
-        base = [rec(0, 1, 1, 2, 0.5)]
+        base = audit_of([rec(0, 1, 1, 2, 0.5)])
         fb = frequency_audit(base, base, {1: 10**20})
         assert fb.buckets[-1].count == 1
 
-
-class TestAuditInputs:
-    def test_every_report_same_for_audit_and_records(self):
-        rng = np.random.default_rng(77)
-        baseline, polished = random_audit_pair(rng, 3000)
-        b, p = Audit.from_records(baseline), Audit.from_records(polished)
-        counts = {r.target_id: int(rng.integers(1, 300)) for r in baseline}
-        texts = [(",", "the", "Paris", "word", "3.14", "x3")[r.target_id % 6] for r in baseline]
-        for report, args in (
-            (churn_report, ()), (rotation_report, ()), (expansion_report, ()),
-            (frequency_audit, (counts,)), (class_audit, (texts,)),
-        ):
-            assert report(b, p, *args) == report(baseline, polished, *args)
-            assert report(b, polished, *args) == report(baseline, p, *args)
-        assert band_accuracy(b) == band_accuracy(baseline)

@@ -21,21 +21,6 @@ class TestPrimitiveGradients:
         b = rng.normal(size=(3, 2))
         _finite_diff_ok(lambda p: ad.mean(ad.matmul(p[0], p[1])), [a, b])
 
-    def test_matmul_vector_cases(self):
-        rng = np.random.default_rng(1)
-        _finite_diff_ok(
-            lambda p: ad.mean(ad.matmul(p[0], p[1])),
-            [rng.normal(size=5), rng.normal(size=(5, 3))],
-        )
-        _finite_diff_ok(
-            lambda p: ad.mean(ad.matmul(p[0], p[1])),
-            [rng.normal(size=(3, 5)), rng.normal(size=5)],
-        )
-        _finite_diff_ok(
-            lambda p: ad.matmul(p[0], p[1]),
-            [rng.normal(size=5), rng.normal(size=5)],
-        )
-
     def test_log_softmax_gather(self):
         # the reference that the cross-entropy node is compared against
         rng = np.random.default_rng(4)
@@ -46,7 +31,7 @@ class TestPrimitiveGradients:
     def test_normalize_rows_grad(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 5)) + 0.1
-        w = rng.normal(size=5)
+        w = rng.normal(size=(5, 1))
         for length in (1.0, np.sqrt(5.0)):
             _finite_diff_ok(
                 lambda p: ad.mean(ad.matmul(ad.normalize_rows(p[0], length), ad.constant(w))),
@@ -80,7 +65,7 @@ class TestPrimitiveGradients:
                              ids=["repeated", "unsorted", "increasing", "tiled"])
     def test_gather_rows_scatter_grad(self, idx):
         m = np.random.default_rng(11).normal(size=(6, 3))
-        w = np.random.default_rng(12).normal(size=3)
+        w = np.random.default_rng(12).normal(size=(3, 1))
         _finite_diff_ok(
             lambda p: ad.mean(ad.matmul(ad.gather_rows(p[0], idx), ad.constant(w))), [m]
         )
@@ -98,10 +83,10 @@ class TestPrimitiveSweep:
             m, n, k = (int(rng.integers(2, 5)) for _ in range(3))
             a = rng.normal(size=(m, n))
             b = rng.normal(size=(n, k))
-            w = rng.normal(size=n)
+            w = rng.normal(size=(n, 1))
             sq = rng.normal(size=(n, n))
             qkv = list(rng.normal(size=(3, m, 2 * n)))
-            w2 = rng.normal(size=2 * n)
+            w2 = rng.normal(size=(2 * n, 1))
             gaps = rng.random(size=(m, n))
             idx = rng.integers(0, n, size=m)
             cases.extend(
@@ -162,9 +147,10 @@ def attention_reference(q, k, v, heads):
 
 def _weighted_attention(a, w, heads, batch):
     """The scalar a^T attention(q, k, v) w: every output entry gets its own weight."""
-    return lambda p: ad.matmul(
-        ad.matmul(ad.constant(a), ad.causal_attention(*p, heads, batch)), ad.constant(w)
-    )
+    return lambda p: ad.mean(ad.matmul(
+        ad.matmul(ad.constant(a[None]), ad.causal_attention(*p, heads, batch)),
+        ad.constant(w[:, None]),
+    ))
 
 
 class TestCausalAttention:
@@ -223,7 +209,7 @@ class TestCausalAttention:
         row1[1] = 1.0
         with ad.Tape() as tape:
             out = ad.causal_attention(q, k, v, 2)
-            tape.backward(ad.mean(ad.matmul(ad.constant(row1), out)))
+            tape.backward(ad.mean(ad.matmul(ad.constant(row1[None]), out)))
         # output row 1 attends to positions 0 and 1: later rows get exactly zero
         assert q.grad[1].all() and k.grad[:2].all() and v.grad[:2].all()
         assert not q.grad[2:].any() and not k.grad[2:].any() and not v.grad[2:].any()
@@ -520,10 +506,10 @@ class TestTapeSemantics:
 
     def test_grad_accumulates_across_uses(self):
         with ad.Tape() as tape:
-            a = ad.parameter(np.ones(3))
-            out = ad.matmul(ad.add(a, a), ad.constant(np.ones(3)))
+            a = ad.parameter(np.ones((1, 3)))
+            out = ad.matmul(ad.add(a, a), ad.constant(np.ones((3, 1))))
             tape.backward(out)
-        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0, 2.0]])
 
     def test_shared_gradient_is_not_aliased(self):
         # add hands one array to both parents; b's later contribution must
@@ -544,16 +530,16 @@ class TestTapeSemantics:
     def test_visits_each_node_once(self):
         # diamond graph: y = mean(a) + a . a; gradient 1 + 2a
         with ad.Tape() as tape:
-            a = ad.parameter([3.0])
-            sq = ad.matmul(a, a)
+            a = ad.parameter([[3.0]])
+            sq = ad.mean(ad.matmul(a, a))
             out = ad.add(ad.mean(a), sq)
             tape.backward(out)
-        np.testing.assert_allclose(a.grad, [7.0])
+        np.testing.assert_allclose(a.grad, [[7.0]])
 
 
 class TestGradCheck:
     def test_quadratic_tight(self):
-        err = ad.grad_check(lambda p: ad.matmul(p[0], p[0]), [np.array([3.0])])
+        err = ad.grad_check(lambda p: ad.mean(ad.matmul(p[0], p[0])), [np.array([[3.0]])])
         assert err < 1e-8
 
     def test_nonfinite_raises(self):
@@ -568,3 +554,5 @@ class TestGradCheck:
             ad.add(ad.constant(np.ones(2)), ad.constant(np.ones(3)))
         with pytest.raises(UsageError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+        with pytest.raises(UsageError):
+            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)))

@@ -12,11 +12,23 @@ import pytest
 from marginlab import cli, fileio
 from marginlab.cli import main
 from marginlab.gapfit import GapFit, GridSpec
-from marginlab.margins import MarginRecord, compute_margins
+from marginlab.margins import Audit, compute_margins
 from marginlab.objectives import MrpConfig
 from marginlab.precision import emulate_bf16, recompute_fp32_logits
 from marginlab.toylm import ToyLm, ToyLmConfig
 from marginlab.training import StepMetrics, TrainConfig
+
+
+def audit_of(rows):
+    """The audit of (position, target, top1, top2, margin, correct) rows."""
+    return Audit(*zip(*rows))
+
+
+def margin_audit(margins):
+    """An audit with these margins at positions 0, 1, ..., every top-1 wrong."""
+    n = len(margins)
+    return Audit(np.arange(n), np.zeros(n, int), np.ones(n, int), np.full(n, 2), margins,
+                 np.zeros(n, bool))
 
 
 @pytest.fixture(autouse=True)
@@ -324,11 +336,8 @@ class TestAuditMemory:
 class TestGapFitCommand:
     def test_uniform_fixture(self, tmp_path, capsys):
         margins = (np.arange(50_000) + 0.5) / 5e4
-        recs = [
-            MarginRecord(i, 0, 1, 2, float(m), False) for i, m in enumerate(margins)
-        ]
         ap = str(tmp_path / "audit.jsonl")
-        fileio.write_audit(ap, recs)
+        fileio.write_audit(ap, margin_audit(margins))
         rp = str(tmp_path / "fit.json")
         assert main(["gap-fit", ap, "--out", rp]) == 0
         report = json.loads(open(rp).read())
@@ -339,9 +348,8 @@ class TestGapFitCommand:
 
     def test_round_trip_report(self, tmp_path):
         margins = np.random.default_rng(1).exponential(size=2000)
-        recs = [MarginRecord(i, 0, 1, 2, float(m), False) for i, m in enumerate(margins)]
         ap = str(tmp_path / "audit.jsonl")
-        fileio.write_audit(ap, recs)
+        fileio.write_audit(ap, margin_audit(margins))
         rp = str(tmp_path / "fit.json")
         assert main(["gap-fit", ap, "--out", rp]) == 0
         first = open(rp).read()
@@ -353,8 +361,7 @@ class TestGapFitCommand:
         # Both commands write the same fit fields; each adds its own.
         margins = np.random.default_rng(1).exponential(size=2000)
         ap, gp, sp = (str(tmp_path / n) for n in ("audit.jsonl", "fit.json", "synth.json"))
-        fileio.write_audit(ap, [MarginRecord(i, 0, 1, 2, float(m), False)
-                                for i, m in enumerate(margins)])
+        fileio.write_audit(ap, margin_audit(margins))
         assert main(["gap-fit", ap, "--out", gp]) == 0
         assert main(["synth-validate", "--samples", "100000", "--out", sp]) == 0
         fit = {"alpha_constrained", "alpha_intercept", "beta", "grid", "r2"}
@@ -364,28 +371,35 @@ class TestGapFitCommand:
         assert set(gap["grid"]) == set(synth["grid"]) == {"epsilon", "eta_hat"}
 
     def test_degenerate_fit_exits_3(self, tmp_path):
-        recs = [MarginRecord(i, 0, 1, 2, 0.0, False) for i in range(2000)]
         ap = str(tmp_path / "audit.jsonl")
-        fileio.write_audit(ap, recs)
+        fileio.write_audit(ap, margin_audit(np.zeros(2000)))
         assert main(["gap-fit", ap]) == 3
+
+    def test_degenerate_fit_names_the_zero_margins(self, tmp_path, capsys):
+        # bf16 ties: 1% of the margins are exactly 0, so the 1e-4 quantile is 0.
+        margins = np.random.default_rng(2).exponential(size=20_000)
+        margins[::100] = 0.0
+        ap = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(ap, margin_audit(margins))
+        assert main(["gap-fit", ap]) == 3
+        err = capsys.readouterr().err
+        assert "200 of 20000 margins (1.00%) are exactly 0" in err and "Traceback" not in err
 
 
 class TestCompareCommand:
     def test_identical_audits_zero_bundle(self, tmp_path):
         rng = np.random.default_rng(3)
-        recs = [
-            MarginRecord(i, int(rng.integers(0, 9)), int(rng.integers(0, 9)),
-                         (int(rng.integers(0, 9)) + 1) % 9, float(rng.exponential()), False)
+        rows = [
+            (i, int(rng.integers(0, 9)), int(rng.integers(0, 9)),
+             (int(rng.integers(0, 9)) + 1) % 9, float(rng.exponential()))
             for i in range(50)
         ]
-        recs = [
-            MarginRecord(r.position_index, r.target_id, r.top1_id,
-                         r.top2_id if r.top2_id != r.top1_id else (r.top1_id + 1) % 9,
-                         r.margin, r.top1_id == r.target_id)
-            for r in recs
+        rows = [
+            (pos, target, top1, top2 if top2 != top1 else (top1 + 1) % 9, margin, top1 == target)
+            for pos, target, top1, top2, margin in rows
         ]
         ap = str(tmp_path / "a.jsonl")
-        fileio.write_audit(ap, recs)
+        fileio.write_audit(ap, audit_of(rows))
         out_dir = str(tmp_path / "cmp")
         assert main(["compare", ap, ap, "--out-dir", out_dir]) == 0
         bundle = json.loads(open(os.path.join(out_dir, "bundle.json")).read())
@@ -395,8 +409,8 @@ class TestCompareCommand:
         assert "classes" not in bundle
 
     def test_optional_sections(self, tmp_path):
-        base = [MarginRecord(0, 1, 2, 3, 0.5, False), MarginRecord(1, 4, 4, 5, 1.5, True)]
-        pol = [MarginRecord(0, 1, 1, 3, 0.7, True), MarginRecord(1, 4, 4, 5, 1.6, True)]
+        base = audit_of([(0, 1, 2, 3, 0.5, False), (1, 4, 4, 5, 1.5, True)])
+        pol = audit_of([(0, 1, 1, 3, 0.7, True), (1, 4, 4, 5, 1.6, True)])
         bp = str(tmp_path / "b.jsonl")
         pp = str(tmp_path / "p.jsonl")
         fileio.write_audit(bp, base)
@@ -445,8 +459,8 @@ class TestCompareCommand:
         assert not (tmp_path / "cmp").exists()  # nothing is written before every check
 
     def test_misaligned_exits_2(self, tmp_path):
-        a = [MarginRecord(0, 1, 2, 3, 0.5, False)]
-        b = [MarginRecord(5, 1, 2, 3, 0.5, False)]
+        a = audit_of([(0, 1, 2, 3, 0.5, False)])
+        b = audit_of([(5, 1, 2, 3, 0.5, False)])
         ap = str(tmp_path / "a.jsonl")
         bp = str(tmp_path / "b.jsonl")
         fileio.write_audit(ap, a)
@@ -518,10 +532,8 @@ BAD_RECORD_CHANGES = {
 class TestBadAuditRecords:
     @pytest.fixture
     def audits(self, tmp_path, request):
-        recs = [MarginRecord(i, 0, 1, 2, float(m), False)
-                for i, m in enumerate(np.random.default_rng(4).exponential(size=2000))]
         good = str(tmp_path / "good.jsonl")
-        fileio.write_audit(good, recs)
+        fileio.write_audit(good, margin_audit(np.random.default_rng(4).exponential(size=2000)))
         lines = open(good).read().splitlines()
         lines[500] = json.dumps(dict(GOOD_RECORD, position_index=499, **request.param))
         bad = str(tmp_path / "bad.jsonl")
@@ -1000,6 +1012,10 @@ BAD_CHECKPOINTS = {
     "version 2.0": (lambda h, p: ({**h, "version": 2.0}, p), "checkpoint version 2.0 is not 2"),
     "step true": (lambda h, p: ({**h, "step": True}, p), "checkpoint step True is not"),
     "step -3.5": (lambda h, p: ({**h, "step": -3.5}, p), "checkpoint step -3.5 is not"),
+    "train_config a string": (lambda h, p: ({**h, "train_config": "steps=6"}, p),
+                              "checkpoint train_config 'steps=6' is not null or a JSON object"),
+    "train_config a list": (lambda h, p: ({**h, "train_config": [6]}, p),
+                            "checkpoint train_config [6] is not null or a JSON object"),
 }
 
 
@@ -1017,7 +1033,8 @@ class TestBadCheckpoints:
         with open(ckpt, "wb") as f:
             f.write(json.dumps(header).encode() + b"\n" + payload)
         assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestBadFlagValues:

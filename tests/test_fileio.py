@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,23 +18,19 @@ from marginlab.toylm import ToyLm, ToyLmConfig
 from marginlab.training import StepMetrics, TrainConfig, train
 
 
+def audit_of(rows):
+    """The audit of (position, target, top1, top2, margin, correct) rows."""
+    return Audit(*zip(*rows)) if rows else Audit(*[()] * 6)
+
+
 def records(n, rng):
     out = []
     for i in range(n):
         t1 = int(rng.integers(0, 50))
         t2 = (t1 + 1 + int(rng.integers(0, 49))) % 50
         target = int(rng.integers(0, 50))
-        out.append(
-            MarginRecord(
-                position_index=i,
-                target_id=target,
-                top1_id=t1,
-                top2_id=t2,
-                margin=float(rng.exponential()),
-                correct=t1 == target,
-            )
-        )
-    return out
+        out.append((i, target, t1, t2, float(rng.exponential()), t1 == target))
+    return audit_of(out)
 
 
 class TestLogitsContainer:
@@ -217,8 +214,8 @@ BAD_RECORD_LINES = {
 
 # A written audit whose second record (file line 3) these edits change into
 # valid JSONL that is not in the writer's exact form, or into a bad line.
-WRITTEN_RECORDS = [MarginRecord(0, 4, 4, 5, 0.5, True), MarginRecord(1, 7, 4, 5, 0.25, False),
-                   MarginRecord(2, 1, 1, 0, 0.125, True)]
+WRITTEN_RECORDS = audit_of([(0, 4, 4, 5, 0.5, True), (1, 7, 4, 5, 0.25, False),
+                            (2, 1, 1, 0, 0.125, True)])
 LINE_3 = '{"correct": false, "margin": 0.25, "position_index": 1, "target_id": 7, "top1_id": 4, "top2_id": 5}'
 
 
@@ -348,14 +345,24 @@ class TestAuditRecordChecks:
         bad = MarginRecord(**dict(GOOD_RECORD, **change))
         path = str(tmp_path / "audit.jsonl")
         with pytest.raises(UsageError, match="record 1"):
-            fileio.write_audit(path, [good, bad])
+            fileio.write_audit(path, audit_of([astuple(good), astuple(bad)]))
         assert not os.path.exists(path)
 
     @pytest.mark.parametrize("change", [{"target_id": 4.5}, {"top1_id": True}, {"correct": 1}])
     def test_writer_rejects_wrong_types(self, tmp_path, change):
         bad = MarginRecord(**dict(GOOD_RECORD, **change))
         with pytest.raises(UsageError):
-            fileio.write_audit(str(tmp_path / "audit.jsonl"), [bad])
+            fileio.write_audit(str(tmp_path / "audit.jsonl"), audit_of([astuple(bad)]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", "fp16"), ("tau", float("nan")), ("tau", float("inf")), ("seed", -3),
+        ("seed", 2**63), ("created", 5),
+    ])
+    def test_writer_rejects_header_values_the_reader_refuses(self, tmp_path, field, value):
+        path = str(tmp_path / "audit.jsonl")
+        with pytest.raises(UsageError, match=f"audit {field} "):
+            fileio.write_audit(path, WRITTEN_RECORDS, **{field: value})
+        assert os.listdir(tmp_path) == []
 
 
 class TestAuditWriterBytes:
@@ -395,7 +402,7 @@ class TestStreamedAuditWriter:
     @pytest.mark.parametrize("n", [0, 1, 7, 30, 35])
     def test_bytes_equal_oracle_across_blocks(self, tmp_path, monkeypatch, n):
         monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7)
-        audit = Audit.from_records(records(n, np.random.default_rng(n)))
+        audit = records(n, np.random.default_rng(n))
         path = str(tmp_path / "audit.jsonl")
         fileio.write_audit(path, audit, dtype="bf16", tau=0.5, seed=2, created="2026-01-01T00:00:00Z")
         _, header = fileio.read_audit(path)
@@ -438,7 +445,7 @@ def written_audits(draw):
         top1 = draw(IDS)
         top2 = draw(IDS.filter(lambda i: i != top1))
         target = draw(st.one_of(st.just(top1), IDS))
-        rows.append(MarginRecord(draw(IDS), target, top1, top2, draw(MARGINS), target == top1))
+        rows.append((draw(IDS), target, top1, top2, draw(MARGINS), target == top1))
     fields = dict(
         dtype=draw(st.sampled_from(["f32", "bf16"])),
         tau=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
@@ -456,7 +463,7 @@ class TestColumnarAuditReader:
     def test_written_audits_read_as_json_does(self, tmp_path_factory, drawn):
         rows, fields = drawn
         path = str(tmp_path_factory.mktemp("audit") / "audit.jsonl")
-        fileio.write_audit(path, rows, **fields)
+        fileio.write_audit(path, audit_of(rows), **fields)
         raw = open(path, "rb").read()
         columns = fileio._record_columns(raw, raw.find(b"\n") + 1)
         assert columns is not None

@@ -252,59 +252,60 @@ class TestUniqueValueCount:
         assert unique_value_count(vals) == len(set(vals.tolist()))
 
 
-def sample_records(n=7):
+def audit_of(rows):
+    """The audit of (position, target, top1, top2, margin, correct) rows."""
+    return Audit(*zip(*rows)) if rows else Audit(*[()] * 6)
+
+
+def sample_rows(n=7):
     rng = np.random.default_rng(21)
     out = []
     for i in range(n):
         t1 = int(rng.integers(0, 9))
         target = int(rng.integers(0, 9))
-        out.append(MarginRecord(i, target, t1, (t1 + 1) % 9, float(rng.exponential()), t1 == target))
+        out.append((i, target, t1, (t1 + 1) % 9, float(rng.exponential()), t1 == target))
     return out
 
 
 class TestAudit:
     def test_round_trip_through_records(self):
-        recs = sample_records()
-        audit = Audit.from_records(recs)
-        assert list(audit) == recs
-        assert Audit.from_records(audit) is audit
-        assert Audit.from_records(list(audit)) == audit
+        rows = sample_rows()
+        assert list(audit_of(rows)) == [MarginRecord(*row) for row in rows]
 
     def test_column_dtypes(self):
-        audit = Audit.from_records(sample_records())
+        audit = audit_of(sample_rows())
         assert [c.dtype for c in audit.columns()] == [np.int64] * 4 + [np.float64, np.bool_]
-        empty = Audit.from_records([])
+        empty = audit_of([])
         assert len(empty) == 0 and empty.target.dtype == np.int64
 
     def test_indexing_gives_plain_python_rows(self):
-        recs = sample_records()
-        audit = Audit.from_records(recs)
-        assert audit[0] == recs[0] and audit[-1] == recs[-1]
+        rows = sample_rows()
+        audit = audit_of(rows)
+        assert audit[0] == MarginRecord(*rows[0]) and audit[-1] == MarginRecord(*rows[-1])
         row = audit[2]
         assert (type(row.top1_id), type(row.margin), type(row.correct)) == (int, float, bool)
         with pytest.raises(IndexError):
-            audit[len(recs)]
+            audit[len(rows)]
 
     def test_slice_and_concatenation(self):
-        recs = sample_records()
-        audit = Audit.from_records(recs)
-        assert isinstance(audit[1:3], Audit) and audit[1:3] == recs[1:3]
-        assert Audit.concat([[recs[0]], audit[1:]]) == recs
-        assert Audit.concat([audit[:3], recs[3:]]) == audit
+        rows = sample_rows()
+        audit = audit_of(rows)
+        assert isinstance(audit[1:3], Audit) and audit[1:3] == audit_of(rows[1:3])
+        assert Audit.concat([audit[:1], audit[1:]]) == audit
+        assert Audit.concat([audit[:3], audit_of(rows[3:])]) == audit
 
     def test_eq_is_one_bool(self):
-        recs = sample_records()
-        audit = Audit.from_records(recs)
-        assert (audit == recs) is True
-        assert (recs == audit) is True
-        assert (audit == Audit.from_records(recs)) is True
-        assert (audit == recs[:-1]) is False
+        rows = sample_rows()
+        audit = audit_of(rows)
+        assert (audit == audit_of(rows)) is True
+        assert (audit == audit[:-1]) is False
+        assert audit.__eq__(list(audit)) is NotImplemented
         assert (audit == [1, 2, 3]) is False
         assert (audit == 3) is False
 
     @pytest.mark.parametrize("column", ["position", "target", "top1", "top2", "margin", "correct"])
     def test_unequal_in_any_column(self, column):
-        audit = Audit.from_records(sample_records())
+        audit = audit_of(sample_rows())
         cols = {name: getattr(audit, name).copy() for name in
                 ("position", "target", "top1", "top2", "margin", "correct")}
         cols[column][3] = not cols[column][3] if column == "correct" else cols[column][3] + 1
@@ -321,12 +322,12 @@ class TestAudit:
             Audit(**dict(cols, **change))
 
     def test_first_invalid(self):
-        recs = sample_records()
-        assert Audit.from_records(recs).first_invalid() is None
-        broken = recs[:4] + [MarginRecord(4, 1, 2, 2, 0.5, False)] + recs[5:]
-        assert Audit.from_records(broken).first_invalid() == 4
+        rows = sample_rows()
+        assert audit_of(rows).first_invalid() is None
+        broken = rows[:4] + [(4, 1, 2, 2, 0.5, False)] + rows[5:]
+        assert audit_of(broken).first_invalid() == 4
 
     def test_compute_margins_columns(self):
         rows = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 2.0]], dtype=np.float32)
         audit = compute_margins(rows, [0, 0])
-        assert audit == [MarginRecord(0, 0, 0, 1, 2.0, True), MarginRecord(1, 0, 1, 2, 0.0, False)]
+        assert list(audit) == [MarginRecord(0, 0, 0, 1, 2.0, True), MarginRecord(1, 0, 1, 2, 0.0, False)]

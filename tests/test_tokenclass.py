@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from marginlab.audit import churn_report
 from marginlab.errors import DataError
-from marginlab.margins import MarginRecord
+from marginlab.margins import Audit
 from marginlab.tokenclass import TokenClass, class_audit, classify_token, function_words
 
 
@@ -90,25 +90,23 @@ class TestFunctionWords:
 
 
 def rec(pos, target, top1, margin=0.5):
-    return MarginRecord(
-        position_index=pos,
-        target_id=target,
-        top1_id=top1,
-        top2_id=top1 + 1,
-        margin=margin,
-        correct=top1 == target,
-    )
+    return (pos, target, top1, top1 + 1, margin, top1 == target)
+
+
+def audit_of(rows):
+    """The audit of (position, target, top1, top2, margin, correct) rows."""
+    return Audit(*zip(*rows))
 
 
 class TestClassAudit:
     def test_identical_audits_all_zero(self):
-        base = [rec(0, 1, 1), rec(1, 2, 3)]
+        base = audit_of([rec(0, 1, 1), rec(1, 2, 3)])
         audit = class_audit(base, base, [",", "the"])
         assert all(r.net_corrected == 0 for r in audit.rows)
 
     def test_structural_w2r_full_share(self):
-        base = [rec(0, 1, 2), rec(1, 3, 3), rec(2, 4, 4), rec(3, 5, 6)]
-        pol = [rec(0, 1, 1), rec(1, 3, 3), rec(2, 4, 4), rec(3, 5, 6)]
+        base = audit_of([rec(0, 1, 2), rec(1, 3, 3), rec(2, 4, 4), rec(3, 5, 6)])
+        pol = audit_of([rec(0, 1, 1), rec(1, 3, 3), rec(2, 4, 4), rec(3, 5, 6)])
         texts = [",", "word", "Paris", "the"]
         audit = class_audit(base, pol, texts)
         by_class = {r.token_class: r for r in audit.rows}
@@ -127,6 +125,7 @@ class TestClassAudit:
             base.append(rec(i, t, int(rng.integers(0, 10))))
             pol.append(rec(i, t, int(rng.integers(0, 10))))
             texts.append(texts_pool[int(rng.integers(0, len(texts_pool)))])
+        base, pol = audit_of(base), audit_of(pol)
         audit = class_audit(base, pol, texts)
         churn = churn_report(base, pol)
         assert sum(r.net_corrected for r in audit.rows) == churn.net_corrected
@@ -134,7 +133,7 @@ class TestClassAudit:
         assert audit.total_net_corrected == churn.net_corrected
 
     def test_text_count_mismatch(self):
-        base = [rec(0, 1, 1)]
+        base = audit_of([rec(0, 1, 1)])
         with pytest.raises(DataError):
             class_audit(base, base, [])
 
@@ -150,7 +149,7 @@ class TestClassAudit:
 
         monkeypatch.setattr(tokenclass, "classify_token", counting)
         pool = [",", "the", "Paris", "word", "3.14", "x3"]
-        base = [rec(i, i % 10, (i * 7) % 10) for i in range(600)]
+        base = audit_of([rec(i, i % 10, (i * 7) % 10) for i in range(600)])
         texts = [pool[i % len(pool)] for i in range(600)]
         audit = class_audit(base, base, texts)
         assert sorted(calls) == sorted(pool)
