@@ -32,7 +32,6 @@ __all__ = [
     "causal_attention",
     "gather_rows",
     "normalize_rows",
-    "mean",
     "relu",
     "grad_check",
 ]
@@ -58,7 +57,7 @@ class Tensor:
         return self.values.shape
 
     def item(self) -> float:
-        return float(self.values)
+        return self.values.item()
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -281,17 +280,6 @@ def normalize_rows(x: Tensor, length: float) -> Tensor:
         _accumulate(x, gu)
 
     return _make(u * c, (x,), backward)
-
-
-def mean(x: Tensor) -> Tensor:
-    n = x.values.size
-    if n == 0:
-        raise UsageError("mean of empty tensor")
-
-    def backward(g):
-        _accumulate(x, np.full_like(x.values, float(g) / n))
-
-    return _make(x.values.mean(), (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:

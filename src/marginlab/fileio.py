@@ -7,8 +7,11 @@ Formats are designed for bit-exact round trips:
   rounded float32 pattern and widen exactly on read.
 * AuditFile: JSONL; a header line followed by one margin record per
   line.  Floats are serialized with ``repr``, which round-trips float64
-  exactly.  Record lines in the writer's exact form are read as columns;
-  any other valid JSONL is read through ``json`` to the same result.
+  exactly.  The writer encodes a block of records at a time as columns,
+  formatting each distinct value of a column once; its bytes are those of
+  ``json.dumps(record, sort_keys=True)`` per line.  Record lines in the
+  writer's exact form are read as columns; any other valid JSONL is read
+  through ``json`` to the same result.
 * Checkpoint: one JSON header line (config, seed, step, parameter
   manifest) + concatenated raw little-endian float64 blocks.
 
@@ -200,12 +203,17 @@ def read_logits(path: str) -> tuple[np.ndarray, dict]:
 # ---------------------------------------------------------------------------
 
 
-# One record line, byte for byte what json.dumps(record, sort_keys=True)
-# writes for a record whose margin is finite.
-_RECORD_LINE = (
-    '{"correct": %s, "margin": %r, "position_index": %d, '
-    '"target_id": %d, "top1_id": %d, "top2_id": %d}'
-)
+# A record line, byte for byte what json.dumps(record, sort_keys=True) writes
+# for a record whose margin is finite: the start, which holds `correct`; five
+# key segments, each from a comma through the ": " after its key and followed
+# by the value of an Audit column; then the end.  The writer lays lines out
+# from these bytes and the columnar reader checks them.
+_LINE_STARTS = (b'{"correct": false', b'{"correct": true')
+_KEY_SEGMENTS = (b', "margin": ', b', "position_index": ', b', "target_id": ',
+                 b', "top1_id": ', b', "top2_id": ')
+_LINE_END = b"}\n"
+# The Audit column whose value follows each key segment.
+_SEGMENT_COLUMNS = ("margin", "position", "target", "top1", "top2")
 # Record keys in Audit column order, with the JSON types each accepts.
 _RECORD_KEYS = (
     ("position_index", (int,)),
@@ -218,6 +226,26 @@ _RECORD_KEYS = (
 _INVARIANTS = "margin finite and >= 0, top1_id != top2_id, correct == (top1_id == target_id)"
 # Records per encoded chunk of an audit file: bounds the writer's memory.
 _WRITE_BLOCK = 16_384
+
+
+def _record_lines(part: Audit) -> bytes:
+    """The record lines of ``part``, laid out as rows of NUL-padded fields,
+    each as wide as its longest text; one compress drops the NULs.  A
+    column's values are told apart by their 64-bit patterns, so -0.0 and 0.0
+    stay apart, and each distinct one is formatted once with ``repr``, which
+    is what json writes for a finite float or an int."""
+    fields = [np.array(_LINE_STARTS)[part.correct.view(np.uint8)]]
+    for segment, name in zip(_KEY_SEGMENTS, _SEGMENT_COLUMNS):
+        column = getattr(part, name)
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(column.dtype).tolist())), "S")
+        fields += [np.array(segment), texts[inverse]]
+    fields.append(np.array(_LINE_END))
+    line = np.empty(len(part), [(str(i), f.dtype) for i, f in enumerate(fields)])
+    for i, f in enumerate(fields):
+        line[str(i)] = f
+    raw = line.view(np.uint8)
+    return raw[raw != 0].tobytes()
 
 
 def write_audit(
@@ -249,30 +277,18 @@ def write_audit(
     def chunks():
         yield (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
         for a in range(0, len(audit), _WRITE_BLOCK):
-            part = audit[a : a + _WRITE_BLOCK]
-            rows = zip(
-                np.where(part.correct, "true", "false").tolist(),
-                part.margin.tolist(),
-                part.position.tolist(),
-                part.target.tolist(),
-                part.top1.tolist(),
-                part.top2.tolist(),
-            )
-            yield ("\n".join([_RECORD_LINE % row for row in rows]) + "\n").encode("utf-8")
+            yield _record_lines(audit[a : a + _WRITE_BLOCK])
 
     atomic_write_bytes(path, chunks())
 
 
-# The columnar reader takes a record line only in the writer's exact form: a
-# start that holds `correct`, then five key segments, each from a comma through
-# the ": " after its key and followed by the margin or an id, then "}\n".
-_LINE_TRUE, _LINE_FALSE = b'{"correct": true, "', b'{"correct": false, '
-_KEY_SEGMENTS = (b', "margin": ', b', "position_index": ', b', "target_id": ',
-                 b', "top1_id": ', b', "top2_id": ')
-_SEG_LENGTHS = np.array([len(s) for s in _KEY_SEGMENTS])
-# The start and the segments are compared as 8-byte words of one 24-byte
-# window each, the bytes past their end masked off.
+# The columnar reader takes a record line only in the writer's exact form (see
+# _LINE_STARTS).  The start and the key segments are compared as 8-byte words
+# of one 24-byte window each, the bytes past their end masked off; the start
+# is compared together with the first key segment, cut to the window.
 _SEG_WIDTH = 24
+_LINE_FALSE, _LINE_TRUE = ((start + _KEY_SEGMENTS[0])[:_SEG_WIDTH] for start in _LINE_STARTS)
+_SEG_LENGTHS = np.array([len(s) for s in _KEY_SEGMENTS])
 
 
 def _words(*texts: bytes) -> np.ndarray:
@@ -326,7 +342,7 @@ def _record_block(buf: np.ndarray, ends: np.ndarray):
     if comma.size != n * len(_KEY_SEGMENTS):
         return None
     comma = comma.reshape(n, len(_KEY_SEGMENTS))
-    if not (buf[ends - 1] == ord("}")).all():
+    if not (buf[ends - 1] == _LINE_END[0]).all():
         return None
     words = _windows(buf, _SEG_WIDTH, np.column_stack((starts, comma))).view("<u8") & _SEG_MASK
     match = words == _SEG_WORDS

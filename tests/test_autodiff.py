@@ -9,6 +9,17 @@ from marginlab.margins import topk_ids
 from marginlab.objectives import cross_entropy, fisher_loss, margin_loss
 
 
+def mean(x):
+    """The mean of every entry of ``x`` as a scalar node: the reducer that
+    turns each primitive's output into something grad_check can take."""
+    n = x.values.size
+
+    def backward(g):
+        ad._accumulate(x, np.full_like(x.values, float(g) / n))
+
+    return ad._make(x.values.mean(), (x,), backward)
+
+
 def _finite_diff_ok(fn, arrays, tol=1e-4, step=1e-5):
     err = ad.grad_check(fn, arrays, step=step)
     assert err < tol, f"grad error {err} >= {tol}"
@@ -19,14 +30,14 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(42)
         a = rng.normal(size=(4, 3))
         b = rng.normal(size=(3, 2))
-        _finite_diff_ok(lambda p: ad.mean(ad.matmul(p[0], p[1])), [a, b])
+        _finite_diff_ok(lambda p: mean(ad.matmul(p[0], p[1])), [a, b])
 
     def test_log_softmax_gather(self):
         # the reference that the cross-entropy node is compared against
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 7))
         idx = rng.integers(0, 7, size=5)
-        _finite_diff_ok(lambda p: ad.mean(_legacy_log_softmax_gather(p[0], idx)), [x])
+        _finite_diff_ok(lambda p: mean(_legacy_log_softmax_gather(p[0], idx)), [x])
 
     def test_normalize_rows_grad(self):
         rng = np.random.default_rng(6)
@@ -34,13 +45,13 @@ class TestPrimitiveGradients:
         w = rng.normal(size=(5, 1))
         for length in (1.0, np.sqrt(5.0)):
             _finite_diff_ok(
-                lambda p: ad.mean(ad.matmul(ad.normalize_rows(p[0], length), ad.constant(w))),
+                lambda p: mean(ad.matmul(ad.normalize_rows(p[0], length), ad.constant(w))),
                 [x],
             )
 
     def test_relu(self):
         x = np.random.default_rng(9).normal(size=(5, 4))
-        _finite_diff_ok(lambda p: ad.mean(ad.relu(p[0])), [x])
+        _finite_diff_ok(lambda p: mean(ad.relu(p[0])), [x])
 
     def test_scale_add_matmul_t(self):
         # (2.5 a) (a - b)^T: a reaches the product through two paths
@@ -48,7 +59,7 @@ class TestPrimitiveGradients:
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(3, 4))
         _finite_diff_ok(
-            lambda p: ad.mean(
+            lambda p: mean(
                 ad.matmul_t(ad.scale(p[0], 2.5), ad.add(p[0], ad.scale(p[1], -1.0)))
             ),
             [a, b],
@@ -57,7 +68,7 @@ class TestPrimitiveGradients:
     def test_matmul_t_rectangular(self):
         rng = np.random.default_rng(14)
         x, e = rng.normal(size=(5, 3)), rng.normal(size=(7, 3))
-        _finite_diff_ok(lambda p: ad.mean(ad.matmul_t(p[0], p[1])), [x, e])
+        _finite_diff_ok(lambda p: mean(ad.matmul_t(p[0], p[1])), [x, e])
         with pytest.raises(UsageError):
             ad.matmul_t(ad.constant(x), ad.constant(e.T))
 
@@ -67,7 +78,7 @@ class TestPrimitiveGradients:
         m = np.random.default_rng(11).normal(size=(6, 3))
         w = np.random.default_rng(12).normal(size=(3, 1))
         _finite_diff_ok(
-            lambda p: ad.mean(ad.matmul(ad.gather_rows(p[0], idx), ad.constant(w))), [m]
+            lambda p: mean(ad.matmul(ad.gather_rows(p[0], idx), ad.constant(w))), [m]
         )
 
 
@@ -91,31 +102,31 @@ class TestPrimitiveSweep:
             idx = rng.integers(0, n, size=m)
             cases.extend(
                 [
-                    (lambda p, b=b: ad.mean(ad.matmul(p[0], ad.constant(b))), [a]),
-                    (lambda p: ad.mean(ad.add(p[0], p[1])), [a, a + 1.0]),
+                    (lambda p, b=b: mean(ad.matmul(p[0], ad.constant(b))), [a]),
+                    (lambda p: mean(ad.add(p[0], p[1])), [a, a + 1.0]),
                     (
-                        lambda p: ad.mean(ad.matmul_t(p[0], p[1])),
+                        lambda p: mean(ad.matmul_t(p[0], p[1])),
                         [a, a * 0.5 + 2.0],
                     ),
                     (
-                        lambda p: ad.mean(ad.scale(ad.add(p[0], ad.scale(p[1], -1.0)), 1.7)),
+                        lambda p: mean(ad.scale(ad.add(p[0], ad.scale(p[1], -1.0)), 1.7)),
                         [a, 2 * a],
                     ),
                     (
-                        lambda p, w2=w2: ad.mean(
+                        lambda p, w2=w2: mean(
                             ad.matmul(ad.causal_attention(*p, 1), ad.constant(w2))
                         ),
                         qkv,
                     ),
                     (lambda p, idx=idx: cross_entropy(p[0], idx), [a]),
                     (
-                        lambda p, w2=w2: ad.mean(
+                        lambda p, w2=w2: mean(
                             ad.matmul(ad.causal_attention(*p, 2), ad.constant(w2))
                         ),
                         qkv,
                     ),
                     (
-                        lambda p, w=w: ad.mean(
+                        lambda p, w=w: mean(
                             ad.matmul(ad.normalize_rows(p[0], 1.5), ad.constant(w))
                         ),
                         [a + 0.3],
@@ -147,7 +158,7 @@ def attention_reference(q, k, v, heads):
 
 def _weighted_attention(a, w, heads, batch):
     """The scalar a^T attention(q, k, v) w: every output entry gets its own weight."""
-    return lambda p: ad.mean(ad.matmul(
+    return lambda p: mean(ad.matmul(
         ad.matmul(ad.constant(a[None]), ad.causal_attention(*p, heads, batch)),
         ad.constant(w[:, None]),
     ))
@@ -209,7 +220,7 @@ class TestCausalAttention:
         row1[1] = 1.0
         with ad.Tape() as tape:
             out = ad.causal_attention(q, k, v, 2)
-            tape.backward(ad.mean(ad.matmul(ad.constant(row1[None]), out)))
+            tape.backward(mean(ad.matmul(ad.constant(row1[None]), out)))
         # output row 1 attends to positions 0 and 1: later rows get exactly zero
         assert q.grad[1].all() and k.grad[:2].all() and v.grad[:2].all()
         assert not q.grad[2:].any() and not k.grad[2:].any() and not v.grad[2:].any()
@@ -274,7 +285,7 @@ def _legacy_log_softmax_gather(x, idx):
 
 
 def _legacy_cross_entropy(x, idx):
-    return ad.scale(ad.mean(_legacy_log_softmax_gather(x, idx)), -1.0)
+    return ad.scale(mean(_legacy_log_softmax_gather(x, idx)), -1.0)
 
 
 def _legacy_attention(q, k, v, heads, batch=1):
@@ -494,14 +505,14 @@ class TestTapeSemantics:
         for _ in range(2):
             with ad.Tape() as tape:
                 a = ad.parameter(a0)
-                out = ad.mean(ad.matmul_t(ad.causal_attention(a, a, a, 2), a))
+                out = mean(ad.matmul_t(ad.causal_attention(a, a, a, 2), a))
                 tape.backward(out)
             grads.append(a.grad.copy())
         assert np.array_equal(grads[0], grads[1])
 
     def test_no_tape_no_recording(self):
         a = ad.parameter(np.ones((2, 2)))
-        out = ad.mean(a)
+        out = mean(a)
         assert out.requires_grad is False
 
     def test_grad_accumulates_across_uses(self):
@@ -516,7 +527,7 @@ class TestTapeSemantics:
         # not change what a already holds
         with ad.Tape() as tape:
             a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
-            tape.backward(ad.mean(ad.add(ad.add(a, b), b)))
+            tape.backward(mean(ad.add(ad.add(a, b), b)))
         np.testing.assert_array_equal(a.grad, [0.5, 0.5])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
@@ -531,15 +542,21 @@ class TestTapeSemantics:
         # diamond graph: y = mean(a) + a . a; gradient 1 + 2a
         with ad.Tape() as tape:
             a = ad.parameter([[3.0]])
-            sq = ad.mean(ad.matmul(a, a))
-            out = ad.add(ad.mean(a), sq)
+            sq = mean(ad.matmul(a, a))
+            out = ad.add(mean(a), sq)
             tape.backward(out)
         np.testing.assert_allclose(a.grad, [[7.0]])
 
 
 class TestGradCheck:
     def test_quadratic_tight(self):
-        err = ad.grad_check(lambda p: ad.mean(ad.matmul(p[0], p[0])), [np.array([[3.0]])])
+        err = ad.grad_check(lambda p: mean(ad.matmul(p[0], p[0])), [np.array([[3.0]])])
+        assert err < 1e-8
+
+    def test_one_by_one_root(self):
+        # a [1, 1] product is a valid backward root; item() reads its one value
+        a, b = np.random.default_rng(15).normal(size=(2, 3))
+        err = ad.grad_check(lambda p: ad.matmul(p[0], p[1]), [a[None], b[:, None]])
         assert err < 1e-8
 
     def test_nonfinite_raises(self):

@@ -455,6 +455,39 @@ def written_audits(draw):
     return rows, fields
 
 
+SIGNED_IDS = st.one_of(
+    st.sampled_from([-(2**63), -1, 0, 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-600, 600),
+)
+
+
+@st.composite
+def signed_audits(draw):
+    """Rows that keep the record invariants, with ids anywhere in int64;
+    the first two margins are -0.0 and 0.0."""
+    rows = []
+    for margin in [-0.0, 0.0] + draw(st.lists(MARGINS, max_size=24)):
+        top1 = draw(SIGNED_IDS)
+        top2 = draw(SIGNED_IDS.filter(lambda i: i != top1))
+        target = draw(st.one_of(st.just(top1), SIGNED_IDS))
+        rows.append((draw(SIGNED_IDS), target, top1, top2, margin, target == top1))
+    return audit_of(rows)
+
+
+class TestColumnarAuditWriter:
+    """write_audit on drawn audits in one block against the per-record oracle."""
+
+    @given(signed_audits())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_bytes_equal_oracle_and_read_back(self, tmp_path_factory, audit):
+        path = str(tmp_path_factory.mktemp("audit") / "audit.jsonl")
+        fileio.write_audit(path, audit, dtype="bf16", seed=5, created="2026-01-01T00:00:00Z")
+        back, header = fileio.read_audit(path)
+        assert open(path).read() == oracle_audit_text(header, list(audit))
+        assert [c.tobytes() for c in back.columns()] == [c.tobytes() for c in audit.columns()]
+
+
 class TestColumnarAuditReader:
     """read_audit's columnar parser against its json path."""
 
