@@ -20,7 +20,7 @@ import numpy as np
 from . import fileio
 from .audit import band_accuracy, churn_report, expansion_report, frequency_audit, rotation_report
 from .errors import DataError, MarginLabError, NumericalError, UsageError
-from .gapfit import GapFit, GridSpec, fit_gap_curve
+from .gapfit import MIN_MARGINS, GapFit, GridSpec, fit_gap_curve
 from .manifold import PRESETS, SAMPLERS, ManifoldSpec, validate_scaling
 from .margins import Audit, compute_margins, margin_quantiles
 from .objectives import OBJECTIVES, MrpConfig
@@ -109,6 +109,18 @@ def _load_corpus(path: str, vocab_size: int) -> np.ndarray:
     return Vocab.from_tokens(tokens, vocab_size).encode(tokens)
 
 
+def _load_trained(checkpoint: str, corpus: str) -> tuple[ToyLm, np.ndarray]:
+    """The model in ``checkpoint`` and ``corpus`` encoded under its vocabulary;
+    ``DataError`` when the checkpoint's ``corpus_digest`` is another corpus's."""
+    model, header = fileio.load_checkpoint(checkpoint)
+    digest = fileio.file_digest(corpus)
+    recorded = (header["train_config"] or {}).get("corpus_digest", digest)
+    if recorded != digest:  # also when the recorded digest is not a string
+        raise DataError(f"{corpus}: corpus digest {digest} is not the corpus_digest "
+                        f"{recorded!r} of {checkpoint}")
+    return model, _load_corpus(corpus, model.config.vocab_size)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -134,6 +146,9 @@ def _cmd_audit(args) -> int:
             raise DataError(f"{args.fp32_recompute}: unembedding must be finite and as wide as "
                             f"the {vocab}-wide hidden states in {args.logits}")
         vocab = unemb.shape[0]
+    if vocab < 2:
+        raise DataError(f"{args.fp32_recompute or args.logits}: need at least 2 logits per row, "
+                        f"got {vocab}")
     targets = _read_targets(args.targets, header["rows"], vocab)
     parts, start = [], 0
     for block in blocks:
@@ -161,11 +176,12 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gap_fit(args) -> int:
+    grid = GridSpec(count=args.grid_count, quantile_lo=args.grid_qlo, quantile_hi=args.grid_qhi)
     audit, _ = fileio.read_audit(args.audit)
-    fit = fit_gap_curve(
-        audit.margin,
-        GridSpec(count=args.grid_count, quantile_lo=args.grid_qlo, quantile_hi=args.grid_qhi),
-    )
+    if len(audit) < MIN_MARGINS:
+        raise DataError(f"{args.audit}: gap-fit needs at least {MIN_MARGINS} records, "
+                        f"got {len(audit)}")
+    fit = fit_gap_curve(audit.margin, grid)
     report = {
         **_fit_report(fit),
         "provenance": {
@@ -187,6 +203,9 @@ def _cmd_gap_fit(args) -> int:
 def _cmd_compare(args) -> int:
     baseline, _ = fileio.read_audit(args.baseline)
     polished, _ = fileio.read_audit(args.polished)
+    for path, audit in ((args.baseline, baseline), (args.polished, polished)):
+        if not len(audit):
+            raise DataError(f"{path}: compare needs an audit with at least one record")
     # Every section is computed before the first file is written.
     churn = churn_report(baseline, polished)
     rotation = rotation_report(baseline, polished)
@@ -280,14 +299,15 @@ def _cmd_train(args) -> int:
         for field in given:
             print(f"warning: --{field.replace('_', '-')} is ignored with --base-checkpoint",
                   file=sys.stderr)
-        model, _ = fileio.load_checkpoint(args.base_checkpoint)
+        model, tokens = _load_trained(args.base_checkpoint, args.corpus)
     else:
         model = ToyLm(ToyLmConfig(**given), seed=args.seed)
-    tokens = _load_corpus(args.corpus, model.config.vocab_size)
+        tokens = _load_corpus(args.corpus, model.config.vocab_size)
     config = _train_config(args, _mrp_from_args(args, args.lambda_mrp))
     log = train(model, tokens, config)
     fileio.save_checkpoint(args.out_checkpoint, model, step=config.steps,
-                           train_config=asdict(config))
+                           train_config={**asdict(config),
+                                         "corpus_digest": fileio.file_digest(args.corpus)})
     if args.metrics:
         fileio.write_metrics_csv(args.metrics, log)
     last = log[-1]
@@ -306,11 +326,10 @@ def _cmd_sweep(args) -> int:
     # Every flag is checked before the first lambda run.
     check_lambdas(lambdas)
     run_cfg = _train_config(args, _mrp_from_args(args))
-    model, _ = fileio.load_checkpoint(args.checkpoint)
+    model, tokens = _load_trained(args.checkpoint, args.corpus)
     if run_cfg.mrp.objective == "fisher" and run_cfg.mrp.k > model.config.vocab_size:
         raise UsageError(f"--k {run_cfg.mrp.k} exceeds the vocabulary size "
                          f"{model.config.vocab_size}")
-    tokens = _load_corpus(args.corpus, model.config.vocab_size)
     rows, _baseline = dose_response(model, tokens, lambdas, run_cfg)
 
     fileio.write_csv(
@@ -375,8 +394,7 @@ def _cmd_synth_validate(args) -> int:
 
 
 def _cmd_layer_scan(args) -> int:
-    model, _ = fileio.load_checkpoint(args.checkpoint)
-    tokens = _load_corpus(args.corpus, model.config.vocab_size)
+    model, tokens = _load_trained(args.checkpoint, args.corpus)
     rows = layer_scan(model, tokens, tau=args.tau)
     fileio.write_csv(args.out, "layer_index,spearman_ce_mrp", rows)
     for r in rows:

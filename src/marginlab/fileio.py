@@ -283,22 +283,11 @@ def write_audit(
 
 
 # The columnar reader takes a record line only in the writer's exact form (see
-# _LINE_STARTS).  The start and the key segments are compared as 8-byte words
-# of one 24-byte window each, the bytes past their end masked off; the start
-# is compared together with the first key segment, cut to the window.
-_SEG_WIDTH = 24
-_LINE_FALSE, _LINE_TRUE = ((start + _KEY_SEGMENTS[0])[:_SEG_WIDTH] for start in _LINE_STARTS)
+# _LINE_STARTS): its 16th byte, the "e" of true or the "s" of false, gives
+# `correct`; the first comma follows that start, and the start, each key
+# segment at its comma and the end are compared as bytes.
+_CORRECT_AT = len(_LINE_STARTS[1]) - 1
 _SEG_LENGTHS = np.array([len(s) for s in _KEY_SEGMENTS])
-
-
-def _words(*texts: bytes) -> np.ndarray:
-    """Each text, zero-padded to _SEG_WIDTH bytes, as a row of 8-byte words."""
-    return np.frombuffer(b"".join(t.ljust(_SEG_WIDTH, b"\0") for t in texts), "<u8").reshape(len(texts), -1)
-
-
-_SEG_WORDS = _words(_LINE_TRUE, *_KEY_SEGMENTS)
-_SEG_MASK = _words(*(b"\xff" * len(t) for t in (_LINE_TRUE, *_KEY_SEGMENTS)))
-_FALSE_WORDS = _words(_LINE_FALSE)[0]
 _ID_DIGITS = 19  # an int64 has at most 19 decimal digits
 _MARGIN_WIDTH = 24  # the longest float64 repr: -1.2345678901234567e-308
 # Margins must match the JSON number grammar with a fraction, a signed exponent
@@ -342,12 +331,12 @@ def _record_block(buf: np.ndarray, ends: np.ndarray):
     if comma.size != n * len(_KEY_SEGMENTS):
         return None
     comma = comma.reshape(n, len(_KEY_SEGMENTS))
-    if not (buf[ends - 1] == _LINE_END[0]).all():
-        return None
-    words = _windows(buf, _SEG_WIDTH, np.column_stack((starts, comma))).view("<u8") & _SEG_MASK
-    match = words == _SEG_WORDS
-    correct = match[:, 0].all(axis=1)
-    if not (match[:, 1:].all() and (correct | (words[:, 0] == _FALSE_WORDS).all(axis=1)).all()):
+    correct = buf[starts + _CORRECT_AT] == ord("e")
+    texts = [(starts[~correct], _LINE_STARTS[0]), (starts[correct], _LINE_STARTS[1]),
+             *zip(comma.T, _KEY_SEGMENTS), (ends - 1, _LINE_END)]
+    if not (comma[:, 0] == starts + len(_LINE_STARTS[0]) - correct).all() or not all(
+        (_windows(buf, len(text), at) == np.frombuffer(text, np.uint8)).all() for at, text in texts
+    ):
         return None
 
     # Each value runs from the end of its key segment to the next comma or
@@ -399,8 +388,7 @@ def _record_columns(raw: bytes, start: int) -> Audit | None:
         return None
     firsts = np.concatenate(([0], ends[_WRITE_BLOCK - 1 :: _WRITE_BLOCK] + 1))
     # One buffer for every block, with zeros after the block for the windows.
-    pad = max(_SEG_WIDTH, _MARGIN_WIDTH + 1)
-    buf = np.zeros(int(np.diff(firsts, append=body.size).max(initial=0)) + pad, np.uint8)
+    buf = np.zeros(int(np.diff(firsts, append=body.size).max(initial=0)) + _MARGIN_WIDTH + 1, np.uint8)
     ids, margin, correct = np.empty((4, ends.size), np.int64), np.empty(ends.size), np.empty(ends.size, bool)
     for lo, first in zip(range(0, ends.size, _WRITE_BLOCK), firsts.tolist()):
         hi = min(lo + _WRITE_BLOCK, ends.size)
@@ -415,15 +403,16 @@ def _record_columns(raw: bytes, start: int) -> Audit | None:
 
 
 def _record_row(obj) -> list:
-    """The values of one parsed record line in Audit column order; KeyError,
-    TypeError or UsageError for a missing key, a value of the wrong type or
-    an integer that its column cannot hold."""
+    """The values of one parsed record line in Audit column order, the margin a
+    float; KeyError, TypeError, ValueError or OverflowError for a missing key,
+    a wrong type, an id outside int64 or a margin too large for a float."""
     row = [obj[key] for key, _ in _RECORD_KEYS]
     for (key, types), value in zip(_RECORD_KEYS, row):
         if type(value) not in types:
             raise TypeError(f"{key!r} must be {' or '.join(t.__name__ for t in types)}")
-    if any(type(value) is int and not -(2**63) <= value < 2**63 for value in row):
-        Audit(*([value] for value in row))  # UsageError unless its column can hold the value
+        if types == (int,) and not -(2**63) <= value < 2**63:
+            raise ValueError(f"{key!r} {value} is outside int64")
+    row[4] = float(row[4])
     return row
 
 
@@ -480,12 +469,9 @@ def _json_records(path: str, raw: bytes) -> tuple[dict, Audit, list[int]]:
     for n, ln in lines[1:]:
         try:
             rows.append(_record_row(json.loads(ln)))
-        except (ValueError, KeyError, TypeError, UsageError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError) as e:
             raise DataError(f"{path}: bad record on line {n}: {e!r}") from e
-    try:
-        audit = Audit(*(zip(*rows) if rows else [()] * len(_RECORD_KEYS)))
-    except UsageError as e:  # integer margins that fit one by one but not as one column
-        raise DataError(f"{path}: bad records: {e!r}") from e
+    audit = Audit(*(zip(*rows) if rows else [()] * len(_RECORD_KEYS)))
     return header, audit, [n for n, _ in lines[1:]]
 
 
@@ -546,7 +532,7 @@ def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
     """Returns (model, header).  The config, seed and parameter manifest
     must be what ``save_checkpoint`` writes for such a model, the payload
     exactly its parameters' bytes, and every value finite.  ``train_config``
-    is provenance, read back by nothing, but must be null or an object."""
+    must be null or an object; ``train`` records its corpus's digest there."""
     with open(path, "rb") as f:
         raw = f.read()
     nl = raw.find(b"\n")

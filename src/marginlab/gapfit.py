@@ -22,7 +22,9 @@ import numpy as np
 from .errors import NumericalError, UsageError, check_int
 from .margins import nearest_rank
 
-__all__ = ["GridSpec", "GapFit", "fit_gap_curve", "empirical_gap"]
+__all__ = ["GridSpec", "GapFit", "MIN_MARGINS", "fit_gap_curve", "empirical_gap"]
+
+MIN_MARGINS = 1000  # the fewest margins fit_gap_curve takes
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None, *,
                   overwrite_input: bool = False) -> GapFit:
     """Fit the gap scaling curve on a margin sample.
 
-    Requires at least 1000 margins.  Grid points whose empirical gap is
+    Requires at least MIN_MARGINS margins.  Grid points whose empirical gap is
     zero are dropped before fitting; at least 5 usable points must remain.
 
     As in ``np.median``, ``overwrite_input=True`` lets the fit reorder
@@ -88,8 +90,8 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None, *,
     if grid_spec is None:
         grid_spec = GridSpec()
     m = np.asarray(margins, dtype=np.float64).ravel()
-    if m.size < 1000:
-        raise UsageError(f"need at least 1000 margins, got {m.size}")
+    if m.size < MIN_MARGINS:
+        raise UsageError(f"need at least {MIN_MARGINS} margins, got {m.size}")
     if not np.isfinite(m).all() or (m < 0).any():
         raise UsageError("margins must be finite and nonnegative")
     # Only the k_hi smallest margins are sorted, in place: they hold both

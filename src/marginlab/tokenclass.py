@@ -23,6 +23,7 @@ separate punctuation/formatting cleanup from content-bearing changes.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -59,19 +60,11 @@ class TokenClass(Enum):
     FRAGMENT = "fragment"
 
 
-_FUNCTION_WORDS: frozenset[str] | None = None
-
-
+@functools.cache
 def function_words() -> frozenset[str]:
     """The pinned 101-word function-word list (lowercase)."""
-    global _FUNCTION_WORDS
-    if _FUNCTION_WORDS is None:
-        text = (
-            resources.files("marginlab").joinpath("data/function_words.txt").read_text()
-        )
-        words = frozenset(w for w in text.split() if w)
-        _FUNCTION_WORDS = words
-    return _FUNCTION_WORDS
+    text = resources.files("marginlab").joinpath("data/function_words.txt").read_text()
+    return frozenset(text.split())
 
 
 def _all_punct_or_symbol(text: str) -> bool:

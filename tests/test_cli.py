@@ -145,6 +145,16 @@ class TestAuditCommand:
             f.write(b"")
         assert main(["audit", bad, tp, str(tmp_path / "x.jsonl")]) == 2
 
+    @pytest.mark.parametrize("recompute", [False, True])
+    def test_one_logit_per_row_exits_2(self, tmp_path, capsys, recompute):
+        # One-column hidden states are valid input; a one-row unembedding gives V = 1.
+        hp, up, tp = _recompute_inputs(tmp_path, np.ones((3, 1), np.float32), np.ones((1, 1), np.float32))
+        out = str(tmp_path / "a.jsonl")
+        assert main(["audit", hp, tp, out, *(["--fp32-recompute", up] if recompute else [])]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {up if recompute else hp}: need at least 2 logits per row, got 1" in err
+        assert not os.path.exists(out)
+
     def test_missing_file_exits_2(self, tmp_path, tiny_logits):
         _, tp, _ = tiny_logits
         assert main(["audit", str(tmp_path / "nope.bin"), tp, str(tmp_path / "x")]) == 2
@@ -385,6 +395,15 @@ class TestGapFitCommand:
         err = capsys.readouterr().err
         assert "200 of 20000 margins (1.00%) are exactly 0" in err and "Traceback" not in err
 
+    def test_too_few_records_exits_2_after_the_grid_flags(self, tmp_path, capsys):
+        ap, rp = str(tmp_path / "audit.jsonl"), tmp_path / "fit.json"
+        fileio.write_audit(ap, margin_audit(np.linspace(0.1, 2.0, 999)))
+        assert main(["gap-fit", ap, "--out", str(rp)]) == 2
+        assert f"data error: {ap}: gap-fit needs at least 1000 records, got 999" in capsys.readouterr().err
+        assert main(["gap-fit", ap, "--grid-count", "3"]) == 1
+        assert "usage error: grid needs at least 5 points" in capsys.readouterr().err
+        assert not rp.exists()
+
 
 class TestCompareCommand:
     def test_identical_audits_zero_bundle(self, tmp_path):
@@ -457,6 +476,16 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("marginlab: data error") and message in err
         assert not (tmp_path / "cmp").exists()  # nothing is written before every check
+
+    @pytest.mark.parametrize("empty", ["both", "polished"])
+    def test_empty_audit_exits_2_naming_it(self, tmp_path, capsys, empty):
+        ap, ep = str(tmp_path / "a.jsonl"), str(tmp_path / "empty.jsonl")
+        fileio.write_audit(ap, margin_audit([0.5]))
+        fileio.write_audit(ep, margin_audit([]))
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", ep if empty == "both" else ap, ep, "--out-dir", str(out_dir)]) == 2
+        assert f"data error: {ep}: compare needs an audit with at least one record" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_misaligned_exits_2(self, tmp_path):
         a = audit_of([(0, 1, 2, 3, 0.5, False)])
@@ -972,8 +1001,10 @@ class TestFlagDefaults:
         [((_, _, _, config), _)] = calls
         assert config == TrainConfig()
 
-    def test_gap_fit(self, calls):
-        assert main(["gap-fit", os.path.join(FIXTURES, "baseline_6.jsonl")]) == 0
+    def test_gap_fit(self, tmp_path, calls):
+        ap = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(ap, margin_audit(np.linspace(0.1, 2.0, 1000)))
+        assert main(["gap-fit", ap]) == 0
         [((_, grid), _)] = calls
         assert grid == GridSpec()
 
@@ -1016,6 +1047,10 @@ BAD_CHECKPOINTS = {
                               "checkpoint train_config 'steps=6' is not null or a JSON object"),
     "train_config a list": (lambda h, p: ({**h, "train_config": [6]}, p),
                             "checkpoint train_config [6] is not null or a JSON object"),
+    "corpus_digest a number": (lambda h, p: ({**h, "train_config": {"corpus_digest": 5}}, p),
+                               "is not the corpus_digest 5 of"),
+    "corpus_digest null": (lambda h, p: ({**h, "train_config": {"corpus_digest": None}}, p),
+                           "is not the corpus_digest None of"),
 }
 
 
@@ -1035,6 +1070,63 @@ class TestBadCheckpoints:
         assert main(["layer-scan", ckpt, corpus_file, str(tmp_path / "s.csv")]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+# The commands that read a checkpoint with a corpus, each on (checkpoint, corpus, out).
+CHECKPOINT_COMMANDS = {
+    "sweep": lambda ckpt, corpus, out: ["sweep", ckpt, corpus, out, "--lambdas", "0",
+                                        "--steps", "2", "--batch-size", "2"],
+    "layer-scan": lambda ckpt, corpus, out: ["layer-scan", ckpt, corpus, out],
+    "train --base-checkpoint": lambda ckpt, corpus, out: ["train", corpus, out, "--steps", "2",
+                                                          "--base-checkpoint", ckpt],
+}
+
+
+class TestCorpusDigest:
+    """train records the digest of its corpus; a command given another corpus
+    for that checkpoint exits 2 before any training."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, corpus_file):
+        ckpt, other = str(tmp_path / "model.ckpt"), str(tmp_path / "other.txt")
+        assert main(["train", corpus_file, ckpt, "--steps", "2", "--vocab-size", "16",
+                     "--hidden-dim", "16", "--layers", "1", "--heads", "2", "--context", "12"]) == 0
+        with open(corpus_file) as f, open(other, "w") as g:
+            g.write(f.read() + " alpha")
+        return ckpt, other
+
+    def test_train_records_the_corpus_digest(self, trained, corpus_file):
+        _, header = fileio.load_checkpoint(trained[0])
+        assert header["train_config"]["corpus_digest"] == fileio.file_digest(corpus_file)
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    def test_same_corpus_runs(self, tmp_path, trained, corpus_file, command):
+        out = str(tmp_path / "out")
+        assert main(CHECKPOINT_COMMANDS[command](trained[0], corpus_file, out)) == 0
+        assert os.path.exists(out)
+
+    @pytest.mark.parametrize("command", sorted(CHECKPOINT_COMMANDS))
+    def test_other_corpus_exits_2(self, tmp_path, trained, corpus_file, monkeypatch, capsys,
+                                  command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        for name in ("train", "dose_response", "layer_scan"):
+            monkeypatch.setattr(cli, name, no_training)
+        ckpt, other = trained
+        out = str(tmp_path / "out")
+        assert main(CHECKPOINT_COMMANDS[command](ckpt, other, out)) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {other}: corpus digest {fileio.file_digest(other)} is not the " \
+               f"corpus_digest '{fileio.file_digest(corpus_file)}' of {ckpt}" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("train_config", [None, {"steps": 2}])
+    def test_checkpoint_without_a_digest_loads(self, tmp_path, corpus_file, train_config):
+        ckpt, out = str(tmp_path / "model.ckpt"), str(tmp_path / "scan.csv")
+        model = ToyLm(ToyLmConfig(vocab_size=16, hidden_dim=16, layers=1, heads=2, context=12), seed=0)
+        fileio.save_checkpoint(ckpt, model, train_config=train_config)
+        assert main(["layer-scan", ckpt, corpus_file, out]) == 0
 
 
 class TestBadFlagValues:

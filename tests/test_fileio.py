@@ -228,6 +228,7 @@ FALLBACK_EDITS = {
     "margin 1E5": edit_line_3("0.25", "1E5"),
     "margin 1e5": edit_line_3("0.25", "1e5"),
     "integer margin": edit_line_3("0.25", "2"),
+    "integer margin 2**64": edit_line_3("0.25", str(2**64)),
     "extra space": edit_line_3('"margin": ', '"margin":  '),
     "extra space before an id": edit_line_3('"target_id": ', '"target_id":  '),
     "margin longer than a repr": edit_line_3("0.25", "0.250000000000000000000000"),
@@ -247,6 +248,7 @@ REFUSED_EDITS = {
     "id 7e": edit_line_3('"target_id": 7', '"target_id": 7e'),
     "empty id": edit_line_3('"target_id": 7', '"target_id": '),
     "correct faLse": edit_line_3("false", "faLse"),
+    "correct falsee": edit_line_3("false", "falsee"),
     "] for }": edit_line_3("5}", "5]"),
     "a comma moved to the next line": lambda text: edit_line_3(', "top2_id": 5', "")(text).replace(
         '"top2_id": 0}', '"top2_id": 0, "x": 1}'),
@@ -313,6 +315,10 @@ class TestAuditRecordChecks:
                                recs[1], BAD_RECORD_LINES[kind]]) + "\n")
         with pytest.raises(DataError, match="on line 6:"):
             fileio.read_audit(path)
+
+    def test_id_beyond_int64_names_its_key(self, tmp_path):
+        with pytest.raises(DataError, match="line 3: ValueError.*'top2_id' 9223372036854775808 is outside int64"):
+            fileio.read_audit(audit_with_line(tmp_path, BAD_RECORD_LINES["id beyond int64"]))
 
     def test_good_line_reads(self, tmp_path):
         audit, _ = fileio.read_audit(audit_with_line(tmp_path, json.dumps(GOOD_RECORD)))
@@ -503,6 +509,26 @@ class TestColumnarAuditReader:
         header, reference, _ = fileio._json_records(path, raw)
         assert [c.tobytes() for c in columns.columns()] == [c.tobytes() for c in reference.columns()]
         assert fileio.read_audit(path)[1] == header
+
+    def test_single_byte_edits_read_as_json_does(self, tmp_path):
+        """Each deletion of a byte of line 3 and each replacement of one by a
+        byte that JSON numbers or structure use: the columnar parser refuses
+        the file or gives the json path's columns."""
+        path = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(path, WRITTEN_RECORDS, created="x")
+        raw = open(path, "rb").read()
+        lo = raw.index(LINE_3.encode())
+        accepted = 0
+        for i in range(lo, lo + len(LINE_3)):
+            for new in [b""] + [bytes([c]) for c in b'\0 "+,-.09Ee}' if c != raw[i]]:
+                edited = raw[:i] + new + raw[i + 1 :]
+                columns = fileio._record_columns(edited, edited.find(b"\n") + 1)
+                if columns is not None:
+                    _, reference, _ = fileio._json_records(path, edited)
+                    assert [c.tobytes() for c in columns.columns()] == \
+                        [c.tobytes() for c in reference.columns()], (i, new)
+                    accepted += 1
+        assert accepted >= 10  # the digit edits of ids and margin
 
     def test_peak_memory_is_bounded(self, tmp_path):
         import tracemalloc
