@@ -207,7 +207,10 @@ def _cmd_compare(args) -> int:
         if not len(audit):
             raise DataError(f"{path}: compare needs an audit with at least one record")
     # Every section is computed before the first file is written.
-    churn = churn_report(baseline, polished)
+    try:
+        churn = churn_report(baseline, polished)  # the first to check alignment
+    except DataError as err:
+        raise DataError(f"{args.baseline} and {args.polished}: {err}") from err
     rotation = rotation_report(baseline, polished)
     bands_base = band_accuracy(baseline)
     bands_pol = band_accuracy(polished)

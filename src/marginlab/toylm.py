@@ -8,7 +8,9 @@ and head as one [b, heads, T, T] batch and records one tape node.  So a
 pass records a fixed 12 nodes per layer plus 6 for the embedding, the
 predicting-row selection and the head, whatever b is.
 The input embedding and the output projection are one shared matrix, so
-its gradient collects contributions from both uses.
+its gradient collects contributions from both uses.  Audits and the
+layer scan run ``evaluate``, the same forward bit for bit without the
+tape, into scratch arrays reused across the blocks of one audit.
 """
 
 from __future__ import annotations
@@ -87,6 +89,22 @@ class ToyLm:
         for p in self.params.values():
             p.zero_grad()
 
+    def _token_ids(self, tokens) -> np.ndarray:
+        """``tokens`` as a [b, T] id array, or the error both forwards raise."""
+        ids = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+        cfg = self.config
+        if ids.ndim != 2 or ids.shape[0] < 1:
+            raise UsageError(f"tokens must be [T] or [b, T], got shape {ids.shape}")
+        t = ids.shape[1]
+        if t < 2:
+            raise UsageError("sequence must have at least 2 tokens")
+        if t > cfg.context:
+            raise UsageError(f"sequence length {t} exceeds context {cfg.context}")
+        if (ids < 0).any() or (ids >= cfg.vocab_size).any():
+            bad = int(ids[(ids < 0) | (ids >= cfg.vocab_size)][0])
+            raise DataError(f"token id {bad} outside vocabulary of size {cfg.vocab_size}")
+        return ids
+
     def forward(self, tokens) -> tuple[Tensor, list[np.ndarray]]:
         """Logit rows of every predicting position, plus per-layer hidden states.
 
@@ -100,19 +118,9 @@ class ToyLm:
         each block at the same rows, returned as plain arrays for
         layer-wise analysis.
         """
-        ids = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+        ids = self._token_ids(tokens)
         cfg = self.config
-        if ids.ndim != 2 or ids.shape[0] < 1:
-            raise UsageError(f"tokens must be [T] or [b, T], got shape {ids.shape}")
         b, t = ids.shape
-        if t < 2:
-            raise UsageError("sequence must have at least 2 tokens")
-        if t > cfg.context:
-            raise UsageError(f"sequence length {t} exceeds context {cfg.context}")
-        if (ids < 0).any() or (ids >= cfg.vocab_size).any():
-            bad = int(ids[(ids < 0) | (ids >= cfg.vocab_size)][0])
-            raise DataError(f"token id {bad} outside vocabulary of size {cfg.vocab_size}")
-
         d = cfg.hidden_dim
         x = ad.add(
             ad.gather_rows(self.params["embedding"], ids.ravel()),
@@ -140,16 +148,78 @@ class ToyLm:
             x = ad.add(x, mlp)
             hiddens.append(x)
 
+        # The output head: final normalization, then the unembedding.
         predicting = np.arange(b * t).reshape(b, t)[:, :-1].ravel()
-        logits = self._head(ad.gather_rows(x, predicting))
+        head = ad.normalize_rows(ad.gather_rows(x, predicting), math.sqrt(d))
+        logits = ad.matmul_t(head, self.unembedding)
         return logits, [h.values[predicting] for h in hiddens]
 
-    def _head(self, x: Tensor) -> Tensor:
-        """The output head: final normalization, then the unembedding."""
-        h = ad.normalize_rows(x, math.sqrt(self.config.hidden_dim))
-        return ad.matmul_t(h, self.unembedding)
+    def evaluate(self, tokens, scratch: dict,
+                 hidden: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``forward(tokens)``'s logits and, with ``hidden``, its hidden
+        states, bit for bit: each primitive's arithmetic in the same order,
+        without the tape, into arrays kept in ``scratch``.  Give every call
+        of one audit the same dict, empty at first and used under one set
+        of weights; the logits are a view into it, valid until its next use."""
+        ids = self._token_ids(tokens)
+        (b, t), cfg = ids.shape, self.config
+        d, heads, w = cfg.hidden_dim, cfg.heads, {n: p.values for n, p in self.params.items()}
+        hd, r = d // heads, b * t
+        if (b, t) not in scratch:
+            shapes = [(r, d)] * 7 + [(r, 1), (r, 4 * d), (b, heads, hd, t), (b, heads, t, t),
+                                     (b, heads, t, 1), (b, heads, t, hd)]
+            scratch[b, t] = [np.empty(shape) for shape in shapes]
+        x, h, q, k, v, att, y, norms, u, kt, s, smax, pv = scratch[b, t]
+        causal = np.tri(t, dtype=bool)
 
-    def project_hidden(self, hidden: np.ndarray) -> np.ndarray:
-        """Virtual logits: a hidden-state matrix pushed through the output
-        head (plain arrays, no gradients)."""
-        return self._head(ad.constant(np.asarray(hidden, dtype=np.float64))).values
+        def split(m):  # [b·T, d] -> [b, heads, T, hd] view
+            return m.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+
+        # The ids are checked; "clip" spares take's buffered copy of its output.
+        np.take(w["embedding"], ids, axis=0, out=x.reshape(b, t, d), mode="clip")
+        x.reshape(b, t, d)[...] += w["pos"][:t]
+        hiddens = []
+        for i in range(cfg.layers):
+            _normalize_into(x, math.sqrt(d), h, norms)
+            for out, name in ((q, "wq"), (k, "wk"), (v, "wv")):
+                np.matmul(h, w[f"layer{i}.{name}"], out=out)
+            # causal_attention: scores, the masked softmax in place, times v.
+            np.copyto(kt, k.reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
+            np.matmul(split(q), kt, out=s)
+            s *= 1.0 / math.sqrt(hd)
+            s -= np.max(s, axis=-1, keepdims=True, where=causal, initial=-np.inf, out=smax)
+            np.exp(np.minimum(s, 0.0, out=s), out=s)
+            s *= causal
+            s /= np.sum(s, axis=-1, keepdims=True, out=smax)
+            np.copyto(split(att), np.matmul(s, split(v), out=pv))
+            x += np.matmul(att, w[f"layer{i}.wo"], out=y)
+            _normalize_into(x, math.sqrt(d), h, norms)
+            np.maximum(np.matmul(h, w[f"layer{i}.w1"], out=u), 0.0, out=u)
+            x += np.matmul(u, w[f"layer{i}.w2"], out=y)
+            if hidden:
+                hiddens.append(x.reshape(b, t, d)[:, :-1].copy().reshape(-1, d))
+        rows = h[: b * (t - 1)]
+        np.copyto(rows.reshape(b, t - 1, d), x.reshape(b, t, d)[:, :-1])
+        return self.project_hidden(rows, scratch), hiddens
+
+    def project_hidden(self, hidden: np.ndarray, scratch: dict) -> np.ndarray:
+        """Virtual logits: [n, d] hidden-state rows through ``forward``'s
+        output head, tape-free; ``scratch`` and the result as in ``evaluate``."""
+        h, d = np.asarray(hidden, dtype=np.float64), self.config.hidden_dim
+        if h.ndim != 2 or h.shape[1] != d:
+            raise UsageError(f"hidden states must be [n, {d}], got shape {h.shape}")
+        if "et" not in scratch:  # contiguous, as autodiff.matmul_t copies it
+            scratch["et"] = np.ascontiguousarray(self.unembedding.values.T)
+        n, v = len(h), self.config.vocab_size
+        if n not in scratch:
+            scratch[n] = [np.empty(shape) for shape in ((n, 1), (n, d), (n, v))]
+        norms, out, logits = scratch[n]
+        return np.matmul(_normalize_into(h, math.sqrt(d), out, norms), scratch["et"], out=logits)
+
+
+def _normalize_into(x: np.ndarray, length: float, out, norms) -> np.ndarray:
+    """``autodiff.normalize_rows``' values, op for op, written into ``out``
+    (which holds x * x until the row norms are taken)."""
+    np.sum(np.multiply(x, x, out=out), axis=-1, keepdims=True, out=norms)
+    np.maximum(np.sqrt(norms, out=norms), 1e-30, out=norms)
+    return np.multiply(np.divide(x, norms, out=out), length, out=out)

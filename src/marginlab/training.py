@@ -199,8 +199,9 @@ def train(model: ToyLm, corpus_tokens, config: TrainConfig) -> list[StepMetrics]
     return log
 
 
-# Full-length chunks per forward pass in audit_model and layer_scan, a CE
-# batch's worth; larger blocks ran barely faster and cost more peak memory.
+# Full-length chunks per ToyLm.evaluate pass in audit_model and layer_scan,
+# a CE batch's worth; larger blocks ran barely faster and cost more peak
+# memory.  A call's blocks (at most three shapes) share one scratch dict.
 _AUDIT_BLOCK = 4
 
 
@@ -221,8 +222,9 @@ def audit_model(model: ToyLm, corpus_tokens) -> Audit:
     """
     blocks = _blocks(corpus_tokens, model.config.context)
     starts = np.cumsum([0] + [block[:, 1:].size for block in blocks])
+    scratch: dict = {}
     return Audit.concat(
-        compute_margins(model.forward(block)[0].values, block[:, 1:].ravel(), start)
+        compute_margins(model.evaluate(block, scratch)[0], block[:, 1:].ravel(), start)
         for block, start in zip(blocks, starts)
     )
 
@@ -287,11 +289,11 @@ def layer_scan(model: ToyLm, corpus_tokens, tau: float = MrpConfig.tau) -> list[
     to get virtual margins; the penalty is the margin deficit below tau.
     """
     MrpConfig(tau=tau)  # the same tau checks as training's
-    ce, margins = [], []
+    ce, margins, scratch = [], [], {}
     for block in _blocks(corpus_tokens, model.config.context):
-        logits, hiddens = model.forward(block)
-        ce.append(-_log_softmax_at(logits.values, block[:, 1:].ravel())[2])
-        margins.append([top2_stats(model.project_hidden(h))[2] for h in hiddens])
+        logits, hiddens = model.evaluate(block, scratch, hidden=True)
+        ce.append(-_log_softmax_at(logits, block[:, 1:].ravel())[2])
+        margins.append([top2_stats(model.project_hidden(h, scratch))[2] for h in hiddens])
     ce = np.concatenate(ce)
     return [
         LayerScanRow(li, virtual_penalty_ce_rho(np.concatenate(layer), ce, tau))

@@ -487,14 +487,21 @@ class TestCompareCommand:
         assert f"data error: {ep}: compare needs an audit with at least one record" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_misaligned_exits_2(self, tmp_path):
-        a = audit_of([(0, 1, 2, 3, 0.5, False)])
-        b = audit_of([(5, 1, 2, 3, 0.5, False)])
-        ap = str(tmp_path / "a.jsonl")
-        bp = str(tmp_path / "b.jsonl")
-        fileio.write_audit(ap, a)
-        fileio.write_audit(bp, b)
-        assert main(["compare", ap, bp, "--out-dir", str(tmp_path / "cmp")]) == 2
+    @pytest.mark.parametrize("polished, message", [
+        ([(0, 1, 2, 3, 0.5, False), (1, 1, 2, 3, 0.5, False)], "audit size mismatch: 1 vs 2"),
+        ([(5, 1, 2, 3, 0.5, False)], "audit position mismatch at index 0"),
+        ([(0, 4, 2, 3, 0.5, False)], "(0, target 1) vs (0, target 4)"),
+    ], ids=["size", "position", "target"])
+    def test_misaligned_exits_2_naming_both_files(self, tmp_path, capsys, polished, message):
+        ap, bp = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+        fileio.write_audit(ap, audit_of([(0, 1, 2, 3, 0.5, False)]))
+        fileio.write_audit(bp, audit_of(polished))
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", ap, bp, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"marginlab: data error: {ap} and {bp}: ") and message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

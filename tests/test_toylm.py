@@ -1,12 +1,15 @@
 """Toy model forward semantics, training behavior, and the layer scan."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginlab import autodiff as ad
-from marginlab.errors import DataError, UsageError
+from marginlab.errors import DataError, MarginLabError, UsageError
 from marginlab.margins import Audit, compute_margins, nearest_rank_quantile, top2_stats
 from marginlab.objectives import (
     MrpConfig,
@@ -110,6 +113,97 @@ class TestForward:
         assert not np.allclose(a.values[2], b.values[2])
         # the final token is only ever a target
         assert np.array_equal(a.values, c.values)
+
+
+def tape_head(model, hidden):
+    """Virtual logits through the tape's output head, as ``forward`` takes them."""
+    h = ad.normalize_rows(ad.constant(hidden), math.sqrt(model.config.hidden_dim))
+    return ad.matmul_t(h, model.unembedding).values
+
+
+@st.composite
+def lm_cases(draw):
+    """A small config and model, at init or after 2 AdamW steps, with one
+    [b, T] block of token ids."""
+    hidden_dim = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    cfg = ToyLmConfig(
+        vocab_size=draw(st.integers(2, 40)),
+        hidden_dim=hidden_dim,
+        layers=draw(st.integers(1, 3)),
+        heads=draw(st.sampled_from([h for h in (1, 2, 3, 4) if hidden_dim % h == 0])),
+        context=draw(st.integers(2, 12)),
+    )
+    seed = draw(st.integers(0, 2**16))
+    model = ToyLm(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        corpus = rng.integers(0, cfg.vocab_size, size=3 * cfg.context)
+        train(model, corpus, TrainConfig(steps=2, learning_rate=1e-2, batch_size=2, seed=seed))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(2, cfg.context)))
+    return model, rng.integers(0, cfg.vocab_size, size=shape)
+
+
+def raised(call):
+    """The type and message of the package error ``call`` raises."""
+    with pytest.raises(MarginLabError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestEvaluate:
+    """The tape-free forward against ``forward``, bit for bit."""
+
+    @given(lm_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_forward_bit_for_bit(self, case):
+        model, ids = case
+        logits, hiddens = model.forward(ids)
+        scratch = {}
+        # Earlier blocks of another shape and of the same shape leave
+        # nothing behind in the scratch arrays.
+        model.evaluate(ids[:1, :2], scratch, hidden=True)
+        model.evaluate(ids[:, ::-1], scratch, hidden=True)
+        got, got_hiddens = model.evaluate(ids, scratch, hidden=True)
+        assert got.dtype == np.float64 and np.array_equal(got, logits.values)
+        assert len(got_hiddens) == model.config.layers
+        for h, mine in zip(hiddens, got_hiddens):
+            assert np.array_equal(mine, h)
+            assert np.array_equal(model.project_hidden(mine, scratch), tape_head(model, h))
+        assert model.evaluate(ids, scratch)[1] == []
+
+    @given(lm_cases(), st.sampled_from(["short", "long", "id too big", "negative id", "3-D",
+                                        "no sequences"]), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_bad_tokens_raise_what_forward_raises(self, case, kind, pick):
+        model, ids = case
+        cfg = model.config
+        bad = {
+            "short": lambda: ids[:, :1],
+            "long": lambda: np.resize(ids, (len(ids), cfg.context + 1)),
+            "3-D": lambda: ids[None],
+            "no sequences": lambda: ids[:0],
+        }.get(kind, lambda: ids.copy())()
+        if kind in ("id too big", "negative id"):
+            bad.flat[pick % bad.size] = cfg.vocab_size if kind == "id too big" else -1
+        assert raised(lambda: model.evaluate(bad, {})) == raised(lambda: model.forward(bad))
+
+    def test_zero_rows_match_forward(self):
+        # A zero embedding and position row stays zero through every layer,
+        # so each normalization takes its norm floor.
+        model = ToyLm(CFG, seed=0)
+        model.params["embedding"].values[0] = 0.0
+        model.params["pos"].values[0] = 0.0
+        ids = np.array([[0, 1, 2], [0, 3, 4]])
+        logits, hiddens = model.forward(ids)
+        got, got_hiddens = model.evaluate(ids, {}, hidden=True)
+        assert not logits.values[0].any() and np.array_equal(got, logits.values)
+        assert all(np.array_equal(a, b) for a, b in zip(got_hiddens, hiddens))
+
+    def test_records_no_tape_nodes(self):
+        model = ToyLm(CFG, seed=0)
+        with ad.Tape() as tape:
+            model.evaluate(np.array([[1, 2, 3], [4, 5, 6]]), {}, hidden=True)
+        assert len(tape) == 0
 
 
 class TestTrain:
@@ -406,17 +500,23 @@ class TestBatching:
             got = model.params[name].grad
             assert np.abs(got - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
 
-    def test_audit_and_scan_equal_per_chunk_forwards(self, tiny_corpus):
-        corpus = tiny_corpus[:16 * 9 + 7]  # blocks of 4, 4 and 1 chunks, then 7 tokens
-        model = ToyLm(CFG, seed=5)
-        chunks = make_chunks(corpus, CFG.context)
+    @pytest.mark.parametrize("cfg, full_chunks, remainder, ce_steps", [
+        (CFG, 10, 7, 0),  # blocks of 4, 4 and 2 chunks, then 7 tokens
+        (ToyLmConfig(), 6, 40, 4),  # the refine bench's shape: blocks of 4 and 2, then 40
+    ], ids=["tiny", "bench-shape"])
+    def test_audit_and_scan_equal_per_chunk_forwards(self, tiny_corpus, cfg, full_chunks,
+                                                     remainder, ce_steps):
+        corpus = tiny_corpus[:cfg.context * full_chunks + remainder]
+        model = ToyLm(cfg, seed=5)
+        if ce_steps:
+            train(model, corpus, TrainConfig(steps=ce_steps, learning_rate=1e-3, batch_size=4))
+        chunks = make_chunks(corpus, cfg.context)
+        assert {c.size for c in chunks} == {cfg.context, remainder}
         per_chunk = [model.forward(c) for c in chunks]
         expected = Audit.concat(
             compute_margins(logits.values, c[1:]) for (logits, _), c in zip(per_chunk, chunks)
         )
-        assert audit_model(model, corpus) == replace(
-            expected, position=np.arange(len(expected))
-        )
+        expected = replace(expected, position=np.arange(len(expected)))
 
         ce = np.array([
             cross_entropy(row[None], [t]).item()
@@ -424,9 +524,12 @@ class TestBatching:
         ])
         rows = [
             LayerScanRow(li, virtual_penalty_ce_rho(
-                np.concatenate([top2_stats(model.project_hidden(h[li]))[2] for _, h in per_chunk]),
+                np.concatenate([top2_stats(tape_head(model, h[li]))[2] for _, h in per_chunk]),
                 ce, 0.5,
             ))
-            for li in range(CFG.layers)
+            for li in range(cfg.layers)
         ]
-        assert layer_scan(model, corpus, tau=0.5) == rows
+        # Twice each: no scratch state leaks from one block or call to the next.
+        for _ in range(2):
+            assert audit_model(model, corpus) == expected
+            assert layer_scan(model, corpus, tau=0.5) == rows
