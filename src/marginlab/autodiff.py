@@ -32,6 +32,7 @@ __all__ = [
     "causal_attention",
     "gather_rows",
     "normalize_rows",
+    "normalize_into",
     "relu",
     "grad_check",
 ]
@@ -264,22 +265,33 @@ def gather_rows(m: Tensor, indices) -> Tensor:
 
 
 def normalize_rows(x: Tensor, length: float) -> Tensor:
-    """Rescale each row to Euclidean norm ``length`` (norm floored at 1e-30)."""
+    """Rescale each row to Euclidean norm ``length``, as ``normalize_into``."""
     xv = x.values
     if xv.ndim < 1:
         raise UsageError("normalize_rows needs at least 1-D input")
     c = float(length)
-    norms = np.sqrt(np.sum(xv * xv, axis=-1, keepdims=True))
-    np.maximum(norms, 1e-30, out=norms)
-    u = xv / norms
+    out, norms = normalize_into(xv, c)
 
     def backward(g):
+        u = xv / norms  # the forward's unit rows, bit for bit
         gu = g * c
         gu -= u * np.sum(gu * u, axis=-1, keepdims=True)
         gu /= norms
         _accumulate(x, gu)
 
-    return _make(u * c, (x,), backward)
+    return _make(out, (x,), backward)
+
+
+def normalize_into(x: np.ndarray, length: float, out=None, norms=None):
+    """``(out, norms)``: the rows (last axis) of ``x`` rescaled to Euclidean
+    norm ``length``, and their norms ([..., 1], floored so zero rows stay
+    zero); the one statement of this normalization.  Buffers not given are
+    allocated in x's dtype; ``out`` holds x * x until the norms are taken."""
+    if out is None:
+        out, norms = np.empty_like(x), np.empty(x.shape[:-1] + (1,), x.dtype)
+    np.sum(np.multiply(x, x, out=out), axis=-1, keepdims=True, out=norms)
+    np.maximum(np.sqrt(norms, out=norms), 1e-30, out=norms)
+    return np.multiply(np.divide(x, norms, out=out), length, out=out), norms
 
 
 def relu(x: Tensor) -> Tensor:

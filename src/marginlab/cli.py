@@ -24,7 +24,7 @@ from .gapfit import MIN_MARGINS, GapFit, GridSpec, fit_gap_curve
 from .manifold import PRESETS, SAMPLERS, ManifoldSpec, validate_scaling
 from .margins import Audit, compute_margins, margin_quantiles
 from .objectives import OBJECTIVES, MrpConfig
-from .precision import emulate_bf16
+from .precision import emulate_bf16, recompute_fp32_logits
 from .tokenclass import class_audit
 from .tokenizer import Vocab, tokenize
 from .toylm import ToyLm, ToyLmConfig
@@ -156,10 +156,9 @@ def _cmd_audit(args) -> int:
             bad = start + np.flatnonzero(~np.isfinite(block).all(axis=1))
             if bad.size:
                 raise DataError(f"{args.logits}: non-finite hidden state at position {bad[0]}")
-            # recompute_fp32_logits' product, without re-checking unemb per block; an
-            # overflow is a non-finite logit, which compute_margins reports as data.
+            # An overflow is a non-finite logit, which compute_margins reports as data.
             with np.errstate(over="ignore"):
-                block = block @ unemb.T
+                block = recompute_fp32_logits(block, unemb)
         if args.bf16_emulate:
             block = emulate_bf16(block)
         parts.append(compute_margins(block, targets[start : start + len(block)], start))
@@ -523,6 +522,9 @@ def main(argv=None) -> int:
     except OSError as e:  # a path that is missing, a directory, or not writable
         print(f"marginlab: {DataError.label}: {e}", file=sys.stderr)
         return DataError.exit_code
+    except MemoryError as e:  # a size under check_size's bound that this machine cannot give
+        print(f"marginlab: {UsageError.label}: {e}", file=sys.stderr)
+        return UsageError.exit_code
 
 
 if __name__ == "__main__":

@@ -4,11 +4,12 @@ The three leaf classes map one-to-one onto the command-line exit codes:
 usage errors exit 1, data-format errors exit 2, numerical failures exit 3.
 Each class also carries the label the command line prints before its
 message.  ``check_finite`` is the one NaN/infinity check of config values,
-and ``check_int`` the one integer check of config counts.
+``check_int`` the one integer check of config counts, ``check_size`` their bound.
 """
 
 import math
 import numbers
+import sys
 
 
 class MarginLabError(Exception):
@@ -56,3 +57,11 @@ def check_int(**values: int) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise UsageError(f"{name} must be an integer, got {value!r}")
+
+
+def check_size(**counts: int) -> None:
+    """Raise ``UsageError`` naming the first of ``counts`` (of 8-byte values)
+    past numpy's limit of sys.maxsize bytes for one array."""
+    for name, count in counts.items():
+        if count * 8 > sys.maxsize:
+            raise UsageError(f"{name} would take {count} 8-byte values, more than numpy allocates")

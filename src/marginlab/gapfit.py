@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, UsageError, check_int
+from .errors import NumericalError, UsageError, check_int, check_size
 from .margins import nearest_rank
 
 __all__ = ["GridSpec", "GapFit", "MIN_MARGINS", "fit_gap_curve", "empirical_gap"]
@@ -43,6 +43,7 @@ class GridSpec:
         check_int(count=self.count)
         if self.count < 5:
             raise UsageError("grid needs at least 5 points")
+        check_size(count=self.count)
         if not (0 < self.quantile_lo < self.quantile_hi <= 1):
             raise UsageError(
                 f"need 0 < quantile_lo < quantile_hi <= 1, got "

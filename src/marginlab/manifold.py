@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UsageError, check_int
+from .errors import DataError, NumericalError, UsageError, check_int, check_size
 from .gapfit import GapFit, fit_gap_curve
 from .margins import column_margins, top2_stats
 
@@ -102,6 +102,7 @@ class ManifoldSpec:
             raise DataError("degenerate sites: duplicate rows in the first two coordinates")
         if self.sample_count < 1:
             raise UsageError("sample_count must be positive")
+        check_size(points=self.sample_count * sites.shape[1])
 
     @property
     def intrinsic_dim(self) -> int:

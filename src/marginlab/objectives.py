@@ -258,8 +258,7 @@ def fisher_loss(logit_rows, unembedding, k: int, *, top_ids=None) -> Tensor:
     p = np.exp(z - z[:, :1])  # column 0 holds the row maximum
     p /= p.sum(axis=1, keepdims=True)
     emb = w.values[ids]
-    norms = np.maximum(np.sqrt(np.sum(emb * emb, axis=2, keepdims=True)), 1e-30)
-    u = emb / norms
+    u, norms = ad.normalize_into(emb, 1.0)  # times 1.0 is exact: unit rows
     gram = u @ u.transpose(0, 2, 1)
     pp = p[:, :, None] * p[:, None, :]
     sigma = -pp

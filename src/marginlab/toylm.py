@@ -9,8 +9,9 @@ pass records a fixed 12 nodes per layer plus 6 for the embedding, the
 predicting-row selection and the head, whatever b is.
 The input embedding and the output projection are one shared matrix, so
 its gradient collects contributions from both uses.  Audits and the
-layer scan run ``evaluate``, the same forward bit for bit without the
-tape, into scratch arrays reused across the blocks of one audit.
+layer scan run ``evaluate``: the same autodiff arithmetic without the
+tape, with the dense intermediates in scratch arrays reused across the
+blocks of one audit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, UsageError, check_int
+from .errors import DataError, UsageError, check_int, check_size
 
 __all__ = ["ToyLmConfig", "ToyLm"]
 
@@ -48,6 +49,8 @@ class ToyLmConfig:
             )
         if self.layers < 1 or self.context < 2:
             raise UsageError("need at least 1 layer and context >= 2")
+        d = self.hidden_dim
+        check_size(parameters=(self.vocab_size + self.context) * d + self.layers * 12 * d * d)
 
 
 class ToyLm:
@@ -157,43 +160,29 @@ class ToyLm:
     def evaluate(self, tokens, scratch: dict,
                  hidden: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
         """``forward(tokens)``'s logits and, with ``hidden``, its hidden
-        states, bit for bit: each primitive's arithmetic in the same order,
-        without the tape, into arrays kept in ``scratch``.  Give every call
-        of one audit the same dict, empty at first and used under one set
-        of weights; the logits are a view into it, valid until its next use."""
+        states, bit for bit: the same autodiff arithmetic (attention on
+        constants, which record no tape node; the normalization as
+        ``autodiff.normalize_into``), with the other intermediates in
+        arrays kept in ``scratch``.  Give every call of one audit the same
+        dict, empty at first and used under one set of weights; the logits
+        are a view into it, valid until its next use."""
         ids = self._token_ids(tokens)
         (b, t), cfg = ids.shape, self.config
-        d, heads, w = cfg.hidden_dim, cfg.heads, {n: p.values for n, p in self.params.items()}
-        hd, r = d // heads, b * t
+        d, r, w = cfg.hidden_dim, b * t, {n: p.values for n, p in self.params.items()}
         if (b, t) not in scratch:
-            shapes = [(r, d)] * 7 + [(r, 1), (r, 4 * d), (b, heads, hd, t), (b, heads, t, t),
-                                     (b, heads, t, 1), (b, heads, t, hd)]
-            scratch[b, t] = [np.empty(shape) for shape in shapes]
-        x, h, q, k, v, att, y, norms, u, kt, s, smax, pv = scratch[b, t]
-        causal = np.tri(t, dtype=bool)
-
-        def split(m):  # [b·T, d] -> [b, heads, T, hd] view
-            return m.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
-
+            scratch[b, t] = [np.empty(shape) for shape in [(r, d)] * 6 + [(r, 1), (r, 4 * d)]]
+        x, h, q, k, v, y, norms, u = scratch[b, t]
         # The ids are checked; "clip" spares take's buffered copy of its output.
         np.take(w["embedding"], ids, axis=0, out=x.reshape(b, t, d), mode="clip")
         x.reshape(b, t, d)[...] += w["pos"][:t]
         hiddens = []
         for i in range(cfg.layers):
-            _normalize_into(x, math.sqrt(d), h, norms)
+            ad.normalize_into(x, math.sqrt(d), h, norms)
             for out, name in ((q, "wq"), (k, "wk"), (v, "wv")):
                 np.matmul(h, w[f"layer{i}.{name}"], out=out)
-            # causal_attention: scores, the masked softmax in place, times v.
-            np.copyto(kt, k.reshape(b, t, heads, hd).transpose(0, 2, 3, 1))
-            np.matmul(split(q), kt, out=s)
-            s *= 1.0 / math.sqrt(hd)
-            s -= np.max(s, axis=-1, keepdims=True, where=causal, initial=-np.inf, out=smax)
-            np.exp(np.minimum(s, 0.0, out=s), out=s)
-            s *= causal
-            s /= np.sum(s, axis=-1, keepdims=True, out=smax)
-            np.copyto(split(att), np.matmul(s, split(v), out=pv))
+            att = ad.causal_attention(*map(ad.constant, (q, k, v)), cfg.heads, b).values
             x += np.matmul(att, w[f"layer{i}.wo"], out=y)
-            _normalize_into(x, math.sqrt(d), h, norms)
+            ad.normalize_into(x, math.sqrt(d), h, norms)
             np.maximum(np.matmul(h, w[f"layer{i}.w1"], out=u), 0.0, out=u)
             x += np.matmul(u, w[f"layer{i}.w2"], out=y)
             if hidden:
@@ -214,12 +203,5 @@ class ToyLm:
         if n not in scratch:
             scratch[n] = [np.empty(shape) for shape in ((n, 1), (n, d), (n, v))]
         norms, out, logits = scratch[n]
-        return np.matmul(_normalize_into(h, math.sqrt(d), out, norms), scratch["et"], out=logits)
-
-
-def _normalize_into(x: np.ndarray, length: float, out, norms) -> np.ndarray:
-    """``autodiff.normalize_rows``' values, op for op, written into ``out``
-    (which holds x * x until the row norms are taken)."""
-    np.sum(np.multiply(x, x, out=out), axis=-1, keepdims=True, out=norms)
-    np.maximum(np.sqrt(norms, out=norms), 1e-30, out=norms)
-    return np.multiply(np.divide(x, norms, out=out), length, out=out)
+        ad.normalize_into(h, math.sqrt(d), out, norms)
+        return np.matmul(out, scratch["et"], out=logits)

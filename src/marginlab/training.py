@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .audit import ChurnReport, churn_report
-from .errors import NumericalError, UsageError, check_finite, check_int
+from .errors import NumericalError, UsageError, check_finite, check_int, check_size
 from .gapfit import GapFit, fit_gap_curve
 from .margins import Audit, compute_margins, margin_quantiles, nearest_rank_quantile, top2_stats
 # cross_entropy and fisher_loss are unused here but patched here by bench/tracing.py.
@@ -57,6 +57,7 @@ class TrainConfig:
             raise UsageError("steps must be >= 1")
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
+        check_size(batch_size=self.batch_size)
         if self.learning_rate <= 0:
             raise UsageError("learning_rate must be positive")
 

@@ -341,6 +341,32 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class TestNormalizeInto:
+    """The one normalization: x / max(sqrt(sum(x * x)), 1e-30) * length bit
+    for bit over the last axis, in x's dtype, into the given buffers."""
+
+    @pytest.mark.parametrize("shape,dtype,length", [
+        ((33, 48), np.float64, 48**0.5),        # ToyLm rows at sqrt(d)
+        ((33, 48), np.float32, 48**0.5),        # float32 stays float32
+        ((9, 5, 64), np.float64, 1.0),          # fisher's [n, k, d] unit rows
+    ], ids=["f64-rows", "f32-rows", "fisher-nkd"])
+    def test_equals_the_formula(self, shape, dtype, length):
+        x = np.random.default_rng(0).normal(size=shape).astype(dtype)
+        x[1] = 0.0  # zero rows take the floor
+        expected = x / np.maximum(np.sqrt(np.sum(x * x, axis=-1, keepdims=True)), 1e-30) * length
+        out, norms = ad.normalize_into(x, length)
+        assert _same_bits(out, expected) and expected.dtype == norms.dtype == dtype
+        assert norms.shape == (*shape[:-1], 1)
+        assert not out[1].any() and (norms[1] == dtype(1e-30)).all()
+        if length == 1.0:
+            assert _same_bits(out, x / norms)
+        buffers = np.empty_like(x), np.empty_like(norms)
+        given = ad.normalize_into(x, length, *buffers)
+        assert given[0] is buffers[0] and given[1] is buffers[1]
+        assert _same_bits(given[0], expected)
+        assert _same_bits(ad.normalize_rows(ad.constant(x), length).values, expected)
+
+
 class TestFusedNodes:
     """normalize_rows, matmul_t, the in-place attention softmax, the
     scatter-free gathers and the one-node cross-entropy give the same bits

@@ -1176,6 +1176,47 @@ class TestBadFlagValues:
         assert not out.exists()
 
 
+# Sizes no machine can allocate, so each fails before any memory is touched:
+# 1e17 float64 or int64 values are 711 PiB, past any address space, and
+# 2**62 of them pass numpy's limit of sys.maxsize bytes for one array.
+HUGE, PAST_NUMPY = "100000000000000000", str(2**62)
+
+
+class TestOversizedFlagValues:
+    """A size flag no machine can allocate exits 1 with a one-line usage
+    error and writes nothing, whether a config refuses it up front or the
+    allocation fails."""
+
+    @staticmethod
+    def assert_one_line_usage_error(rc, capsys, out):
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert err.startswith("marginlab: usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--context", HUGE], ["--hidden-dim", HUGE, "--heads", "1"], ["--batch-size", HUGE],
+        ["--batch-size", PAST_NUMPY],
+    ], ids=" ".join)
+    def test_train(self, tmp_path, corpus_file, capsys, flags):
+        ckpt = tmp_path / "model.ckpt"
+        rc = main(["train", corpus_file, str(ckpt), "--steps", "1", *flags])
+        self.assert_one_line_usage_error(rc, capsys, ckpt)
+
+    @pytest.mark.parametrize("samples", [HUGE, PAST_NUMPY])
+    def test_synth_validate_samples(self, tmp_path, capsys, samples):
+        out = tmp_path / "verdict.json"
+        rc = main(["synth-validate", "--samples", samples, "--out", str(out)])
+        self.assert_one_line_usage_error(rc, capsys, out)
+
+    @pytest.mark.parametrize("count", [HUGE, PAST_NUMPY])
+    def test_gap_fit_grid_count(self, tmp_path, capsys, count):
+        ap, out = str(tmp_path / "audit.jsonl"), tmp_path / "fit.json"
+        fileio.write_audit(ap, margin_audit(np.linspace(0.1, 2.0, 1000)))
+        rc = main(["gap-fit", ap, "--grid-count", count, "--out", str(out)])
+        self.assert_one_line_usage_error(rc, capsys, out)
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as e:

@@ -354,6 +354,13 @@ class TestTrain:
             ToyLmConfig(**{field: value})
         assert ToyLmConfig(**{field: np.int64(2)}) == ToyLmConfig(**{field: 2})
 
+    @pytest.mark.parametrize("field", ["vocab_size", "hidden_dim", "layers", "context"])
+    def test_model_config_refuses_parameters_past_numpy(self, field):
+        # Parameters are allocated a layer at a time, so a huge ``layers``
+        # would fill the memory before any one allocation failed.
+        with pytest.raises(UsageError, match="parameters would take"):
+            ToyLmConfig(**{field: 2**60})
+
     def test_make_chunks(self):
         chunks = make_chunks(np.arange(25), context=10)
         assert [len(c) for c in chunks] == [10, 10, 5]
