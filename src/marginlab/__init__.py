@@ -48,57 +48,3 @@ from .toylm import ToyLm, ToyLmConfig
 from .training import TrainConfig, audit_model, dose_response, layer_scan, train
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Audit",
-    "BandTable",
-    "ChurnReport",
-    "ClassAudit",
-    "DataError",
-    "ExpansionReport",
-    "FrequencyBuckets",
-    "GapFit",
-    "GridSpec",
-    "ManifoldSpec",
-    "MarginLabError",
-    "MarginQuantiles",
-    "MarginRecord",
-    "MrpConfig",
-    "NumericalError",
-    "RotationReport",
-    "ScalingVerdict",
-    "Tape",
-    "Tensor",
-    "TokenClass",
-    "ToyLm",
-    "ToyLmConfig",
-    "TrainConfig",
-    "UsageError",
-    "audit_model",
-    "band_accuracy",
-    "churn_report",
-    "class_audit",
-    "classify_token",
-    "combined_loss",
-    "compute_margins",
-    "cross_entropy",
-    "dose_response",
-    "emulate_bf16",
-    "expansion_report",
-    "fisher_distance",
-    "fisher_loss",
-    "fit_gap_curve",
-    "frequency_audit",
-    "grad_check",
-    "layer_scan",
-    "margin_loss",
-    "margin_quantiles",
-    "oracle_alpha",
-    "recompute_fp32_logits",
-    "rotation_report",
-    "spearman",
-    "train",
-    "unique_value_count",
-    "validate_scaling",
-    "__version__",
-]

@@ -24,23 +24,6 @@ import numpy as np
 from .errors import DataError, UsageError
 from .margins import Audit, nearest_rank_quantile
 
-__all__ = [
-    "ChurnReport",
-    "RotationReport",
-    "BandRow",
-    "BandTable",
-    "ExpansionReport",
-    "FrequencyBucket",
-    "FrequencyBuckets",
-    "BAND_EDGES",
-    "FREQUENCY_EDGES",
-    "churn_report",
-    "rotation_report",
-    "band_accuracy",
-    "expansion_report",
-    "frequency_audit",
-]
-
 BAND_EDGES = (0.5, 1.0, 2.0, 5.0)
 
 # Buckets by target-token occurrence count: 1, 2-4, 5-19, 20-99, 100+.

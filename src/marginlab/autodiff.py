@@ -19,24 +19,6 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "constant",
-    "parameter",
-    "as_tensor",
-    "matmul",
-    "matmul_t",
-    "add",
-    "scale",
-    "causal_attention",
-    "gather_rows",
-    "normalize_rows",
-    "normalize_into",
-    "relu",
-    "grad_check",
-]
-
 _TAPE_STACK: list["Tape"] = []
 
 
@@ -273,11 +255,8 @@ def normalize_rows(x: Tensor, length: float) -> Tensor:
     out, norms = normalize_into(xv, c)
 
     def backward(g):
-        u = xv / norms  # the forward's unit rows, bit for bit
-        gu = g * c
-        gu -= u * np.sum(gu * u, axis=-1, keepdims=True)
-        gu /= norms
-        _accumulate(x, gu)
+        # xv / norms: the forward's unit rows, bit for bit
+        _accumulate(x, normalize_grad(g, xv / norms, norms, c))
 
     return _make(out, (x,), backward)
 
@@ -292,6 +271,15 @@ def normalize_into(x: np.ndarray, length: float, out=None, norms=None):
     np.sum(np.multiply(x, x, out=out), axis=-1, keepdims=True, out=norms)
     np.maximum(np.sqrt(norms, out=norms), 1e-30, out=norms)
     return np.multiply(np.divide(x, norms, out=out), length, out=out), norms
+
+
+def normalize_grad(g: np.ndarray, unit: np.ndarray, norms: np.ndarray, length: float):
+    """The gradient reaching x through ``normalize_into(x, length)``, given the
+    gradient ``g`` of its output, the unit rows x / norms and the norms."""
+    gu = g * length
+    gu -= unit * np.sum(gu * unit, axis=-1, keepdims=True)
+    gu /= norms
+    return gu
 
 
 def relu(x: Tensor) -> Tensor:

@@ -40,26 +40,6 @@ from .margins import Audit
 from .precision import emulate_bf16
 from .toylm import ToyLm, ToyLmConfig
 
-__all__ = [
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "created_stamp",
-    "file_digest",
-    "write_logits",
-    "read_logits",
-    "read_logits_blocks",
-    "write_audit",
-    "read_audit",
-    "save_checkpoint",
-    "load_checkpoint",
-    "write_report_json",
-    "write_csv",
-    "write_metrics_csv",
-    "to_jsonable",
-    "AUDIT_VERSION",
-    "CHECKPOINT_VERSION",
-]
-
 AUDIT_VERSION = 1
 CHECKPOINT_VERSION = 2
 

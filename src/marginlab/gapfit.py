@@ -22,8 +22,6 @@ import numpy as np
 from .errors import NumericalError, UsageError, check_int, check_size
 from .margins import nearest_rank
 
-__all__ = ["GridSpec", "GapFit", "MIN_MARGINS", "fit_gap_curve", "empirical_gap"]
-
 MIN_MARGINS = 1000  # the fewest margins fit_gap_curve takes
 
 

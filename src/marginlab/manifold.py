@@ -54,19 +54,6 @@ from .errors import DataError, NumericalError, UsageError, check_int, check_size
 from .gapfit import GapFit, fit_gap_curve
 from .margins import column_margins, top2_stats
 
-__all__ = [
-    "ManifoldSpec",
-    "ScalingVerdict",
-    "generate",
-    "oracle_alpha",
-    "gradient_floor",
-    "validate_scaling",
-    "circle_two_sites",
-    "circle_three_sites",
-    "square_eight_sites",
-    "PRESETS",
-]
-
 SAMPLERS = ("circle_uniform", "square_uniform")
 
 # Points per block; blocks of a few MiB ran the oracle faster than 500K-point ones.

@@ -13,20 +13,6 @@ import numpy as np
 
 from .errors import DataError, UsageError
 
-__all__ = [
-    "Audit",
-    "MarginRecord",
-    "MarginQuantiles",
-    "compute_margins",
-    "topk_ids",
-    "top2_stats",
-    "column_margins",
-    "margin_quantiles",
-    "unique_value_count",
-    "nearest_rank",
-    "nearest_rank_quantile",
-]
-
 
 @dataclass(frozen=True)
 class MarginRecord:

@@ -35,16 +35,6 @@ from .autodiff import Tensor, _accumulate, _make
 from .errors import DataError, UsageError, check_finite, check_int
 from .margins import topk_ids
 
-__all__ = [
-    "MrpConfig",
-    "LossParts",
-    "margin_loss",
-    "cross_entropy",
-    "fisher_distance",
-    "fisher_loss",
-    "combined_loss",
-]
-
 OBJECTIVES = ("margin", "fisher")
 # Floor on squared Fisher distances before the square root.
 CLAMP_FLOOR = 1e-8
@@ -289,7 +279,7 @@ def fisher_loss(logit_rows, unembedding, k: int, *, top_ids=None) -> Tensor:
         # form = G S G, so d_gram = dF G S + S G dF, and gram = u u^T.
         dfgs = d_form @ gs
         d_u = 2.0 * (dfgs + dfgs.transpose(0, 2, 1)) @ u
-        d_emb = (d_u - u * np.sum(d_u * u, axis=2, keepdims=True)) / norms
+        d_emb = ad.normalize_grad(d_u, u, norms, 1.0)
         dw = np.zeros_like(w.values)
         np.add.at(dw, ids.ravel(), d_emb.reshape(-1, dw.shape[1]))
         _accumulate(w, dw)

@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["emulate_bf16", "recompute_fp32_logits"]
-
 
 def emulate_bf16(x):
     """Round float values to the nearest bfloat16-representable value.

@@ -6,8 +6,6 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 
-__all__ = ["midranks", "spearman"]
-
 
 def midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties assigned the mean of the ranks they span."""

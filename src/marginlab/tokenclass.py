@@ -36,15 +36,6 @@ from .audit import _share, _tally, churn_report
 from .errors import DataError
 from .margins import Audit
 
-__all__ = [
-    "TokenClass",
-    "classify_token",
-    "function_words",
-    "ClassAuditRow",
-    "ClassAudit",
-    "class_audit",
-]
-
 _NUMERIC_RE = re.compile(r"^[0-9][0-9,./:%+-]*$")
 _CAPITALIZED_RE = re.compile(r"^[A-Z][A-Za-z]+$")
 _ALLCAPS_RE = re.compile(r"^[A-Z]{2,}$")

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["tokenize", "Vocab"]
-
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 UNK = "<unk>"

@@ -25,8 +25,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, UsageError, check_int, check_size
 
-__all__ = ["ToyLmConfig", "ToyLm"]
-
 
 @dataclass(frozen=True)
 class ToyLmConfig:
@@ -49,8 +47,13 @@ class ToyLmConfig:
             )
         if self.layers < 1 or self.context < 2:
             raise UsageError("need at least 1 layer and context >= 2")
+        check_size(parameters=self.parameter_count)
+
+    @property
+    def parameter_count(self) -> int:
+        """The number of float64 values in a model of this config."""
         d = self.hidden_dim
-        check_size(parameters=(self.vocab_size + self.context) * d + self.layers * 12 * d * d)
+        return (self.vocab_size + self.context) * d + self.layers * 12 * d * d
 
 
 class ToyLm:
@@ -62,9 +65,16 @@ class ToyLm:
         rng = np.random.default_rng(seed)
         d, v = config.hidden_dim, config.vocab_size
         self.params: dict[str, Tensor] = {}
+        # Every parameter is a view into one buffer taken before the first
+        # draw, so a model the machine cannot hold raises MemoryError at once.
+        rest = np.empty(config.parameter_count)
 
         def param(name: str, shape: tuple[int, ...], std: float) -> None:
-            self.params[name] = ad.parameter(rng.normal(0.0, std, size=shape))
+            nonlocal rest
+            n = math.prod(shape)
+            values, rest = rest[:n].reshape(shape), rest[n:]
+            values[...] = rng.normal(0.0, std, size=shape)
+            self.params[name] = Tensor(values, requires_grad=True)
 
         param("embedding", (v, d), 0.05)
         param("pos", (config.context, d), 0.05)

@@ -23,19 +23,6 @@ from .objectives import _log_softmax_at
 from .rankstats import spearman
 from .toylm import ToyLm
 
-__all__ = [
-    "TrainConfig",
-    "StepMetrics",
-    "SweepRow",
-    "LayerScanRow",
-    "make_chunks",
-    "train",
-    "audit_model",
-    "check_lambdas",
-    "dose_response",
-    "layer_scan",
-]
-
 
 # AdamW's decoupled weight decay and the share of a run spent warming up.
 WEIGHT_DECAY = 0.01

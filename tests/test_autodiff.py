@@ -367,6 +367,49 @@ class TestNormalizeInto:
         assert _same_bits(ad.normalize_rows(ad.constant(x), length).values, expected)
 
 
+def _old_normalize_rows_grad(x, g, length):
+    """normalize_rows' backward as it was written before normalize_grad."""
+    _, norms = ad.normalize_into(x, length)
+    u = x / norms
+    gu = g * length
+    gu -= u * np.sum(gu * u, axis=-1, keepdims=True)
+    gu /= norms
+    return gu
+
+
+def _old_fisher_emb_grad(d_u, u, norms, length):
+    """fisher_loss's embedding-row gradient as it was written before
+    normalize_grad; its rows are normalized to length 1."""
+    assert length == 1.0
+    return (d_u - u * np.sum(d_u * u, axis=2, keepdims=True)) / norms
+
+
+class TestNormalizeGrad:
+    """normalize_grad gives the bits of the two expressions it replaced,
+    zero rows (floored norms) included."""
+
+    @pytest.mark.parametrize("length", [48**0.5, 1.0], ids=["sqrt-d", "unit"])
+    def test_normalize_rows_gradient(self, length):
+        rng = np.random.default_rng(30)
+        x, g = rng.normal(size=(33, 48)), rng.normal(size=(33, 48))
+        x[1] = 0.0
+        _, (grad,) = _values_and_grads(lambda p: ad.normalize_rows(p[0], length), [x], g)
+        assert _same_bits(grad, _old_normalize_rows_grad(x, g, length))
+
+    def test_fisher_unembedding_gradient(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        logits, w = rng.normal(size=(9, 20)), rng.normal(size=(20, 6))
+        logits[:, 3] += 10.0  # token 3 is in every row's top 5; its embedding row is zero
+        w[3] = 0.0
+        upstream = np.array(1.0)
+        new = _values_and_grads(lambda p: fisher_loss(p[0], p[1], 5), [logits, w], upstream)
+        monkeypatch.setattr(ad, "normalize_grad", _old_fisher_emb_grad)
+        old = _values_and_grads(lambda p: fisher_loss(p[0], p[1], 5), [logits, w], upstream)
+        assert _same_bits(new[0], old[0])
+        assert all(_same_bits(a, b) for a, b in zip(new[1], old[1]))
+        assert np.isfinite(new[1][1]).all() and new[1][1][3].any()
+
+
 class TestFusedNodes:
     """normalize_rows, matmul_t, the in-place attention softmax, the
     scatter-free gathers and the one-node cross-entropy give the same bits

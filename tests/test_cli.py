@@ -1179,7 +1179,8 @@ class TestBadFlagValues:
 # Sizes no machine can allocate, so each fails before any memory is touched:
 # 1e17 float64 or int64 values are 711 PiB, past any address space, and
 # 2**62 of them pass numpy's limit of sys.maxsize bytes for one array.
-HUGE, PAST_NUMPY = "100000000000000000", str(2**62)
+# 1e9 layers pass that limit's check but take about 358 TiB of parameters.
+HUGE, PAST_NUMPY, LAYERS = "100000000000000000", str(2**62), "1000000000"
 
 
 class TestOversizedFlagValues:
@@ -1196,7 +1197,7 @@ class TestOversizedFlagValues:
 
     @pytest.mark.parametrize("flags", [
         ["--context", HUGE], ["--hidden-dim", HUGE, "--heads", "1"], ["--batch-size", HUGE],
-        ["--batch-size", PAST_NUMPY],
+        ["--batch-size", PAST_NUMPY], ["--layers", LAYERS],
     ], ids=" ".join)
     def test_train(self, tmp_path, corpus_file, capsys, flags):
         ckpt = tmp_path / "model.ckpt"

@@ -356,10 +356,20 @@ class TestTrain:
 
     @pytest.mark.parametrize("field", ["vocab_size", "hidden_dim", "layers", "context"])
     def test_model_config_refuses_parameters_past_numpy(self, field):
-        # Parameters are allocated a layer at a time, so a huge ``layers``
-        # would fill the memory before any one allocation failed.
         with pytest.raises(UsageError, match="parameters would take"):
             ToyLmConfig(**{field: 2**60})
+
+    def test_unallocatable_model_fails_before_any_draw(self, monkeypatch):
+        # 10**9 layers pass the config's check but take about 358 TiB at
+        # hidden_dim 64, past a 47-bit address space: the one parameter
+        # buffer is refused before the generator draws anything.
+        class NoDraws:
+            def normal(self, *args, **kwargs):
+                raise AssertionError("a parameter was drawn before the allocation")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(MemoryError):
+            ToyLm(ToyLmConfig(layers=10**9))
 
     def test_make_chunks(self):
         chunks = make_chunks(np.arange(25), context=10)
