@@ -13,7 +13,8 @@ Formats are designed for bit-exact round trips:
   writer's exact form are read as columns; any other valid JSONL is read
   through ``json`` to the same result.
 * Checkpoint: one JSON header line (config, seed, step, parameter
-  manifest) + concatenated raw little-endian float64 blocks.
+  manifest) + the model's one parameter buffer as raw little-endian
+  float64, which holds the parameters in manifest order.
 
 All writes are atomic (temp file in the target directory + rename).
 The ``created`` stamp honors the ``SOURCE_DATE_EPOCH`` convention so
@@ -485,11 +486,9 @@ def read_audit(path: str) -> tuple[Audit, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _manifest(model: ToyLm) -> list[dict]:
-    return [
-        {"name": name, "shape": list(p.values.shape), "dtype": "<f8"}
-        for name, p in model.params.items()
-    ]
+def _manifest(config: ToyLmConfig) -> list[dict]:
+    return [{"name": name, "shape": list(shape), "dtype": "<f8"}
+            for name, shape in config.shapes().items()]
 
 
 def save_checkpoint(path: str, model: ToyLm, step: int = 0, train_config: dict | None = None) -> None:
@@ -500,12 +499,11 @@ def save_checkpoint(path: str, model: ToyLm, step: int = 0, train_config: dict |
         "seed": model.seed,
         "step": int(step),
         "train_config": train_config,
-        "params": _manifest(model),
+        "params": _manifest(model.config),
     }
-    blob = bytearray(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-    for p in model.params.values():
-        blob += np.ascontiguousarray(p.values, dtype="<f8").tobytes()
-    atomic_write_bytes(path, bytes(blob))
+    # Every parameter is a view of model.values, in manifest order.
+    atomic_write_bytes(path, [json.dumps(header, sort_keys=True).encode("utf-8") + b"\n",
+                              model.values.astype("<f8", copy=False).tobytes()])
 
 
 def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
@@ -542,19 +540,19 @@ def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
     if train_config is not None and not isinstance(train_config, dict):
         raise DataError(f"{path}: checkpoint train_config {train_config!r} is not null or a JSON object")
     try:
-        model = ToyLm(ToyLmConfig(**config), seed=seed)
+        config = ToyLmConfig(**config)
     except UsageError as e:
         raise DataError(f"{path}: bad checkpoint config: {e}") from e
-    if header.get("params") != _manifest(model):
+    # The length first, so shapes() never loops over more layers than the file can hold.
+    params = header.get("params")
+    if not isinstance(params, list) or len(params) != 2 + 6 * config.layers or params != _manifest(config):
         raise DataError(f"{path}: parameter manifest does not match the config's parameters")
-    sizes = [p.values.size for p in model.params.values()]
-    if len(raw) - nl - 1 != 8 * sum(sizes):
-        raise DataError(f"{path}: payload is {len(raw) - nl - 1} bytes, expected {8 * sum(sizes)}")
-    blocks = np.split(np.frombuffer(raw, dtype="<f8", offset=nl + 1), np.cumsum(sizes)[:-1])
-    for (name, p), block in zip(model.params.items(), blocks):
-        if not np.isfinite(block).all():
+    if (size := len(raw) - nl - 1) != 8 * config.parameter_count:
+        raise DataError(f"{path}: payload is {size} bytes, expected {8 * config.parameter_count}")
+    model = ToyLm(config, seed, np.frombuffer(raw, dtype="<f8", offset=nl + 1).astype(np.float64))
+    for name, p in model.params.items():
+        if not np.isfinite(p.values).all():
             raise DataError(f"{path}: parameter {name!r} has non-finite values")
-        p.values = block.reshape(p.values.shape).copy()
     return model, header
 
 

@@ -55,34 +55,41 @@ class ToyLmConfig:
         d = self.hidden_dim
         return (self.vocab_size + self.context) * d + self.layers * 12 * d * d
 
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter's shape by name, in draw, buffer and checkpoint order."""
+        d = self.hidden_dim
+        shapes = {"embedding": (self.vocab_size, d), "pos": (self.context, d)}
+        for i in range(self.layers):
+            shapes.update({f"layer{i}.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+            shapes.update({f"layer{i}.w1": (d, 4 * d), f"layer{i}.w2": (4 * d, d)})
+        return shapes
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """``buffer`` (``parameter_count`` values) split by ``shapes()`` into views."""
+        shapes = self.shapes()
+        parts = np.split(buffer, np.cumsum([math.prod(s) for s in shapes.values()])[:-1])
+        return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
 
 class ToyLm:
     """Causal language model over token-id sequences."""
 
-    def __init__(self, config: ToyLmConfig, seed: int = 0):
-        self.config = config
-        self.seed = seed
-        rng = np.random.default_rng(seed)
-        d, v = config.hidden_dim, config.vocab_size
-        self.params: dict[str, Tensor] = {}
+    def __init__(self, config: ToyLmConfig, seed: int = 0, values: np.ndarray | None = None):
+        """Draws fresh parameters from ``seed``; given ``values`` (``parameter_count``
+        floats), the parameters are views of it and nothing is drawn."""
+        self.config, self.seed = config, seed
         # Every parameter is a view into one buffer taken before the first
         # draw, so a model the machine cannot hold raises MemoryError at once.
-        rest = np.empty(config.parameter_count)
-
-        def param(name: str, shape: tuple[int, ...], std: float) -> None:
-            nonlocal rest
-            n = math.prod(shape)
-            values, rest = rest[:n].reshape(shape), rest[n:]
-            values[...] = rng.normal(0.0, std, size=shape)
-            self.params[name] = Tensor(values, requires_grad=True)
-
-        param("embedding", (v, d), 0.05)
-        param("pos", (config.context, d), 0.05)
-        for i in range(config.layers):
-            for w in ("wq", "wk", "wv", "wo"):
-                param(f"layer{i}.{w}", (d, d), 1.0 / math.sqrt(d))
-            param(f"layer{i}.w1", (d, 4 * d), 1.0 / math.sqrt(d))
-            param(f"layer{i}.w2", (4 * d, d), 1.0 / math.sqrt(4 * d))
+        self.values = np.empty(config.parameter_count) if values is None else values
+        if self.values.shape != (config.parameter_count,):
+            raise UsageError(f"values must be [{config.parameter_count}], got {self.values.shape}")
+        views = config.views(self.values)
+        if values is None:
+            rng = np.random.default_rng(seed)
+            for name, view in views.items():
+                std = 0.05 if name in ("embedding", "pos") else 1.0 / math.sqrt(view.shape[0])
+                view[...] = rng.normal(0.0, std, size=view.shape)
+        self.params = {name: Tensor(view, requires_grad=True) for name, view in views.items()}
 
     @property
     def unembedding(self) -> Tensor:
@@ -90,13 +97,7 @@ class ToyLm:
         return self.params["embedding"]
 
     def clone(self) -> "ToyLm":
-        other = ToyLm.__new__(ToyLm)
-        other.config = self.config
-        other.seed = self.seed
-        other.params = {
-            name: ad.parameter(p.values.copy()) for name, p in self.params.items()
-        }
-        return other
+        return ToyLm(self.config, self.seed, self.values.copy())
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -1045,6 +1045,11 @@ BAD_CHECKPOINTS = {
         "manifest does not match",
     ),
     "manifest omits a parameter": (_omit_last_param, "manifest does not match"),
+    # Refused from the header alone, before the model is allocated.
+    "header claims 10**9 layers": (
+        lambda h, p: ({**h, "config": {**h["config"], "layers": 10**9}}, p[:8]),
+        "manifest does not match",
+    ),
     "NaN parameter value": (_nan_first_value, "non-finite values"),
     # A type check, not ==, rejects these: True == 1 and 2.0 == 2 in Python.
     "version 2.0": (lambda h, p: ({**h, "version": 2.0}, p), "checkpoint version 2.0 is not 2"),

@@ -618,6 +618,36 @@ class TestCheckpoint:
             fileio.load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("layers,full_manifest,message", [
+        (300, False, "manifest does not match"),
+        (300, True, "payload is 8 bytes, expected "),
+        (10**9, False, "manifest does not match"),
+    ])
+    def test_oversized_header_fails_before_any_draw(self, tmp_path, monkeypatch,
+                                                    layers, full_manifest, message):
+        # The header claims far more layers than its 8-byte payload holds:
+        # the manifest and the payload size are checked from the config
+        # alone, before any parameter is allocated or drawn.
+        class NoDraws:
+            def normal(self, *args, **kwargs):
+                raise AssertionError("a parameter was drawn before the checks")
+
+        cfg = ToyLmConfig(vocab_size=32, hidden_dim=16, layers=1, heads=2, context=8)
+        path = str(tmp_path / "model.ckpt")
+        fileio.save_checkpoint(path, ToyLm(cfg, seed=0), step=0)
+        raw = open(path, "rb").read()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        header["config"]["layers"] = layers
+        if full_manifest:
+            header["params"] = fileio._manifest(ToyLmConfig(**header["config"]))
+        with open(path, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n" + raw[nl + 1 : nl + 9])
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(DataError, match=message):
+            fileio.load_checkpoint(path)
+
+
 # Header edits that break a checkpoint; each must be a DataError on load.
 BAD_CHECKPOINT_HEADERS = {
     "config value of the wrong type": lambda h: h["config"].update(heads=2.0),

@@ -1,5 +1,6 @@
 """Toy model forward semantics, training behavior, and the layer scan."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginlab import autodiff as ad
+from marginlab import fileio
 from marginlab.errors import DataError, MarginLabError, UsageError
 from marginlab.margins import Audit, compute_margins, nearest_rank_quantile, top2_stats
 from marginlab.objectives import (
@@ -22,6 +24,7 @@ from marginlab.toylm import ToyLm, ToyLmConfig
 from marginlab.training import (
     LayerScanRow,
     TrainConfig,
+    _AdamW,
     audit_model,
     dose_response,
     layer_scan,
@@ -376,6 +379,86 @@ class TestTrain:
         assert [len(c) for c in chunks] == [10, 10, 5]
         with pytest.raises(UsageError):
             make_chunks(np.array([1]), context=10)
+
+
+def old_checkpoint_parts(model):
+    """The manifest and payload as written before the parameters shared one
+    buffer: read from each parameter tensor, one block per parameter."""
+    manifest = [{"name": name, "shape": list(p.values.shape), "dtype": "<f8"}
+                for name, p in model.params.items()]
+    payload = b"".join(np.ascontiguousarray(p.values, dtype="<f8").tobytes()
+                       for p in model.params.values())
+    return manifest, payload
+
+
+def assert_views_in_order(arrays: dict, buffer: np.ndarray, config: ToyLmConfig):
+    """Each array is the next stretch of ``buffer``, named and shaped as in ``shapes()``."""
+    shapes = config.shapes()
+    assert list(arrays) == list(shapes)
+    assert buffer.shape == (config.parameter_count,) == (sum(map(math.prod, shapes.values())),)
+    at = buffer.ctypes.data
+    for name, array in arrays.items():
+        assert array.shape == shapes[name] and array.flags.c_contiguous
+        assert array.base is buffer and array.ctypes.data == at
+        at += array.nbytes
+    assert at == buffer.ctypes.data + buffer.nbytes
+
+
+def param_values(model):
+    return {name: p.values for name, p in model.params.items()}
+
+
+BUFFER_CONFIGS = [
+    CFG,
+    ToyLmConfig(vocab_size=16, hidden_dim=8, layers=1, heads=1, context=4),
+    ToyLmConfig(vocab_size=40, hidden_dim=12, layers=3, heads=3, context=9),
+]
+
+
+class TestParameterBuffer:
+    """Every parameter of a ToyLm is a view of its one buffer ``values``."""
+
+    @pytest.mark.parametrize("cfg", BUFFER_CONFIGS, ids=["cfg", "one-layer", "three-layer"])
+    def test_fresh_cloned_trained_and_loaded(self, tmp_path, tiny_corpus, cfg):
+        model = ToyLm(cfg, seed=3)
+        assert_views_in_order(param_values(model), model.values, cfg)
+        copy = model.clone()
+        assert_views_in_order(param_values(copy), copy.values, cfg)
+        assert not np.shares_memory(copy.values, model.values)
+        assert copy.values.tobytes() == model.values.tobytes()
+        train(copy, tiny_corpus % cfg.vocab_size, TrainConfig(steps=3, seed=1, mrp=MrpConfig()))
+        assert_views_in_order(param_values(copy), copy.values, cfg)
+        assert copy.values.tobytes() != model.values.tobytes()
+        for m in (model, copy):
+            path = str(tmp_path / "m.ckpt")
+            fileio.save_checkpoint(path, m)
+            raw = open(path, "rb").read()
+            nl = raw.find(b"\n")
+            manifest, payload = old_checkpoint_parts(m)
+            assert json.loads(raw[:nl])["params"] == manifest and raw[nl + 1:] == payload
+            back, _ = fileio.load_checkpoint(path)
+            assert_views_in_order(param_values(back), back.values, cfg)
+            assert back.values.tobytes() == m.values.tobytes()
+
+    def test_adamw_moments_share_the_layout(self):
+        model = ToyLm(CFG, seed=0)
+        opt = _AdamW(model)
+        for p in model.params.values():
+            p.grad = np.zeros_like(p.values)
+        opt.step(1e-3)
+        assert_views_in_order(param_values(model), model.values, CFG)
+        for moments in (opt.m, opt.v):
+            buffer = moments["embedding"].base
+            assert_views_in_order(moments, buffer, CFG)
+            assert not buffer.any() and not np.shares_memory(buffer, model.values)
+
+    def test_built_around_a_buffer_draws_nothing_and_keeps_its_dtype(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: None)
+        values = np.arange(CFG.parameter_count, dtype=np.float32)
+        model = ToyLm(CFG, seed=0, values=values)
+        assert model.values is values and model.clone().values.dtype == np.float32
+        with pytest.raises(UsageError, match="values must be"):
+            ToyLm(CFG, values=values[1:])
 
 
 class TestDoseResponse:
