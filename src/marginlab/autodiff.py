@@ -6,6 +6,10 @@ Design notes:
   recording order is a topological order, and the backward pass walks it
   exactly once in reverse, so gradient accumulation order is fixed and
   results are bit-reproducible.
+* ``backward`` consumes the tape: each node, with the arrays its backward
+  saved, is released as the walk passes it, and its output's grad reset
+  to None, so only leaf grads remain.  Call it once per tape (a second
+  call is a ``UsageError``); ``len(tape)`` still counts the recorded nodes.
 * Everything defaults to float64.  float32 inputs are preserved for
   callers that want speed over precision, but the verification tests run
   in double precision.
@@ -53,7 +57,8 @@ class Tape:
     """Recorder for primitive applications, in application order."""
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, object]] = []
+        self._nodes: list[tuple[Tensor, object] | None] = []
+        self._walked = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -67,16 +72,20 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, root: Tensor) -> None:
-        """Accumulate d(root)/d(leaf) into every recorded tensor's grad.
-
-        ``root`` must be a scalar produced under this tape.
-        """
+        """Accumulate d(root)/d(leaf) into every leaf's grad, consuming the
+        tape as the module notes say.  ``root`` must be a scalar produced
+        under this tape."""
+        if self._walked:
+            raise UsageError("this tape was already walked by backward; record a new one")
         if root.values.size != 1:
             raise UsageError("backward root must be a scalar")
+        self._walked = True
         root.grad = np.ones_like(root.values)
-        for out, backward in reversed(self._nodes):
+        for i in reversed(range(len(self))):
+            (out, backward), self._nodes[i] = self._nodes[i], None
             if out.grad is not None:
                 backward(out.grad)
+                out.grad = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -173,8 +173,9 @@ def cross_entropy(logit_rows, targets) -> Tensor:
     def backward(g):
         # g / n * (p - onehot) as p * -c, plus c at the targets; computing
         # c as (g * -1) / n keeps the pinned training results bit for bit.
+        # A tape runs each backward once, so p is built in shifted's buffer.
         c = float(g * -1.0) / n
-        dx = np.subtract(shifted, lse[:, None])
+        dx = np.subtract(shifted, lse[:, None], out=shifted)
         np.exp(dx, out=dx)
         dx *= -c
         dx[np.arange(n), idx] += c

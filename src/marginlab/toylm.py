@@ -180,8 +180,9 @@ class ToyLm:
         ids = self._token_ids(tokens)
         (b, t), cfg = ids.shape, self.config
         d, r, w = cfg.hidden_dim, b * t, {n: p.values for n, p in self.params.items()}
-        if (b, t) not in scratch:
-            scratch[b, t] = [np.empty(shape) for shape in [(r, d)] * 6 + [(r, 1), (r, 4 * d)]]
+        if (b, t) not in scratch:  # in the parameters' dtype, as forward's intermediates
+            shapes = [(r, d)] * 6 + [(r, 1), (r, 4 * d)]
+            scratch[b, t] = [np.empty(shape, self.values.dtype) for shape in shapes]
         x, h, q, k, v, y, norms, u = scratch[b, t]
         # The ids are checked; "clip" spares take's buffered copy of its output.
         np.take(w["embedding"], ids, axis=0, out=x.reshape(b, t, d), mode="clip")
@@ -203,16 +204,17 @@ class ToyLm:
         return self.project_hidden(rows, scratch), hiddens
 
     def project_hidden(self, hidden: np.ndarray, scratch: dict) -> np.ndarray:
-        """Virtual logits: [n, d] hidden-state rows through ``forward``'s
-        output head, tape-free; ``scratch`` and the result as in ``evaluate``."""
-        h, d = np.asarray(hidden, dtype=np.float64), self.config.hidden_dim
+        """Virtual logits: [n, d] hidden-state rows, cast to the parameters'
+        dtype, through ``forward``'s output head, tape-free; ``scratch`` and
+        the result as in ``evaluate``."""
+        h, d = np.asarray(hidden, dtype=self.values.dtype), self.config.hidden_dim
         if h.ndim != 2 or h.shape[1] != d:
             raise UsageError(f"hidden states must be [n, {d}], got shape {h.shape}")
         if "et" not in scratch:  # contiguous, as autodiff.matmul_t copies it
             scratch["et"] = np.ascontiguousarray(self.unembedding.values.T)
         n, v = len(h), self.config.vocab_size
         if n not in scratch:
-            scratch[n] = [np.empty(shape) for shape in ((n, 1), (n, d), (n, v))]
+            scratch[n] = [np.empty(shape, h.dtype) for shape in ((n, 1), (n, d), (n, v))]
         norms, out, logits = scratch[n]
         ad.normalize_into(h, math.sqrt(d), out, norms)
         return np.matmul(out, scratch["et"], out=logits)

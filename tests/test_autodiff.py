@@ -1,5 +1,7 @@
 """Engine primitives verified against central differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -606,6 +608,29 @@ class TestTapeSemantics:
             out = ad.add(a, a)
             with pytest.raises(UsageError):
                 tape.backward(out)
+
+    def test_second_walk_is_refused(self):
+        with ad.Tape() as tape:
+            a = ad.parameter(np.ones((2, 2)))
+            out = mean(ad.relu(ad.matmul(a, a)))
+        tape.backward(out)
+        grad = a.grad
+        with pytest.raises(UsageError, match="already walked"):
+            tape.backward(out)
+        assert a.grad is grad and len(tape) == 3
+
+    def test_walk_releases_what_it_passes(self):
+        # A passed node's saved arrays and its output's gradient are
+        # released while the tape is still bound; leaf gradients stay.
+        with ad.Tape() as tape:
+            a = ad.parameter(np.ones((2, 2)))
+            h = ad.matmul(a, a)
+            saved = weakref.ref(h.values)  # held by relu's backward and h's entry
+            r = ad.relu(h)
+            del h
+            tape.backward(mean(r))
+        assert saved() is None and r.grad is None
+        np.testing.assert_array_equal(a.grad, np.full((2, 2), 1.0))
 
     def test_visits_each_node_once(self):
         # diamond graph: y = mean(a) + a . a; gradient 1 + 2a
