@@ -138,8 +138,8 @@ def _fit_report(fit: GapFit) -> dict:
 
 
 def _cmd_audit(args) -> int:
-    header, blocks = fileio.read_logits_blocks(args.logits)
-    vocab = header["cols"]
+    header, _ = fileio.read_logits_blocks(args.logits)
+    rows, vocab = header["rows"], header["cols"]
     if args.fp32_recompute:
         unemb, _ = fileio.read_logits(args.fp32_recompute)
         if unemb.shape[1] != vocab or not np.isfinite(unemb).all():
@@ -149,21 +149,33 @@ def _cmd_audit(args) -> int:
     if vocab < 2:
         raise DataError(f"{args.fp32_recompute or args.logits}: need at least 2 logits per row, "
                         f"got {vocab}")
-    targets = _read_targets(args.targets, header["rows"], vocab)
-    parts, start = [], 0
-    for block in blocks:
-        if args.fp32_recompute:
-            bad = start + np.flatnonzero(~np.isfinite(block).all(axis=1))
-            if bad.size:
-                raise DataError(f"{args.logits}: non-finite hidden state at position {bad[0]}")
-            # An overflow is a non-finite logit, which compute_margins reports as data.
-            with np.errstate(over="ignore"):
-                block = recompute_fp32_logits(block, unemb)
-        if args.bf16_emulate:
-            block = emulate_bf16(block)
-        parts.append(compute_margins(block, targets[start : start + len(block)], start))
-        start += len(block)
-    audit = Audit.concat(parts)
+    targets = _read_targets(args.targets, rows, vocab)
+    block_rows = fileio.logits_block_rows(header["cols"])
+
+    def audit_blocks(first: int, last: int) -> list[Audit]:
+        """The audits of blocks first..last, each block read into this span's own buffer."""
+        start = first * block_rows
+        _, blocks = fileio.read_logits_blocks(args.logits, span=(start, min(last * block_rows, rows)))
+        parts = []
+        for block in blocks:
+            if args.fp32_recompute:
+                bad = start + np.flatnonzero(~np.isfinite(block).all(axis=1))
+                if bad.size:
+                    raise DataError(f"{args.logits}: non-finite hidden state at position {bad[0]}")
+                # An overflow is a non-finite logit, which compute_margins reports as data.
+                with np.errstate(over="ignore"):
+                    block = recompute_fp32_logits(block, unemb)
+            if args.bf16_emulate:
+                block = emulate_bf16(block, out=block)
+            parts.append(compute_margins(block, targets[start : start + len(block)], start))
+            start += len(block)
+        return parts
+
+    blocks = -(-rows // block_rows)
+    # The GEMM of --fp32-recompute already runs on every BLAS thread: with a
+    # second span the audit ran slower, with or without a lock around the GEMM.
+    spans = [audit_blocks(0, blocks)] if args.fp32_recompute else fileio.in_threads(audit_blocks, blocks)
+    audit = Audit.concat([part for parts in spans for part in parts])
     dtype = "bf16" if args.bf16_emulate else "f32"
     fileio.write_audit(args.out, audit, dtype=dtype, seed=args.seed)
     q = margin_quantiles(audit.margin)

@@ -30,7 +30,7 @@ import os
 import sys
 import tempfile
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, astuple, is_dataclass
 from enum import Enum
 
@@ -83,6 +83,33 @@ def file_digest(path: str) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def in_threads(work: Callable[[int, int], object], units: int) -> list:
+    """``work(lo, hi)`` over ``range(units)`` cut into one contiguous span
+    per worker thread, the smaller of the usable CPUs and ``units`` (the
+    caller's thread runs the first span).  Returns the results in span
+    order, and raises what the lowest span that failed raised, so the
+    outcome is the serial ``[work(0, units)]``'s when spans share nothing."""
+    workers = max(1, min(usable_cpus(), units))
+    if workers == 1:
+        return [work(0, units)]
+    # Imported here: concurrent.futures adds about 0.5 MiB to a process,
+    # and the commands that never cut spans should not pay it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [units * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(work, lo, hi) for lo, hi in zip(cuts[1:], cuts[2:])]
+        return [work(0, cuts[1])] + [f.result() for f in rest]
+
+
 # ---------------------------------------------------------------------------
 # logits container
 # ---------------------------------------------------------------------------
@@ -119,16 +146,27 @@ def write_logits(
     )
 
 
-# A block of about 512 KiB of float32 rows (256 at V = 512) keeps its selection
-# passes in cache; the row floor keeps a wide vocabulary from tiny blocks.
-_BLOCK_BYTES = 1 << 19
+# A block of about 1 MiB of float32 rows (512 at V = 512) keeps its selection
+# passes in cache and is long enough that numpy releases the GIL for most of
+# its work, so spans of blocks scale across threads (at 256 KiB two threads
+# ran slower than one); the row floor keeps a wide vocabulary from tiny blocks.
+_BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 32
 
 
-def read_logits_blocks(path: str, block_rows: int | None = None) -> tuple[dict, Iterator[np.ndarray]]:
+def logits_block_rows(cols: int) -> int:
+    """Rows in a default block of a ``cols``-wide container."""
+    return max(_BLOCK_BYTES // (4 * cols), _MIN_BLOCK_ROWS)
+
+
+def read_logits_blocks(
+    path: str, block_rows: int | None = None, span: tuple[int, int] | None = None
+) -> tuple[dict, Iterator[np.ndarray]]:
     """Checks the header and payload size, then returns (header, float32
-    blocks of ``block_rows`` rows, default about _BLOCK_BYTES).  bf16 widens
-    exactly.  Blocks share one buffer: each is valid until the next is read."""
+    blocks of ``block_rows`` rows, default ``logits_block_rows``) of rows
+    ``span`` = (lo, hi), default all, cut from lo.  bf16 widens exactly.
+    Blocks share one buffer and one file handle, which each call has to
+    itself: a block is valid until the next is read."""
     with open(path, "rb") as f:
         line = f.readline()
         size = os.fstat(f.fileno()).st_size - len(line)
@@ -156,14 +194,15 @@ def read_logits_blocks(path: str, block_rows: int | None = None) -> tuple[dict, 
         raise DataError(f"{path}: payload is {size} bytes, expected {expected}")
     if rows * cols == 0:
         raise DataError(f"{path}: empty logits container")
-    block_rows = min(block_rows or max(_BLOCK_BYTES // (4 * cols), _MIN_BLOCK_ROWS), rows)
+    first, last = span or (0, rows)
+    block_rows = min(block_rows or logits_block_rows(cols), rows)
 
     def blocks() -> Iterator[np.ndarray]:
         buf = np.empty((block_rows, cols), dtype="<f4" if dtype == "f32" else "<u2")
         with open(path, "rb") as f:
-            f.seek(len(line))
-            for lo in range(0, rows, block_rows):
-                part = buf[: min(block_rows, rows - lo)]
+            f.seek(len(line) + first * cols * _LOGITS_DTYPES[dtype])
+            for lo in range(first, last, block_rows):
+                part = buf[: min(block_rows, last - lo)]
                 if f.readinto(part) != part.nbytes:
                     raise DataError(f"{path}: payload shorter than {expected} bytes")
                 if dtype == "bf16":
@@ -358,8 +397,9 @@ def _record_block(buf: np.ndarray, ends: np.ndarray):
 
 def _record_columns(raw: bytes, start: int) -> Audit | None:
     """The audit of the record lines in ``raw[start:]``, read as columns in
-    blocks of ``_WRITE_BLOCK`` lines; None unless every line is a record line
-    in the writer's exact form (see ``_record_block``) ending in a newline."""
+    blocks of ``_WRITE_BLOCK`` lines, spans of blocks in threads; None unless
+    every line is a record line in the writer's exact form (see
+    ``_record_block``) ending in a newline."""
     body = np.frombuffer(raw, np.uint8, offset=start)
     ends = np.concatenate([np.empty(0, np.intp)] + [
         np.flatnonzero(body[a : a + _SCAN_BYTES] == ord("\n")) + a
@@ -368,19 +408,25 @@ def _record_columns(raw: bytes, start: int) -> Audit | None:
     if body.size and (not ends.size or ends[-1] != body.size - 1):
         return None
     firsts = np.concatenate(([0], ends[_WRITE_BLOCK - 1 :: _WRITE_BLOCK] + 1))
-    # One buffer for every block, with zeros after the block for the windows.
-    buf = np.zeros(int(np.diff(firsts, append=body.size).max(initial=0)) + _MARGIN_WIDTH + 1, np.uint8)
+    longest = int(np.diff(firsts, append=body.size).max(initial=0))
+    blocks = list(zip(range(0, ends.size, _WRITE_BLOCK), firsts.tolist()))
     ids, margin, correct = np.empty((4, ends.size), np.int64), np.empty(ends.size), np.empty(ends.size, bool)
-    for lo, first in zip(range(0, ends.size, _WRITE_BLOCK), firsts.tolist()):
-        hi = min(lo + _WRITE_BLOCK, ends.size)
-        size = ends[hi - 1] + 1 - first
-        buf[:size] = body[first : first + size]
-        buf[size:] = 0
-        block = _record_block(buf, ends[lo:hi] - first)
-        if block is None:
-            return None
-        ids[:, lo:hi], margin[lo:hi], correct[lo:hi] = block
-    return Audit(*ids, margin, correct)
+
+    def read_span(a: int, b: int) -> bool:
+        # One buffer for the span's blocks, with zeros after each for the windows.
+        buf = np.zeros(longest + _MARGIN_WIDTH + 1, np.uint8)
+        for lo, first in blocks[a:b]:
+            hi = min(lo + _WRITE_BLOCK, ends.size)
+            size = ends[hi - 1] + 1 - first
+            buf[:size] = body[first : first + size]
+            buf[size:] = 0
+            block = _record_block(buf, ends[lo:hi] - first)
+            if block is None:
+                return False
+            ids[:, lo:hi], margin[lo:hi], correct[lo:hi] = block
+        return True
+
+    return Audit(*ids, margin, correct) if all(in_threads(read_span, len(blocks))) else None
 
 
 def _record_row(obj) -> list:

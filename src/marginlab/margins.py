@@ -128,15 +128,29 @@ def topk_ids(rows: np.ndarray, k: int) -> np.ndarray:
     Repeated masked ``argmax``, which returns the first maximum, so each
     row is read k times instead of sorted.  For finite rows this equals the
     first k columns of a stable argsort of ``-rows``; chosen entries are
-    masked with -inf, so non-finite rows are not supported.
+    masked with -inf, so non-finite rows are not supported.  The masks go
+    into ``rows`` itself and every masked entry is put back before this
+    returns, so ``rows`` ends bit for bit as it was but must not be read
+    by another thread meanwhile; only a read-only or non-float input is
+    copied first.
     """
+    if rows.dtype.kind != "f" or not rows.flags.writeable:
+        rows = rows.astype(rows.dtype if rows.dtype.kind == "f" else np.float64)
     ids = np.empty((rows.shape[0], k), dtype=np.intp)
     ids[:, 0] = rows.argmax(axis=1)
-    work = rows.astype(rows.dtype if rows.dtype.kind == "f" else np.float64)
     r = np.arange(rows.shape[0])
-    for j in range(1, k):
-        work[r, ids[:, j - 1]] = -np.inf
-        ids[:, j] = work.argmax(axis=1)
+    saved, masked = np.empty((k - 1, rows.shape[0]), rows.dtype), 0
+    try:
+        for j in range(1, k):
+            saved[j - 1] = rows[r, ids[:, j - 1]]
+            masked = j
+            rows[r, ids[:, j - 1]] = -np.inf
+            ids[:, j] = rows.argmax(axis=1)
+    finally:
+        # Backwards, so an entry chosen twice (when a row has only -inf left)
+        # gets its own value, not its mask.
+        for j in range(masked, 0, -1):
+            rows[r, ids[:, j - 1]] = saved[j - 1]
     return ids
 
 
@@ -144,7 +158,7 @@ def top2_stats(logit_rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.n
     """Top-1/top-2 ids and margins for a batch of logit rows.
 
     Lower token id wins ties.  Returns (top1_ids, top2_ids, margins) as
-    arrays of length ``rows``.
+    arrays of length ``rows``.  Selects in place as ``topk_ids`` does.
 
     Raises:
         UsageError: fewer than 2 columns.
@@ -155,13 +169,15 @@ def top2_stats(logit_rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.n
         raise UsageError(f"logit rows must be 2-D, got shape {rows.shape}")
     if rows.shape[1] < 2:
         raise UsageError(f"need at least 2 logits per row, got V={rows.shape[1]}")
-    finite = np.isfinite(rows)
-    if not finite.all():
-        pos = int(np.nonzero(~finite.all(axis=1))[0][0])
-        raise DataError(f"non-finite logit at position {start + pos}")
     top1, top2 = topk_ids(rows, 2).T
     idx = np.arange(rows.shape[0])
-    return top1, top2, rows[idx, top1] - rows[idx, top2]
+    first = rows[idx, top1]
+    # argmax picks a NaN or +inf when a row holds one, and the minimum of
+    # the rows is -inf or NaN when one holds either.
+    if rows.size and not (np.isfinite(first).all() and np.isfinite(rows.min())):
+        pos = int(np.nonzero(~np.isfinite(rows).all(axis=1))[0][0])
+        raise DataError(f"non-finite logit at position {start + pos}")
+    return top1, top2, first - rows[idx, top2]
 
 
 def column_margins(logits: np.ndarray, start: int | np.ndarray = 0) -> np.ndarray:

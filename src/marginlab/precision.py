@@ -13,29 +13,43 @@ import numpy as np
 from .errors import UsageError
 
 
-def emulate_bf16(x):
+def emulate_bf16(x, out=None):
     """Round float values to the nearest bfloat16-representable value.
 
     Accepts a scalar or array; returns float32 of the same shape (a plain
     float for scalar input).  Round-to-nearest-even on the 16 truncated
-    mantissa bits.  Idempotent.  Infinities and NaNs pass through
-    unchanged.
+    mantissa bits, so a finite value above the largest bfloat16 rounds to
+    infinity.  Idempotent.  Infinities and NaNs (payload and sign
+    included) pass through unchanged.  Input that is not float32 is first
+    rounded to float32, so a float64 value rounds twice and can land on the
+    wrong side of a bfloat16 midpoint: ``emulate_bf16(1 + 2**-8 + 2**-30)``
+    is 1.0, though 1.0078125 is nearer.
+
+    ``out``, a float32 array of the input's shape, receives the result and
+    is returned; it may be the input itself.
     """
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
+    scalar = out is None and (np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0))
     arr = np.asarray(x, dtype=np.float32)
-    bits = arr.view(np.uint32)
-    # RNE: add 0x7FFF plus the lowest kept bit, then truncate; in place on
-    # one buffer, then non-finite inputs are copied back unchanged.
-    out = bits.copy()
-    out >>= np.uint32(16)
-    out &= np.uint32(1)
-    out += np.uint32(0x7FFF)
-    out += bits
-    out &= np.uint32(0xFFFF0000)
-    np.copyto(out, bits, where=~np.isfinite(arr))
+    if out is None:
+        out = np.empty_like(arr)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float32 and out.shape == arr.shape):
+        raise UsageError(f"out must be a float32 array of shape {arr.shape}")
+    bits, rounded = arr.view(np.uint32), out.view(np.uint32)
+    # A NaN's payload can carry into its exponent and sign, so NaNs are kept
+    # aside, and only when a min reduction (which propagates NaN) finds one.
+    nan = np.isnan(arr) if arr.size and np.isnan(arr.min()) else None
+    kept = None if nan is None else bits[nan]
+    # RNE: add 0x7FFF plus the lowest kept bit, then truncate.
+    lowest = bits >> np.uint32(16)
+    lowest &= np.uint32(1)
+    np.add(bits, lowest, out=rounded)
+    rounded += np.uint32(0x7FFF)
+    rounded &= np.uint32(0xFFFF0000)
+    if nan is not None:
+        rounded[nan] = kept
     if scalar:
-        return float(out.view(np.float32))
-    return out.view(np.float32)
+        return float(out)
+    return out
 
 
 def recompute_fp32_logits(hidden_state: np.ndarray, unembedding: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -316,6 +318,102 @@ class TestStreamedAudit:
         assert code == 2
         assert "non-finite logit at position 7" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["logits.bin", "targets.json"]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the usable CPU count that fileio.in_threads sizes its workers by."""
+    return lambda n: monkeypatch.setattr(fileio, "usable_cpus", lambda: n)
+
+
+class TestAuditWorkers:
+    """audit cuts its blocks into one contiguous span per worker thread; one
+    and two workers must write the same bytes and fail the same way."""
+
+    ROWS, V = 10, 6  # four 3-row blocks: two spans of two blocks
+
+    def inputs(self, tmp_path, logits=None):
+        rng = np.random.default_rng(31)
+        if logits is None:
+            logits = rng.normal(size=(self.ROWS, self.V)).astype(np.float32)
+        # Multiples of 1/8 with small sums: every product order gives the same float32.
+        hidden = (rng.integers(-8, 9, (self.ROWS, 5)) / 8).astype(np.float32)
+        unemb = (rng.integers(-8, 9, (self.V, 5)) / 8).astype(np.float32)
+        paths = {n: str(tmp_path / n) for n in ("logits.bin", "hidden.bin", "unemb.bin", "t.json")}
+        fileio.write_logits(paths["logits.bin"], logits)
+        fileio.write_logits(paths["hidden.bin"], hidden)
+        fileio.write_logits(paths["unemb.bin"], unemb)
+        with open(paths["t.json"], "w") as f:
+            json.dump(rng.integers(0, self.V, self.ROWS).tolist(), f)
+        return paths
+
+    def argv(self, paths, out, flags):
+        if "--fp32-recompute" in flags:
+            return ["audit", paths["hidden.bin"], paths["t.json"], out, *flags, paths["unemb.bin"]]
+        return ["audit", paths["logits.bin"], paths["t.json"], out, *flags]
+
+    def threads_of(self, monkeypatch, name):
+        """The threads that call ``cli.<name>`` from here on."""
+        seen, original = [], getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+        return seen
+
+    @pytest.mark.parametrize("flags", [[], ["--bf16-emulate"], ["--fp32-recompute"],
+                                       ["--bf16-emulate", "--fp32-recompute"]])
+    def test_one_and_two_workers_write_the_same_bytes(
+        self, tmp_path, three_row_blocks, cpus, monkeypatch, flags
+    ):
+        paths = self.inputs(tmp_path)
+        threads = self.threads_of(monkeypatch, "compute_margins")
+        written = []
+        for n in (1, 2):
+            cpus(n)
+            out = str(tmp_path / f"a{n}.jsonl")
+            assert main(self.argv(paths, out, flags)) == 0
+            with open(out, "rb") as f:
+                written.append(f.read())
+        assert written[0] == written[1]
+        # --fp32-recompute keeps one worker: its GEMM already uses every BLAS thread.
+        assert len(set(threads)) == (1 if "--fp32-recompute" in flags else 2)
+
+    @pytest.mark.parametrize("flags", [[], ["--bf16-emulate"]])
+    def test_non_finite_in_both_halves_names_the_lower(
+        self, tmp_path, three_row_blocks, cpus, monkeypatch, flags, capsys
+    ):
+        logits = np.ones((self.ROWS, self.V), dtype=np.float32)
+        logits[2, 1], logits[8, 3] = np.nan, -np.inf
+        paths = self.inputs(tmp_path, logits)
+        original = cli.compute_margins
+
+        def first_span_late(rows, targets, start):
+            if start < 6:  # the second span fails first
+                time.sleep(0.05)
+            return original(rows, targets, start)
+
+        monkeypatch.setattr(cli, "compute_margins", first_span_late)
+        for n in (1, 2):
+            cpus(n)
+            assert main(self.argv(paths, str(tmp_path / "a.jsonl"), flags)) == 2
+            assert capsys.readouterr().err.endswith("non-finite logit at position 2\n")
+        assert not os.path.exists(tmp_path / "a.jsonl")
+
+    def test_every_block_goes_through_the_cli_names(self, tmp_path, three_row_blocks, cpus,
+                                                    monkeypatch):
+        """bench/tracing.py times the selection and the rounding by wrapping
+        ``cli.compute_margins`` and ``cli.emulate_bf16``: each block must call
+        both through those names, from every worker."""
+        paths = self.inputs(tmp_path)
+        selected = self.threads_of(monkeypatch, "compute_margins")
+        rounded = self.threads_of(monkeypatch, "emulate_bf16")
+        cpus(2)
+        assert main(self.argv(paths, str(tmp_path / "a.jsonl"), ["--bf16-emulate"])) == 0
+        assert len(selected) == len(rounded) == 4
+        assert len(set(selected)) == len(set(rounded)) == 2
 
 
 @pytest.fixture(scope="module")

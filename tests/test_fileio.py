@@ -2,6 +2,9 @@
 
 import json
 import os
+import sys
+import threading
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -431,6 +434,113 @@ class TestStreamedAuditWriter:
             tracemalloc.stop()
         # Building the whole text at once would peak at about 510 bytes per position.
         assert peak < 100 * n
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the usable CPU count that fileio.in_threads sizes its workers by."""
+    return lambda n: monkeypatch.setattr(fileio, "usable_cpus", lambda: n)
+
+
+class TestInThreads:
+    @pytest.mark.parametrize("n, units, spans", [
+        (1, 10, [(0, 10)]),
+        (3, 10, [(0, 3), (3, 6), (6, 10)]),
+        (4, 2, [(0, 1), (1, 2)]),
+        (2, 0, [(0, 0)]),
+    ])
+    def test_spans_in_order(self, cpus, n, units, spans):
+        cpus(n)
+        assert fileio.in_threads(lambda lo, hi: (lo, hi), units) == spans
+
+    def test_the_lowest_failing_span_raises(self, cpus):
+        def work(lo, hi):
+            if lo >= 2:
+                raise ValueError(lo)
+            time.sleep(0.05)  # the later spans fail first
+            return lo
+
+        cpus(4)
+        with pytest.raises(ValueError, match="^2$"):
+            fileio.in_threads(work, 4)
+
+    def test_many_workers_with_frequent_switches(self, tmp_path, monkeypatch, cpus):
+        """More workers than cores, each parsing 50 3-line blocks into the
+        shared columns while the interpreter switches threads every
+        microsecond: a lost or misplaced write would change a column."""
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK", 3)
+        audit = records(600, np.random.default_rng(10))
+        path = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(path, audit, created="x")
+        with open(path, "rb") as f:
+            raw = f.read()
+        cpus(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # the columnar parse itself: read_audit would fall back to json
+                assert fileio._record_columns(raw, raw.find(b"\n") + 1) == audit
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestReaderWorkers:
+    """The columnar reader parses spans of ``_WRITE_BLOCK``-line blocks in
+    threads; one and two workers give the same columns and the same errors."""
+
+    N = 40  # six 7-line blocks: each of two workers reads three
+
+    @pytest.fixture
+    def path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7)
+        path = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(path, records(self.N, np.random.default_rng(9)), created="x")
+        return path
+
+    @staticmethod
+    def edit(path, edits):
+        """Replace record lines: ``edits`` maps a record index to a function of its text."""
+        with open(path) as f:
+            lines = f.read().split("\n")
+        for i, change in edits.items():
+            lines[i + 1] = change(lines[i + 1])
+        with open(path, "w") as f:
+            f.write("\n".join(lines))
+
+    def outcomes(self, path, cpus):
+        out = []
+        for n in (1, 2):
+            cpus(n)
+            out.append(read_outcome(path))
+        return out
+
+    def test_two_workers_read_as_one(self, path, cpus, monkeypatch):
+        threads = set()
+        block = fileio._record_block
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return block(*args)
+
+        monkeypatch.setattr(fileio, "_record_block", recording)
+        one, two = self.outcomes(path, cpus)
+        assert one == two
+        assert fileio.read_audit(path)[0] == records(self.N, np.random.default_rng(9))
+        assert len(threads) == 2
+
+    def test_non_writer_line_in_second_half(self, path, cpus):
+        want = read_outcome(path)
+        self.edit(path, {30: lambda ln: ln.replace('"margin": ', '"margin":  ')})
+        assert self.outcomes(path, cpus) == [want, want]
+
+    def test_first_bad_line_is_named(self, path, cpus):
+        self.edit(path, {
+            33: lambda ln: ln.replace('"target_id": ', '"target_id": "x", "t": '),
+            25: lambda ln: ln.replace('"top1_id": ', '"top1_id": "x", "t": '),
+        })
+        one, two = self.outcomes(path, cpus)
+        assert one == two
+        assert one == f"{path}: bad record on line 27: TypeError(\"'top1_id' must be int\")"
 
 
 IDS = st.one_of(st.integers(0, 600), st.integers(0, 2**63 - 1))

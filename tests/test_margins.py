@@ -150,6 +150,66 @@ class TestSelectionMatchesStableSort:
 
 
 
+class TestSelectionLeavesInputAlone:
+    """topk_ids and top2_stats mask chosen entries in the caller's array and
+    put them back: the input ends bit for bit as it began, also when they
+    raise, and a read-only input is selected from a copy."""
+
+    @staticmethod
+    def bad_rows(dtype):
+        rows = np.random.default_rng(3).normal(size=(8, 6)).astype(dtype)
+        rows[1, 1:] = -np.inf  # once id 0 is masked, argmax picks it again
+        rows[2, 4] = np.nan
+        rows[3, :2] = (np.inf, -0.0)
+        rows[5] = np.float32(-0.0)
+        return rows
+
+    @pytest.mark.parametrize("v", [2, 8, 512])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_rows_unchanged(self, v, dtype):
+        for kind, rows in _selection_inputs(v).items():
+            rows = rows.astype(dtype)
+            before = rows.copy()
+            top2_stats(rows)
+            for k in range(1, min(v, 5) + 1):
+                topk_ids(rows, k)
+            assert rows.tobytes() == before.tobytes(), kind
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_that_raise_unchanged(self, dtype):
+        rows = self.bad_rows(dtype)
+        before = rows.tobytes()
+        for k in (2, 5, 6):
+            topk_ids(rows, k)
+            assert rows.tobytes() == before, k
+        with pytest.raises(DataError, match="position 11"):
+            top2_stats(rows, start=10)
+        assert rows.tobytes() == before
+
+    @pytest.mark.parametrize("bad, row", [(np.nan, 4), (np.inf, 2), (-np.inf, 6)])
+    def test_first_non_finite_row_is_named(self, bad, row):
+        rows = np.zeros((9, 5), np.float32)
+        rows[row, 3] = bad
+        rows[7, 0] = np.nan
+        with pytest.raises(DataError, match=f"non-finite logit at position {row}$"):
+            top2_stats(rows)
+
+    def test_read_only_and_integer_input(self):
+        rows = _selection_inputs(8)["tied"]
+        locked = rows.copy()
+        locked.flags.writeable = False
+        assert all(np.array_equal(a, b) for a, b in zip(top2_stats(locked), top2_stats(rows)))
+        assert np.array_equal(topk_ids(locked, 3), topk_ids(rows, 3))
+        whole = np.random.default_rng(4).integers(-9, 9, (50, 7))
+        before = whole.copy()
+        assert np.array_equal(topk_ids(whole, 3), topk_ids(whole.astype(float), 3))
+        assert np.array_equal(whole, before)
+        locked = self.bad_rows(np.float32)
+        locked.flags.writeable = False
+        with pytest.raises(DataError, match="position 1"):
+            top2_stats(locked)
+
+
 class TestColumnMargins:
     """The margins-only helper equals top2_stats' margins on the transposed
     logits: random rows, exact ties and signed zeros, V from 2 to 50."""

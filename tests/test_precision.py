@@ -96,6 +96,79 @@ class TestEmulateBf16:
         np.testing.assert_array_equal(bits, before)  # the input is not written
 
 
+def _f32(*patterns):
+    return np.array(patterns, dtype=np.uint32).view(np.float32)
+
+
+class TestEmulateBf16Edges:
+    """The bit patterns where the bare RNE formula goes wrong or is easy to
+    get wrong, and the shapes and ``out`` forms, against ``oracle_bf16``."""
+
+    PATTERNS = (
+        0x7FFFFFFF, 0xFFFFFFFF,  # NaNs whose payload carries into sign and exponent
+        0x7F800001, 0x7FC00000, 0xFFC08000,  # other NaNs
+        0x7F800000, 0xFF800000,  # +-inf
+        0x7F7FFFFF, 0xFF7FFFFF,  # the largest finite values round to +-inf
+        0x00000001, 0x00008000, 0x00018000, 0x007FFFFF, 0x807FFFFF,  # subnormals
+        0x00000000, 0x80000000, 0x3F808000, 0x3F818000,  # +-0 and ties to even
+    )
+
+    @staticmethod
+    def want(values):
+        out = []
+        for v, b in zip(values.tolist(), values.view(np.uint32).tolist()):
+            out.append(b if np.isnan(v) else np.float32(oracle_bf16(v)).view(np.uint32))
+        return np.array(out, dtype=np.uint32)
+
+    def test_patterns_match_oracle(self):
+        x = _f32(*self.PATTERNS)
+        got = emulate_bf16(x).view(np.uint32)
+        np.testing.assert_array_equal(got, self.want(x))
+        assert got[0] == 0x7FFFFFFF and got[1] == 0xFFFFFFFF  # the formula gives +-0
+        assert got[7] == 0x7F800000 and got[8] == 0xFF800000
+
+    @pytest.mark.parametrize("shape", [(18,), (3, 6), (2, 3, 3)])
+    def test_out_is_input(self, shape):
+        x = _f32(*self.PATTERNS).reshape(shape)
+        want = self.want(x.ravel()).reshape(shape)
+        assert emulate_bf16(x, out=x) is x
+        np.testing.assert_array_equal(x.view(np.uint32), want)
+
+    def test_out_is_another_array(self):
+        x = _f32(*self.PATTERNS)
+        before = x.copy()
+        out = np.empty_like(x)
+        assert emulate_bf16(x, out=out) is out
+        np.testing.assert_array_equal(out.view(np.uint32), self.want(x))
+        np.testing.assert_array_equal(x.view(np.uint32), before.view(np.uint32))
+
+    def test_empty_and_zero_d(self):
+        for empty in (np.empty(0, np.float32), np.empty((0, 4)), np.empty((3, 0), np.float32)):
+            got = emulate_bf16(empty)
+            assert got.shape == empty.shape and got.dtype == np.float32
+            assert emulate_bf16(got, out=got) is got
+        zero_d = _f32(0x7FFFFFFF).reshape(())
+        assert np.isnan(emulate_bf16(zero_d)) and isinstance(emulate_bf16(zero_d), float)
+        assert emulate_bf16(zero_d, out=zero_d) is zero_d
+        assert zero_d.view(np.uint32) == 0x7FFFFFFF
+        zero_d = np.array(1.0 + 2**-8 + 2**-7, np.float32)
+        emulate_bf16(zero_d, out=zero_d)
+        assert zero_d == 1.0 + 2**-6  # the tie goes to the even neighbour, up
+
+    @pytest.mark.parametrize("out", [np.empty(3, np.float64), np.empty(4, np.float32), [0.0] * 3])
+    def test_bad_out_is_usage_error(self, out):
+        with pytest.raises(UsageError, match="out must be"):
+            emulate_bf16(np.ones(3, np.float32), out=out)
+
+    def test_float64_input_rounds_twice(self):
+        """float64 goes through float32 first: just above a bf16 midpoint,
+        the float32 step lands on the midpoint and ties to even go down."""
+        x = 1 + 2**-8 + 2**-30
+        assert emulate_bf16(x) == 1.0
+        assert emulate_bf16(np.array([x]))[0] == 1.0
+        assert abs(1.0078125 - x) < abs(1.0 - x)  # the nearest bf16 value
+
+
 class TestRecomputeFp32:
     def test_identity_projection(self):
         h = np.arange(5.0)
