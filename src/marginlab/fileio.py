@@ -91,13 +91,21 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The most worker threads ``in_threads`` starts: the count its speed-up was
+# measured at.  The span work holds the GIL between numpy calls, so more
+# threads are not known to be faster, and each holds a block buffer, so
+# uncapped the memory of the audit commands would grow with the host's cores.
+_MAX_WORKERS = 2
+
+
 def in_threads(work: Callable[[int, int], object], units: int) -> list:
     """``work(lo, hi)`` over ``range(units)`` cut into one contiguous span
-    per worker thread, the smaller of the usable CPUs and ``units`` (the
-    caller's thread runs the first span).  Returns the results in span
-    order, and raises what the lowest span that failed raised, so the
-    outcome is the serial ``[work(0, units)]``'s when spans share nothing."""
-    workers = max(1, min(usable_cpus(), units))
+    per worker thread, the smallest of the usable CPUs, ``_MAX_WORKERS``
+    and ``units`` (the caller's thread runs the first span).  Returns the
+    results in span order, and raises what the lowest span that failed
+    raised, so the outcome is the serial ``[work(0, units)]``'s when spans
+    share nothing."""
+    workers = max(1, min(usable_cpus(), _MAX_WORKERS, units))
     if workers == 1:
         return [work(0, units)]
     # Imported here: concurrent.futures adds about 0.5 MiB to a process,

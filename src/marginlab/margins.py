@@ -158,7 +158,11 @@ def top2_stats(logit_rows: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.n
     """Top-1/top-2 ids and margins for a batch of logit rows.
 
     Lower token id wins ties.  Returns (top1_ids, top2_ids, margins) as
-    arrays of length ``rows``.  Selects in place as ``topk_ids`` does.
+    arrays of length ``rows``.  Selects in place as ``topk_ids`` does: a
+    writable float ``logit_rows`` briefly holds -inf masks and ends bit for
+    bit as it was, so no other thread may use it during the call (a
+    writable memmap's file briefly holds the masks too).  Pass a read-only
+    view or a copy to leave the array untouched throughout.
 
     Raises:
         UsageError: fewer than 2 columns.
@@ -206,7 +210,9 @@ def compute_margins(logit_rows: np.ndarray, targets: np.ndarray, start: int = 0)
     """The audit of a batch of logit rows, positions numbered from ``start``.
 
     ``targets[i]`` is the reference token id for row ``i``; ``correct`` is
-    whether the top-1 token equals it.
+    whether the top-1 token equals it.  Selects in place: a writable float
+    ``logit_rows`` is masked and restored during the call, as in
+    ``top2_stats``, so no other thread may use it meanwhile.
     """
     rows = np.atleast_2d(np.asarray(logit_rows))
     targets = np.asarray(targets)

@@ -430,8 +430,9 @@ def big_container(tmp_path_factory):
 
 class TestAuditMemory:
     @pytest.mark.parametrize("flags", [[], ["--bf16-emulate"]])
-    def test_peak_below_half_the_payload(self, tmp_path, big_container, flags):
+    def test_peak_below_half_the_payload(self, tmp_path, big_container, cpus, flags):
         lp, tp, payload = big_container
+        cpus(64)  # each worker holds a block buffer: the cap, not the host, bounds them
         tracemalloc.start()
         try:
             assert main(["audit", lp, tp, str(tmp_path / "a.jsonl"), *flags]) == 0

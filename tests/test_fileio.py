@@ -442,6 +442,16 @@ def cpus(monkeypatch):
     return lambda n: monkeypatch.setattr(fileio, "usable_cpus", lambda: n)
 
 
+@pytest.fixture
+def workers(monkeypatch, cpus):
+    """Sets the usable CPU count and lifts the worker cap to it, so that
+    in_threads starts that many workers."""
+    def set_workers(n):
+        cpus(n)
+        monkeypatch.setattr(fileio, "_MAX_WORKERS", n)
+    return set_workers
+
+
 class TestInThreads:
     @pytest.mark.parametrize("n, units, spans", [
         (1, 10, [(0, 10)]),
@@ -449,22 +459,34 @@ class TestInThreads:
         (4, 2, [(0, 1), (1, 2)]),
         (2, 0, [(0, 0)]),
     ])
-    def test_spans_in_order(self, cpus, n, units, spans):
-        cpus(n)
+    def test_spans_in_order(self, workers, n, units, spans):
+        workers(n)
         assert fileio.in_threads(lambda lo, hi: (lo, hi), units) == spans
 
-    def test_the_lowest_failing_span_raises(self, cpus):
+    def test_workers_are_capped_whatever_the_cpus(self, cpus):
+        threads = set()
+
+        def work(lo, hi):
+            threads.add(threading.get_ident())
+            time.sleep(0.01)
+            return lo, hi
+
+        cpus(64)
+        assert fileio.in_threads(work, 64) == [(0, 32), (32, 64)]
+        assert len(threads) == fileio._MAX_WORKERS == 2
+
+    def test_the_lowest_failing_span_raises(self, workers):
         def work(lo, hi):
             if lo >= 2:
                 raise ValueError(lo)
             time.sleep(0.05)  # the later spans fail first
             return lo
 
-        cpus(4)
+        workers(4)
         with pytest.raises(ValueError, match="^2$"):
             fileio.in_threads(work, 4)
 
-    def test_many_workers_with_frequent_switches(self, tmp_path, monkeypatch, cpus):
+    def test_many_workers_with_frequent_switches(self, tmp_path, monkeypatch, workers):
         """More workers than cores, each parsing 50 3-line blocks into the
         shared columns while the interpreter switches threads every
         microsecond: a lost or misplaced write would change a column."""
@@ -474,7 +496,7 @@ class TestInThreads:
         fileio.write_audit(path, audit, created="x")
         with open(path, "rb") as f:
             raw = f.read()
-        cpus(4)
+        workers(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -640,9 +662,10 @@ class TestColumnarAuditReader:
                     accepted += 1
         assert accepted >= 10  # the digit edits of ids and margin
 
-    def test_peak_memory_is_bounded(self, tmp_path):
+    def test_peak_memory_is_bounded(self, tmp_path, cpus):
         import tracemalloc
 
+        cpus(64)  # each worker holds a block buffer: the cap, not the host, bounds them
         n = 200_000
         rng = np.random.default_rng(6)
         audit = compute_margins(rng.normal(size=(n, 16)), rng.integers(0, 16, n))
