@@ -90,8 +90,7 @@ for b in freq.buckets:
     share = "n/a" if b.share_of_net is None else f"{b.share_of_net:.1%}"
     print(f"    {b.label:>6}: count {b.count:5d} net {b.net_corrected:+4d} share {share}")
 
-texts = [vocab.id_to_token[t] for t in baseline_audit.target.tolist()]
-classes = class_audit(baseline_audit, polished_audit, texts)
+classes = class_audit(baseline_audit, polished_audit, dict(enumerate(vocab.id_to_token)))
 print("  net corrections by token class:")
 for row in classes.rows:
     share = "n/a" if row.share_of_net is None else f"{row.share_of_net:.1%}"

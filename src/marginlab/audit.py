@@ -191,19 +191,19 @@ def frequency_audit(
     ``target_counts`` maps each target token id to its occurrence count in
     the audit corpus; a missing target, or a count below 1, is a data error.
     """
-    _check_aligned(baseline, polished)
+    overall = churn_report(baseline, polished)  # checks alignment
     ids, inverse = np.unique(baseline.target, return_inverse=True)
-    missing = [t for t in ids.tolist() if t not in target_counts]
-    if missing:
-        raise DataError(f"no frequency count for target token {missing[0]}")
-    below = [t for t in ids.tolist() if target_counts[t] < 1]
+    try:
+        counts = [target_counts[t] for t in ids.tolist()]
+    except KeyError as e:  # the lowest target without a count: ids ascend
+        raise DataError(f"no frequency count for target token {e.args[0]}") from None
+    below = [t for t, c in zip(ids.tolist(), counts) if c < 1]
     if below:
         raise DataError(f"frequency count below 1 for target token {below[0]}")
     lows = [lo for lo, _ in FREQUENCY_EDGES]
     # Bucket of each distinct target, in Python: counts may exceed int64.
-    bucket = [sum(target_counts[t] >= lo for lo in lows) - 1 for t in ids.tolist()]
+    bucket = [sum(c >= lo for lo in lows) - 1 for c in counts]
 
-    overall = churn_report(baseline, polished)
     buckets = []
     for (lo, hi), (ww, w2r, r2w, rr) in zip(
         FREQUENCY_EDGES,

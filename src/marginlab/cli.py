@@ -150,12 +150,14 @@ def _cmd_audit(args) -> int:
         raise DataError(f"{args.fp32_recompute or args.logits}: need at least 2 logits per row, "
                         f"got {vocab}")
     targets = _read_targets(args.targets, rows, vocab)
-    block_rows = fileio.logits_block_rows(header["cols"])
+    # Sized by the logits a block holds, which --fp32-recompute widens.
+    block_rows = fileio.logits_block_rows(vocab)
 
     def audit_blocks(first: int, last: int) -> list[Audit]:
         """The audits of blocks first..last, each block read into this span's own buffer."""
         start = first * block_rows
-        _, blocks = fileio.read_logits_blocks(args.logits, span=(start, min(last * block_rows, rows)))
+        _, blocks = fileio.read_logits_blocks(args.logits, block_rows,
+                                              span=(start, min(last * block_rows, rows)))
         parts = []
         for block in blocks:
             if args.fp32_recompute:
@@ -240,17 +242,16 @@ def _cmd_compare(args) -> int:
         "expansion": expansion,
     }
 
-    if args.freq_counts:
-        counts = _read_id_map(args.freq_counts, "frequency counts", int)
-        bundle["frequency"] = frequency_audit(baseline, polished, counts)
-
-    if args.token_texts:
-        texts = _read_id_map(args.token_texts, "token texts", str)
-        targets = baseline.target.tolist()
-        missing = sorted(set(targets) - set(texts))
-        if missing:
-            raise DataError(f"{args.token_texts}: no text for target token {missing[0]}")
-        bundle["classes"] = class_audit(baseline, polished, [texts[t] for t in targets])
+    for key, path, what, kind, section in (
+        ("frequency", args.freq_counts, "frequency counts", int, frequency_audit),
+        ("classes", args.token_texts, "token texts", str, class_audit),
+    ):
+        if path:
+            table = _read_id_map(path, what, kind)  # its errors name the path already
+            try:
+                bundle[key] = section(baseline, polished, table)
+            except DataError as err:
+                raise DataError(f"{path}: {err}") from err
 
     def out(name: str) -> str:
         return os.path.join(args.out_dir, name)

@@ -615,26 +615,22 @@ def load_checkpoint(path: str) -> tuple[ToyLm, dict]:
 # ---------------------------------------------------------------------------
 
 
-def to_jsonable(obj):
-    """Dataclasses, enums, numpy scalars and arrays to plain JSON types."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(asdict(obj))
+def _report_default(obj):
+    """``json.dumps``'s hook for the non-JSON values a report holds."""
+    if is_dataclass(obj):
+        return asdict(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_report_json(path: str, report: dict) -> None:
+    """``report`` as sorted, indented JSON; dataclasses, enums and numpy
+    values in it are encoded as their fields, values and lists."""
     atomic_write_text(
-        path, json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
+        path, json.dumps(report, default=_report_default, sort_keys=True, indent=2) + "\n"
     )
 
 

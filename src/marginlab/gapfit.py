@@ -62,13 +62,6 @@ class GapFit:
     dropped_points: int = field(default=0)
 
 
-def empirical_gap(margins: np.ndarray, epsilons: np.ndarray) -> np.ndarray:
-    """Fraction of margins strictly below each threshold."""
-    m = np.sort(np.asarray(margins, dtype=np.float64).ravel())
-    counts = np.searchsorted(m, np.asarray(epsilons, dtype=np.float64), side="left")
-    return counts / m.size
-
-
 def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None, *,
                   overwrite_input: bool = False) -> GapFit:
     """Fit the gap scaling curve on a margin sample.
@@ -114,7 +107,7 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None, *,
     grid = np.geomspace(eps_lo, eps_hi, grid_spec.count)
     if grid.max() > eps_hi:  # geomspace pins its ends; an inner point can round past
         s = np.sort(m)
-    eta = np.searchsorted(s, grid, side="left") / m.size  # empirical_gap on sorted s
+    eta = np.searchsorted(s, grid, side="left") / m.size  # the share strictly below
 
     usable = eta > 0.0
     dropped = int(np.count_nonzero(~usable))

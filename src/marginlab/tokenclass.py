@@ -96,22 +96,24 @@ class ClassAudit:
     total_net_corrected: int
 
 
-def class_audit(baseline: Audit, polished: Audit, token_texts: list[str]) -> ClassAudit:
+def class_audit(baseline: Audit, polished: Audit, token_texts: dict[int, str]) -> ClassAudit:
     """Net corrections per token class, with shares of the total.
 
-    ``token_texts[i]`` is the decoded text of position i's target token;
-    each distinct text is classified once.  The fragment class gets its
-    own row like every other class.
+    ``token_texts`` maps each target token id to its decoded text, as
+    ``frequency_audit``'s counts do; a missing target is a data error and
+    ids that no position targets are ignored.  Each distinct text is
+    classified once.  The fragment class gets its own row like every
+    other class.
     """
-    if len(token_texts) != len(baseline):
-        raise DataError(
-            f"token text count {len(token_texts)} does not match "
-            f"{len(baseline)} audit positions"
-        )
     overall = churn_report(baseline, polished)
+    ids, inverse = np.unique(baseline.target, return_inverse=True)
+    try:
+        texts = [token_texts[t] for t in ids.tolist()]
+    except KeyError as e:  # the lowest target without a text: ids ascend
+        raise DataError(f"no text for target token {e.args[0]}") from None
     order = {cls: i for i, cls in enumerate(TokenClass)}
-    class_of = {text: order[classify_token(text)] for text in set(token_texts)}
-    group = np.array([class_of[text] for text in token_texts], dtype=np.intp)
+    class_of = {text: order[classify_token(text)] for text in set(texts)}
+    group = np.array([class_of[text] for text in texts], dtype=np.intp)[inverse]
     rows = []
     for cls, (ww, w2r, r2w, rr) in zip(TokenClass, _tally(baseline, polished, group, len(order))):
         rows.append(

@@ -251,7 +251,7 @@ def test_criterion_6_audit_oracle_equivalence():
     freq = frequency_audit(baseline, polished, {r.target_id: 1 + r.target_id * 30 for r in baseline})
     fixture_ok &= sum(b.count for b in freq.buckets) == 6
     texts = {2: ",", 3: "the", 4: "Paris", 5: "word", 6: "3.14", 7: "x3"}
-    classes = class_audit(baseline, polished, [texts[r.target_id] for r in baseline])
+    classes = class_audit(baseline, polished, texts)
     fixture_ok &= sum(r.count for r in classes.rows) == 6
     fixture_ok &= sum(r.net_corrected for r in classes.rows) == churn.net_corrected
 
@@ -296,7 +296,7 @@ def test_criterion_6_audit_oracle_equivalence():
     freq2 = frequency_audit(base_a, pol_a, counts)
     big_ok &= sum(b.count for b in freq2.buckets) == 10_000
     big_ok &= sum(b.net_corrected for b in freq2.buckets) == churn2.net_corrected
-    token_texts = [str(t) for t in targets]  # numeric class for all
+    token_texts = {t: str(t) for t in range(vocab)}  # numeric class for all
     cls2 = class_audit(base_a, pol_a, token_texts)
     numeric_row = next(r for r in cls2.rows if r.token_class == TokenClass.NUMERIC)
     big_ok &= numeric_row.count == 10_000

@@ -562,8 +562,10 @@ class TestCompareCommand:
         ("--token-texts", '{"1": "a", "2": ["b"], "3": "c"}', "key '2'"),
         ("--token-texts", '{"1": "a", "2": "b", "3": "c", "1.0": "d"}', "key '1.0'"),
         ("--token-texts", '{"1": "a", "2": "b", "4": "c"}', "no text for target token 3"),
+        ("--freq-counts", '{"1": 4}', "no frequency count for target token 2"),
+        ("--freq-counts", '{"1": 4, "2": 0, "3": 4}', "frequency count below 1 for target token 2"),
     ], ids=["negative", "leading-zero", "space", "string-count", "5000-digit", "null-text",
-            "int-text", "list-text", "float-key", "missing-text"])
+            "int-text", "list-text", "float-key", "missing-text", "missing-count", "zero-count"])
     def test_bad_id_map_exits_2_naming_key(self, tmp_path, tiny_logits, flag, content, message,
                                            capsys):
         lp, tp, _ = tiny_logits
@@ -573,7 +575,7 @@ class TestCompareCommand:
             f.write(content)
         assert main(["compare", ap, ap, "--out-dir", str(tmp_path / "cmp"), flag, mp]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("marginlab: data error") and message in err
+        assert err.startswith(f"marginlab: data error: {mp}: ") and message in err
         assert not (tmp_path / "cmp").exists()  # nothing is written before every check
 
     @pytest.mark.parametrize("empty", ["both", "polished"])
@@ -633,8 +635,20 @@ FIXTURE_CSVS = {
 }
 
 
+# sha256 of the bundle and the two map-driven CSVs of that `compare`, run
+# with SOURCE_DATE_EPOCH=0.
+FIXTURE_DIGESTS = {
+    "bundle.json": "fd901910e7d677cb32d04598f2e73839f5d1a0b7ef51b69dad4bf78677dd0aa1",
+    "frequency.csv": "a0705223bc0d17133a8a0d80ed4ae01221d810c25c98e9221a821dc59d8c228f",
+    "classes.csv": "b407efac8a7a0cfb39f73bda11468b7c239b42bb71bda93426b7c839a6fe0b3c",
+}
+
+
 class TestCompareFixtureBytes:
-    def test_fixture_csvs(self, tmp_path):
+    @pytest.fixture
+    def out_dir(self, tmp_path, monkeypatch):
+        """``compare`` of the fixture pair with both maps, at epoch 0."""
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         fc = str(tmp_path / "counts.json")
         with open(fc, "w") as f:
             json.dump({"2": 1, "3": 3, "4": 7, "5": 30, "6": 200, "7": 1}, f)
@@ -647,8 +661,15 @@ class TestCompareFixtureBytes:
             os.path.join(FIXTURES, "polished_6.jsonl"), "--out-dir", out_dir,
             "--freq-counts", fc, "--token-texts", tt,
         ]) == 0
+        return out_dir
+
+    def test_fixture_csvs(self, out_dir):
         for name, text in FIXTURE_CSVS.items():
             assert open(os.path.join(out_dir, name)).read() == text, name
+
+    def test_pinned_digests(self, out_dir):
+        for name, digest in FIXTURE_DIGESTS.items():
+            assert fileio.file_digest(os.path.join(out_dir, name)) == f"sha256:{digest}", name
 
 
 GOOD_RECORD = {"position_index": 0, "target_id": 0, "top1_id": 1, "top2_id": 2,

@@ -17,6 +17,7 @@ from marginlab.errors import DataError, UsageError
 from marginlab.margins import Audit, MarginRecord, compute_margins
 from marginlab.objectives import MrpConfig
 from marginlab.precision import emulate_bf16
+from marginlab.tokenclass import ClassAuditRow, TokenClass
 from marginlab.toylm import ToyLm, ToyLmConfig
 from marginlab.training import StepMetrics, TrainConfig, train
 
@@ -826,6 +827,27 @@ class TestReports:
         path2 = str(tmp_path / "report2.json")
         fileio.write_report_json(path2, back)
         assert open(path).read() == open(path2).read()
+
+    def test_report_json_encodes_dataclasses_enums_and_numpy(self, tmp_path):
+        report = {
+            "row": ClassAuditRow(TokenClass.NUMERIC, 3, 1, 0, 1, None),
+            "scalars": (np.float32(0.1), np.float64(0.1), np.int64(7), np.bool_(True)),
+            "array": np.arange(4).reshape(2, 2),
+        }
+        path = str(tmp_path / "report.json")
+        fileio.write_report_json(path, report)
+        assert json.loads(open(path).read()) == {
+            "row": {"token_class": "numeric", "count": 3, "w2r": 1, "r2w": 0,
+                    "net_corrected": 1, "share_of_net": None},
+            "scalars": [float(np.float32(0.1)), 0.1, 7, True],
+            "array": [[0, 1], [2, 3]],
+        }
+
+    def test_report_json_rejects_other_values(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            fileio.write_report_json(str(path), {"ids": {1, 2}})
+        assert not path.exists()
 
     def test_metrics_csv(self, tmp_path):
         rows = [

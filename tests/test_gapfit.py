@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from marginlab.errors import NumericalError, UsageError
-from marginlab.gapfit import GapFit, GridSpec, empirical_gap, fit_gap_curve
+from marginlab.gapfit import GapFit, GridSpec, fit_gap_curve
 from marginlab.margins import nearest_rank, nearest_rank_quantile
 
 
@@ -33,12 +33,24 @@ class TestFitGapCurve:
             oracle = np.count_nonzero(m < eps) / m.size
             assert eta == oracle  # bit-exact: same counting definition
 
-    def test_eta_monotone_and_reaches_one(self):
+    def test_eta_monotone_up_to_the_max_margin(self):
         rng = np.random.default_rng(1)
         m = rng.exponential(size=20_000)
         fit = fit_gap_curve(m)
         assert all(b >= a for a, b in zip(fit.eta_hat, fit.eta_hat[1:]))
-        assert empirical_gap(m, np.array([m.max() + 1.0]))[0] == 1.0
+        # A grid up to the 1.0 quantile ends at the largest margin, which it
+        # does not count: every other margin is strictly below it.
+        whole = fit_gap_curve(m, GridSpec(quantile_hi=1.0))
+        assert whole.epsilon_grid[-1] == m.max()
+        assert whole.eta_hat[-1] == (m.size - 1) / m.size
+
+    def test_eta_counts_margins_strictly_below(self):
+        # 100 values, 10 copies each: the grid ends on the 50th and 100th
+        # values, and neither end counts its own 10 copies.
+        m = np.repeat(0.001 * np.arange(1, 101), 10)
+        fit = fit_gap_curve(m, GridSpec(count=5, quantile_lo=0.5, quantile_hi=1.0))
+        assert (fit.epsilon_grid[0], fit.epsilon_grid[-1]) == (m[499], m[-1])
+        assert (fit.eta_hat[0], fit.eta_hat[-1]) == (0.49, 0.99)
 
     def test_too_few_margins(self):
         with pytest.raises(UsageError):
@@ -135,10 +147,3 @@ class TestTailSort:
             assert m.tobytes() == before.tobytes()
             assert fit_gap_curve(m.copy(), overwrite_input=True) == fit
         assert fit == expected and max(fit.eta_hat) == 1.0
-
-
-class TestEmpiricalGap:
-    def test_strictly_below_semantics(self):
-        m = np.array([0.1, 0.2, 0.3])
-        assert empirical_gap(m, np.array([0.2]))[0] == pytest.approx(1 / 3)
-        assert empirical_gap(m, np.array([0.2000001]))[0] == pytest.approx(2 / 3)

@@ -101,13 +101,13 @@ def audit_of(rows):
 class TestClassAudit:
     def test_identical_audits_all_zero(self):
         base = audit_of([rec(0, 1, 1), rec(1, 2, 3)])
-        audit = class_audit(base, base, [",", "the"])
+        audit = class_audit(base, base, {1: ",", 2: "the"})
         assert all(r.net_corrected == 0 for r in audit.rows)
 
     def test_structural_w2r_full_share(self):
         base = audit_of([rec(0, 1, 2), rec(1, 3, 3), rec(2, 4, 4), rec(3, 5, 6)])
         pol = audit_of([rec(0, 1, 1), rec(1, 3, 3), rec(2, 4, 4), rec(3, 5, 6)])
-        texts = [",", "word", "Paris", "the"]
+        texts = {1: ",", 3: "word", 4: "Paris", 5: "the"}
         audit = class_audit(base, pol, texts)
         by_class = {r.token_class: r for r in audit.rows}
         assert by_class[TokenClass.STRUCTURAL].net_corrected == 1
@@ -119,12 +119,12 @@ class TestClassAudit:
 
         rng = np.random.default_rng(13)
         texts_pool = [",", "the", "Paris", "word", "3.14", "x3"]
-        base, pol, texts = [], [], []
+        texts = {t: texts_pool[int(rng.integers(0, len(texts_pool)))] for t in range(10)}
+        base, pol = [], []
         for i in range(2000):
             t = int(rng.integers(0, 10))
             base.append(rec(i, t, int(rng.integers(0, 10))))
             pol.append(rec(i, t, int(rng.integers(0, 10))))
-            texts.append(texts_pool[int(rng.integers(0, len(texts_pool)))])
         base, pol = audit_of(base), audit_of(pol)
         audit = class_audit(base, pol, texts)
         churn = churn_report(base, pol)
@@ -132,10 +132,18 @@ class TestClassAudit:
         assert sum(r.count for r in audit.rows) == len(base)
         assert audit.total_net_corrected == churn.net_corrected
 
-    def test_text_count_mismatch(self):
-        base = audit_of([rec(0, 1, 1)])
-        with pytest.raises(DataError):
-            class_audit(base, base, [])
+    def test_missing_text_names_the_lowest_target(self):
+        base = audit_of([rec(0, 9, 9), rec(1, 4, 4), rec(2, 7, 7), rec(3, 2, 2)])
+        with pytest.raises(DataError, match="^no text for target token 4$"):
+            class_audit(base, base, {2: ",", 9: "the"})
+
+    def test_unused_ids_are_ignored(self):
+        base = audit_of([rec(0, 1, 2), rec(1, 3, 3)])
+        pol = audit_of([rec(0, 1, 1), rec(1, 3, 3)])
+        used = {1: ",", 3: "the"}
+        assert class_audit(base, pol, {**used, 0: "Paris", 5: "word", 10**30: "x"}) == (
+            class_audit(base, pol, used)
+        )
 
     def test_classifies_each_distinct_text_once(self, monkeypatch):
         import marginlab.tokenclass as tokenclass
@@ -150,7 +158,8 @@ class TestClassAudit:
         monkeypatch.setattr(tokenclass, "classify_token", counting)
         pool = [",", "the", "Paris", "word", "3.14", "x3"]
         base = audit_of([rec(i, i % 10, (i * 7) % 10) for i in range(600)])
-        texts = [pool[i % len(pool)] for i in range(600)]
+        # Ten target ids share the six texts: ids 0 and 6 both read ",".
+        texts = {t: pool[t % len(pool)] for t in range(10)}
         audit = class_audit(base, base, texts)
         assert sorted(calls) == sorted(pool)
         assert sum(r.count for r in audit.rows) == 600
