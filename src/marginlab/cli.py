@@ -80,6 +80,13 @@ def _read_id_map(path: str, what: str, kind: type) -> dict:
 
 
 def _read_targets(path: str, expected: int, vocab: int) -> np.ndarray:
+    """The ``expected`` token ids in [0, ``vocab``) of the JSON array in
+    ``path``.  An array in json's default form is read as columns; any other
+    file, and one whose ids fail a check, is parsed with ``json``, which
+    gives the error."""
+    targets = fileio.read_id_array(path)
+    if targets is not None and targets.size == expected and (targets < vocab).all():
+        return targets
     data = _read_json(path, "targets", list)
     if not set(map(type, data)) <= {int}:
         raise DataError(f"{path}: targets must be integer token ids")
@@ -446,7 +453,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="compute a margin audit from a logits container")
     p.add_argument("logits", help="logits container (or hidden states with --fp32-recompute)")
-    p.add_argument("targets", help="JSON array of per-position target token ids")
+    p.add_argument("targets", help="JSON array of per-position target token ids (read fastest "
+                                   "in json.dumps's default form, '[1, 2, 3]')")
     p.add_argument("out", help="output audit JSONL path")
     p.add_argument("--bf16-emulate", action="store_true",
                    help="round logits to bfloat16 first (artifact reproduction)")

@@ -8,10 +8,13 @@ Formats are designed for bit-exact round trips:
 * AuditFile: JSONL; a header line followed by one margin record per
   line.  Floats are serialized with ``repr``, which round-trips float64
   exactly.  The writer encodes a block of records at a time as columns,
-  formatting each distinct value of a column once; its bytes are those of
-  ``json.dumps(record, sort_keys=True)`` per line.  Record lines in the
-  writer's exact form are read as columns; any other valid JSONL is read
-  through ``json`` to the same result.
+  rendering ids by digit arithmetic and formatting each distinct margin
+  once; its bytes are those of ``json.dumps(record, sort_keys=True)`` per
+  line.  Record lines in the writer's exact form are read as columns; any
+  other valid JSONL is read through ``json`` to the same result.
+* Targets: a JSON array of token ids.  One in ``json.dumps``'s default
+  form is read as columns (``read_id_array``); the caller reads any other
+  through ``json``.
 * Checkpoint: one JSON header line (config, seed, step, parameter
   manifest) + the model's one parameter buffer as raw little-endian
   float64, which holds the parameters in manifest order.
@@ -256,18 +259,44 @@ _INVARIANTS = "margin finite and >= 0, top1_id != top2_id, correct == (top1_id =
 _WRITE_BLOCK = 16_384
 
 
+def _id_texts(column: np.ndarray) -> np.ndarray:
+    """The decimal texts of an int64 column, what ``repr`` writes, each
+    right-aligned in a NUL-padded ``V{w}`` field as wide as the longest.
+    The digits are peeled off the magnitudes right to left, in the smallest
+    unsigned type that holds them (|int64 min| = 2**63 fits a uint64); a
+    minus goes just before the first digit of each negative."""
+    negative = column < 0
+    magnitude = np.where(negative, np.negative(column.view(np.uint64)), column.view(np.uint64))
+    top = int(magnitude.max(initial=0))
+    magnitude = magnitude.astype(np.min_scalar_type(top))
+    ten = magnitude.dtype.type(10)
+    width = len(str(top)) + bool(negative.any())
+    text = np.zeros((column.size, width), np.uint8)
+    text[:, -1] = magnitude % ten + ord("0")  # the last digit, a zero's only one
+    for j in range(width - 2, -1, -1):
+        magnitude //= ten
+        text[:, j] = (magnitude % ten + ord("0")) * (magnitude > 0)
+    rows = np.flatnonzero(negative)
+    text[rows, (text[rows] != 0).argmax(axis=1) - 1] = ord("-")
+    return text.view(f"V{width}")[:, 0]
+
+
 def _record_lines(part: Audit) -> bytes:
     """The record lines of ``part``, laid out as rows of NUL-padded fields,
-    each as wide as its longest text; one compress drops the NULs.  A
-    column's values are told apart by their 64-bit patterns, so -0.0 and 0.0
-    stay apart, and each distinct one is formatted once with ``repr``, which
-    is what json writes for a finite float or an int."""
+    each as wide as its longest text; one compress drops the NULs.  The ids
+    are rendered by ``_id_texts``.  The margins are told apart by their
+    64-bit patterns, so -0.0 and 0.0 stay apart, and each distinct one is
+    formatted once with ``repr``, which is what json writes for a finite
+    float."""
     fields = [np.array(_LINE_STARTS)[part.correct.view(np.uint8)]]
     for segment, name in zip(_KEY_SEGMENTS, _SEGMENT_COLUMNS):
         column = getattr(part, name)
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        texts = np.array(list(map(repr, bits.view(column.dtype).tolist())), "S")
-        fields += [np.array(segment), texts[inverse]]
+        if name == "margin":
+            bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), "S")[inverse]
+        else:
+            texts = _id_texts(column)
+        fields += [np.array(segment), texts]
     fields.append(np.array(_LINE_END))
     line = np.empty(len(part), [(str(i), f.dtype) for i, f in enumerate(fields)])
     for i, f in enumerate(fields):
@@ -349,6 +378,27 @@ def _windows(buf: np.ndarray, width: int, at: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(buf, width)[at]
 
 
+def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the texts ``buf[lo:hi]`` for each pair of ``lo``
+    and ``hi``, arrays of any one shape, each end at least ``_ID_DIGITS``
+    bytes into ``buf``; None unless each text is a non-negative decimal of
+    1 to 19 digits, with no leading zero, within int64."""
+    width = hi - lo
+    if not ((width >= 1) & (width <= _ID_DIGITS) & ((buf[lo] != ord("0")) | (width == 1))).all():
+        return None
+    w = int(width.max())
+    digits = _windows(buf, w, hi - w) - np.uint8(ord("0"))  # right-aligned
+    digits *= np.arange(w) >= (w - width)[..., None]  # clear what precedes each text
+    if (digits > 9).any():
+        return None
+    values = np.zeros(width.shape, np.uint64)
+    for column in np.moveaxis(digits, -1, 0):
+        values = values * np.uint64(10) + column
+    if (values > np.iinfo(np.int64).max).any():
+        return None
+    return values.astype(np.int64)
+
+
 def _record_block(buf: np.ndarray, ends: np.ndarray):
     """(ids [4, L], margins, correct) of the L record lines that end at
     ``ends`` in ``buf`` (zeros after the last); None unless each line is in
@@ -375,18 +425,8 @@ def _record_block(buf: np.ndarray, ends: np.ndarray):
     if not (width >= 1).all():
         return None
 
-    lo, hi, width = lo[:, 1:], hi[:, 1:], width[:, 1:]
-    if not ((width <= _ID_DIGITS) & ((buf[lo] != ord("0")) | (width == 1))).all():
-        return None
-    w = int(width.max())
-    digits = _windows(buf, w, hi - w) - np.uint8(ord("0"))  # right-aligned
-    digits *= np.arange(w) >= (w - width)[..., None]  # clear what precedes each id
-    if (digits > 9).any():
-        return None
-    ids = np.zeros(width.shape, np.uint64)
-    for column in np.moveaxis(digits, -1, 0):
-        ids = ids * np.uint64(10) + column
-    if (ids > np.iinfo(np.int64).max).any():
+    ids = _decimals(buf, lo[:, 1:], hi[:, 1:])
+    if ids is None:
         return None
 
     lo, width = comma[:, 0] + _SEG_LENGTHS[0], comma[:, 1] - comma[:, 0] - _SEG_LENGTHS[0]
@@ -400,7 +440,7 @@ def _record_block(buf: np.ndarray, ends: np.ndarray):
     if not (state == _ACCEPT).all():
         return None
     margin = text.view(f"S{_MARGIN_WIDTH + 1}")[:, 0].astype(np.float64)  # correctly rounded
-    return ids.T.astype(np.int64), margin, correct
+    return ids.T, margin, correct
 
 
 def _record_columns(raw: bytes, start: int) -> Audit | None:
@@ -533,6 +573,29 @@ def read_audit(path: str) -> tuple[Audit, dict]:
             f"{path}: bad record on line {line_numbers[bad]}: {audit[bad]} breaks {_INVARIANTS}"
         )
     return audit, header
+
+
+def read_id_array(path: str) -> np.ndarray | None:
+    """The int64 ids in ``path`` if it holds a JSON array in ``json.dumps``'s
+    default form: "[", non-negative decimals with no leading zeros, each
+    within int64 and followed by ", " but the last, then "]".  Read as
+    columns by ``_decimals``; None for any other file, or one that cannot be
+    read, which the caller parses with ``json``."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError:
+        return None
+    if raw[:1] != b"[" or raw[-1:] != b"]":
+        return None
+    # Zeros in front, so that each value ends _ID_DIGITS bytes into the buffer.
+    buf = np.zeros(_ID_DIGITS + len(raw), np.uint8)
+    buf[_ID_DIGITS:] = np.frombuffer(raw, np.uint8)
+    comma = np.flatnonzero(buf == ord(","))
+    if not (buf[comma + 1] == ord(" ")).all():
+        return None
+    return _decimals(buf, np.concatenate(([_ID_DIGITS + 1], comma + 2)),
+                     np.append(comma, buf.size - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,46 @@ class TestAuditCommand:
         ["a", "b", "c"], [1.5, 2, 3], [True, 2, 3], [1, [2], 3], [1, 2, 2**64], {"0": 1},
         [1, 2**63, 3], [1, -(2**63) - 1, 3], [1, 2, True], [1, 1.0, 3],
     ])
-    def test_non_integer_targets_exit_2(self, tmp_path, tiny_logits, targets):
+    def test_non_integer_targets_exit_2(self, tmp_path, tiny_logits, targets, capsys):
         lp, _, _ = tiny_logits
         tp = str(tmp_path / "bad.json")
         with open(tp, "w") as f:
             json.dump(targets, f)
         assert main(["audit", lp, tp, str(tmp_path / "x.jsonl")]) == 2
+        rule = "a JSON array" if isinstance(targets, dict) else "integer token ids"
+        assert capsys.readouterr().err == f"marginlab: data error: {tp}: targets must be {rule}\n"
+
+    # Targets files near json.dumps's default form: only that form is read as
+    # columns, and the others give json's exit code and message.
+    @pytest.mark.parametrize("text, error", [
+        ("[1, 2, 3]", None),
+        ("[1,2,3]", None),
+        ("[1, 2, 3]\n", None),
+        ("[ 1, 2, 3]", None),
+        ("[1, 2,  3]", None),
+        ("[-0, 1, 2]", None),
+        ("[01, 2, 3]", "cannot read targets: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+        ("[1, 2, 0003]", "cannot read targets: Expecting ',' delimiter: line 1 column 9 (char 8)"),
+        ("[1, 2, ]", "cannot read targets: Expecting value: line 1 column 8 (char 7)"),
+        ("[1, 2, 3", "cannot read targets: Expecting ',' delimiter: line 1 column 9 (char 8)"),
+        ("[]", "0 targets for 3 logit rows"),
+        ("[1, 2, 3, 4]", "4 targets for 3 logit rows"),
+        ("[1, 2, 6]", "target 6 at index 2 is outside [0, 6)"),
+        ("[1,52, 3]", "target 52 at index 1 is outside [0, 6)"),
+        ("[1, 1234567890123456789, 3]", "target 1234567890123456789 at index 1 is outside [0, 6)"),
+        ("[1, 9999999999999999999, 3]", "targets must be integer token ids"),
+    ])
+    def test_targets_text_forms(self, tmp_path, tiny_logits, capsys, text, error):
+        lp, _, logits = tiny_logits
+        tp, out = str(tmp_path / "t.json"), str(tmp_path / "x.jsonl")
+        with open(tp, "w") as f:
+            f.write(text)
+        assert main(["audit", lp, tp, out]) == (2 if error else 0)
+        if error:
+            assert capsys.readouterr().err == f"marginlab: data error: {tp}: {error}\n"
+            assert not os.path.exists(out)
+        else:
+            assert fileio.read_audit(out)[0] == compute_margins(logits, json.loads(text))
 
     @pytest.mark.parametrize("bad", [-1, 6, 2**62])
     def test_target_outside_vocabulary_exits_2(self, tmp_path, tiny_logits, bad, capsys):

@@ -1,5 +1,5 @@
 """Reader fuzzing: truncated or byte-flipped copies of a valid logits
-container, audit JSONL, checkpoint and JSON map.
+container, audit JSONL, checkpoint, JSON map and targets array.
 
 A reader either accepts the mutated file or raises ``DataError``; no other
 exception escapes.  The CLI command that reads the file then exits 2 when
@@ -78,7 +78,7 @@ def files(tmp_path_factory):
     with open(paths["corpus"], "w") as f:
         f.write("the cat sat on the mat and the dog sat on the log " * 6)
     data = {}
-    for key in ("logits", "audit", "checkpoint", "counts"):
+    for key in ("logits", "targets", "audit", "checkpoint", "counts"):
         with open(paths[key], "rb") as f:
             data[key] = f.read()
     return paths, data
@@ -153,3 +153,31 @@ def test_json_map(files, data):
          "--freq-counts", paths["mutant"]],
         accepted,
     )
+
+
+def targets_mutants(data: bytes):
+    """``data`` with 1 to 4 bytes set to ones that JSON arrays of integers
+    are made of, or ``mutants(data)``."""
+    edits = st.lists(st.tuples(st.integers(0, len(data) - 1), st.sampled_from(b"0123456789 ,[]-\n")),
+                     min_size=1, max_size=4, unique_by=lambda edit: edit[0])
+    return st.one_of(edits.map(lambda e: _flip(data, [(i, data[i] ^ b) for i, b in e])), mutants(data))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)  # about 1 in 15 is accepted
+def test_targets_array(files, data):
+    # audit succeeds exactly when json reads 24 in-range integer ids, and
+    # then writes the audit of json's ids
+    paths, valid = files
+    mutant = data.draw(targets_mutants(valid["targets"]))
+    _write(paths["mutant"], mutant)
+    try:
+        ids = json.loads(mutant.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError too
+        ids = None
+    accepted = isinstance(ids, list) and len(ids) == 24 and all(
+        type(t) is int and 0 <= t < 8 for t in ids)
+    assert main(["audit", paths["logits"], paths["mutant"], paths["out"]]) == (0 if accepted else 2)
+    if accepted:
+        rows, _ = fileio.read_logits(paths["logits"])
+        assert fileio.read_audit(paths["out"])[0] == compute_margins(rows, ids)
