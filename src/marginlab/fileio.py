@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, astuple, is_dataclass
@@ -52,9 +51,12 @@ _LOGITS_DTYPES = {"f32": 4, "bf16": 2}
 
 def atomic_write_bytes(path: str, data: bytes | Iterable[bytes]) -> None:
     """Write ``data``, or its chunks one after another, to a temp file in
-    the target directory, then rename that over ``path``."""
+    the target directory, then rename that over ``path``.  The file is
+    created with mode 0o666 less the umask, as ``open`` would create it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-marginlab-")
+    # 64 random bits name the file; O_EXCL refuses one that exists.
+    tmp = os.path.join(directory, f".tmp-marginlab-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in (data,) if isinstance(data, bytes) else data:
@@ -72,10 +74,15 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def created_stamp() -> str:
     """ISO-8601 UTC stamp; SOURCE_DATE_EPOCH overrides the wall clock so
-    reproducible pipelines can emit identical bytes."""
+    reproducible pipelines can emit identical bytes.  A value that is not
+    an integer the clock can represent is a ``UsageError``."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        t = time.gmtime(int(epoch) if epoch else int(time.time()))
+    except (ValueError, OverflowError, OSError):
+        raise UsageError(f"SOURCE_DATE_EPOCH must be an integer number of seconds "
+                         f"within the clock's range, got {epoch!r}") from None
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
 
 
 def file_digest(path: str) -> str:

@@ -84,7 +84,8 @@ def fit_gap_curve(margins: np.ndarray, grid_spec: GridSpec | None = None, *,
     m = np.asarray(margins, dtype=np.float64).ravel()
     if m.size < MIN_MARGINS:
         raise UsageError(f"need at least {MIN_MARGINS} margins, got {m.size}")
-    if not np.isfinite(m).all() or (m < 0).any():
+    # NaN fails both comparisons; neither builds an array the size of m.
+    if not (m.min() >= 0.0 and m.max() < np.inf):
         raise UsageError("margins must be finite and nonnegative")
     # Only the k_hi smallest margins are sorted, in place: they hold both
     # quantiles and every margin below a grid point no greater than eps_hi.

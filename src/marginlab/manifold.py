@@ -8,17 +8,21 @@ margin field is then fully known, so the fitted gap curve can be checked
 against direct counting.
 
 Points are ``[d, n]`` blocks, so logits ``sites @ points`` are column-major
-and only their margins are kept.  The oracle streams its grid in blocks
-of ``_CHUNK`` points, so its memory does not grow with grid size.
+and only their margins are kept.  Blocks are sized by bytes, not points:
+``_block`` gives the points whose logits and coordinates (``V + d``
+float64 each) fit a byte budget, at most ``_CHUNK``.  So a block's scratch
+does not grow with the number of sites or coordinates, and the oracle,
+which keeps only margins, holds no more as its grid grows.
 
-The sampler works in blocks of ``_CHUNK`` samples as well: each block is
-drawn, embedded (cos and sin written in place into the rows of a block of
+The sampler works in blocks of ``_SAMPLE_BYTES``: each block is drawn,
+embedded (cos and sin written in place into the rows of a block of
 points) and scored into the margins.  ``generate`` embeds each block into
 its columns of the points it returns; ``validate_scaling`` reuses one
-``[d, _CHUNK]`` scratch block, so the margins are all it holds at full
-size.  ``Generator.uniform`` fills values in order, so the blocks draw the
-same stream as one draw of all n.  The fit then partitions those margins
-in place and sorts only the ones up to its ``quantile_hi`` rank.
+scratch block, so the margins are all it holds at full size.
+``Generator.uniform`` fills values in order and margins are column-wise,
+so the blocks draw the same stream, and give the same margins, as one
+draw of all n.  The fit then partitions those margins in place and sorts
+only the ones up to its ``quantile_hi`` rank.
 
 The oracle skips what it can certify.  Let a be the top token at a point
 c.  Every h within r of c has
@@ -56,8 +60,15 @@ from .margins import column_margins, top2_stats
 
 SAMPLERS = ("circle_uniform", "square_uniform")
 
-# Points per block; blocks of a few MiB ran the oracle faster than 500K-point ones.
+# Blocks are sized by bytes (see ``_block``), at most _CHUNK points each.
+# The sampler's 1.25 MiB (16,384 points on square8) sampled and fitted
+# square8 in 31-46 ms, against 40-58 ms in 65,536-point blocks (medians
+# of 7 on a 2-vCPU Xeon virtual machine, 2 BLAS threads).  The
+# oracle's and the floor's 5 MiB keep 65,536 points up to 8 sites in 2
+# coordinates: 16,384-point blocks ran the oracle slower, and 500K-point
+# ones did too.
 _CHUNK = 65_536
+_SAMPLE_BYTES, _EVAL_BYTES = 5 << 18, 5 << 20
 # Grid points per tile, and tiles per super-tile, of the oracle's
 # certificate: runs of 64 on the circle, 8 x 8 blocks on the square.
 _TILE = 64
@@ -121,8 +132,14 @@ def _embed(spec: ManifoldSpec, coords: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
+def _block(budget: int, width: int) -> int:
+    """Points per block when each takes ``width`` float64 values of scratch
+    and a block takes at most ``budget`` bytes; at least 1, at most ``_CHUNK``."""
+    return max(1, min(_CHUNK, budget // (8 * width)))
+
+
 def _margins(spec: ManifoldSpec, points: np.ndarray, names: int | np.ndarray) -> np.ndarray:
-    """Margins of at most ``_CHUNK`` points ``[d, n]``; a non-finite logit is
+    """Margins of a block of points ``[d, n]``; a non-finite logit is
     named by ``names[column]``, or by ``names + column`` for an int."""
     # Overflow gives a DataError (non-finite logit) or an inf margin, not a warning.
     with np.errstate(over="ignore"):
@@ -130,9 +147,9 @@ def _margins(spec: ManifoldSpec, points: np.ndarray, names: int | np.ndarray) ->
 
 
 def _sample(spec: ManifoldSpec, seed: int, points: np.ndarray | None = None) -> np.ndarray:
-    """Margins [n] of the samples drawn from ``seed``, a ``_CHUNK`` block at
-    a time.  Each block is embedded into its columns of ``points`` [d, n]
-    when given, else into one reused ``[d, _CHUNK]`` scratch block.
+    """Margins [n] of the samples drawn from ``seed``, a block of
+    ``_SAMPLE_BYTES`` at a time.  Each block is embedded into its columns of
+    ``points`` [d, n] when given, else into one reused scratch block.
 
     Raises:
         UsageError: ``seed`` is not a nonnegative integer.
@@ -144,10 +161,11 @@ def _sample(spec: ManifoldSpec, seed: int, points: np.ndarray | None = None) -> 
         raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     n, keep = spec.sample_count, points is not None
+    chunk = _block(_SAMPLE_BYTES, spec.sites.shape[0] + spec.ambient_dim)
     margins = np.empty(n)
-    buf = points if keep else np.zeros((spec.ambient_dim, min(n, _CHUNK)))
-    for a in range(0, n, _CHUNK):
-        size, b = min(_CHUNK, n - a), a if keep else 0
+    buf = points if keep else np.zeros((spec.ambient_dim, min(n, chunk)))
+    for a in range(0, n, chunk):
+        size, b = min(chunk, n - a), a if keep else 0
         block = buf[:, b : b + size]
         # The drawn coordinates are freed before the block is scored: held
         # longer, they lifted the heap past glibc's trim threshold, and
@@ -165,7 +183,7 @@ def _sample(spec: ManifoldSpec, seed: int, points: np.ndarray | None = None) -> 
 def generate(spec: ManifoldSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sample the manifold; returns (points [n, d], margins [n]).
 
-    Works in blocks of ``_CHUNK`` samples (see the module notes); the
+    Works in blocks of ``_SAMPLE_BYTES`` (see the module notes); the
     samples are those of one draw of all n.
 
     Raises:
@@ -225,10 +243,11 @@ def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
         # the slack is 16 times that.
         slack = (d + 1) * 2.0**-43 * (s_max * (1.0 if circle else math.sqrt(2.0)) + lipschitz)
     np.fill_diagonal(dist, -np.inf)  # the pair (a, a) bounds nothing
-    # Super-tiles s = sr * n_sc + sc in blocks of at most _CHUNK // _TILE; on
+    # Super-tiles s = sr * n_sc + sc in blocks of at most chunk // _TILE; on
     # the square a block is whole super-tile rows (more only if one row is),
     # so each block's points come after the previous block's.
-    per_block = max(1, _CHUNK // _TILE) if th == 1 else max(1, _CHUNK // _TILE // n_sc) * n_sc
+    chunk = _block(_EVAL_BYTES, spec.sites.shape[0] + d)
+    per_block = max(1, chunk // _TILE) if th == 1 else max(1, chunk // _TILE // n_sc) * n_sc
 
     def points(pos: np.ndarray) -> np.ndarray:
         """Points ``[d, n]`` at grid positions ``[2, n]`` (row, column)."""
@@ -236,22 +255,28 @@ def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
         return _embed(spec, coords, np.zeros((d, pos.shape[1])))
 
     def cleared(tr: np.ndarray, tc: np.ndarray, h: int, w: int) -> np.ndarray:
-        """Which ``h x w``-point blocks at (tr, tc) the certificate clears
-        (their centres' arrays are freed before any point is evaluated)."""
+        """Which ``h x w``-point blocks at (tr, tc) the certificate clears,
+        ``chunk`` blocks at a time (their centres' arrays are freed before
+        any point is evaluated)."""
         # Every point of a block is within ``radius`` of its centre (on the
         # circle the chord is at most the arc).
         radius = step * math.hypot(h - 1, w - 1) / 2
-        centres = points(np.stack((_tile_centres(tr, h, rows), _tile_centres(tc, w, cols))))
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = spec.sites @ centres
-            # Within a block |x_j(p)| <= |x_j(c)| + s_max * radius: all finite.
-            finite = np.maximum(x.max(axis=0), -x.min(axis=0)) + s_max * radius < 2.0**1000
-            x[:, ~finite] = 0.0
-            top, reach = x.argmax(axis=0), dist * radius
-            x_top, bound = x[top, np.arange(x.shape[1])], np.full(x.shape[1], np.inf)
-            for j, row in enumerate(x):
-                np.minimum(bound, x_top - row - reach[top, j], out=bound)
-            return finite & (bound > epsilon + slack)
+        reach, out = dist * radius, np.empty(tr.size, dtype=bool)
+        for a in range(0, tr.size, chunk):
+            at = slice(a, a + chunk)
+            centres = points(np.stack((_tile_centres(tr[at], h, rows),
+                                       _tile_centres(tc[at], w, cols))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = spec.sites @ centres
+                # Within a block |x_j(p)| <= |x_j(c)| + s_max * radius: all finite.
+                finite = np.maximum(x.max(axis=0), -x.min(axis=0)) + s_max * radius < 2.0**1000
+                x[:, ~finite] = 0.0
+                top = x.argmax(axis=0)
+                x_top, bound = x[top, np.arange(x.shape[1])], np.full(x.shape[1], np.inf)
+                for j, row in enumerate(x):
+                    np.minimum(bound, x_top - row - reach[top, j], out=bound)
+                out[at] = finite & (bound > epsilon + slack)
+        return out
 
     below = 0
     for s0 in range(0, n_sr * n_sc, per_block):
@@ -260,15 +285,15 @@ def _alpha_estimate(spec: ManifoldSpec, n_points: int, epsilon: float) -> float:
         tr, tc = np.divmod(_cells(sr[kept], sc[kept], th, tw, n_tr, n_tc), n_tc)
         kept = np.flatnonzero(~cleared(tr, tc, th, tw))
         # Kept tiles are gathered a group at a time: the whole tile rows (single
-        # tiles on the circle) that start within one run of _CHUNK // _TILE
-        # kept tiles, so at most _CHUNK points plus one tile row are held at
+        # tiles on the circle) that start within one run of chunk // _TILE
+        # kept tiles, so at most chunk points plus one tile row are held at
         # once even when few tiles clear.
         row = kept if th == 1 else tr[kept]
-        group = np.searchsorted(row, row) // max(1, _CHUNK // _TILE)
+        group = np.searchsorted(row, row) // max(1, chunk // _TILE)
         for tiles in np.split(kept, np.flatnonzero(np.diff(group)) + 1) if kept.size else ():
             idx = _cells(tr[tiles], tc[tiles], th, tw, rows, cols)
-            for i in range(0, idx.size, _CHUNK):
-                piece = idx[i : i + _CHUNK]
+            for i in range(0, idx.size, chunk):
+                piece = idx[i : i + chunk]
                 margins = _margins(spec, points(np.stack(np.divmod(piece, cols))), piece)
                 below += int(np.count_nonzero(margins < epsilon))
     return below / (rows * cols * epsilon)
@@ -311,7 +336,8 @@ def gradient_floor(spec: ManifoldSpec) -> float:
         cuts = np.unique((np.arctan2(w[..., 1], w[..., 0])[dist > 0] + math.pi / 2) % (2 * math.pi))
         mid = cuts + np.diff(cuts, append=cuts[0] + 2 * math.pi) / 2
         u = np.stack((np.cos(mid), np.sin(mid)), axis=1)
-        pairs = [top2_stats(u[a : a + _CHUNK] @ s.T)[:2] for a in range(0, len(u), _CHUNK)]
+        chunk = _block(_EVAL_BYTES, len(s) + 2)
+        pairs = [top2_stats(u[a : a + chunk] @ s.T)[:2] for a in range(0, len(u), chunk)]
     top, run = (np.concatenate(ids) for ids in zip(*pairs))
     # Every arc counts on the square; on the circle, those ending where the top changes.
     counted = (spec.intrinsic_dim == 2) | (top != np.roll(top, 1)) | (top != np.roll(top, -1))

@@ -195,7 +195,8 @@ def column_margins(logits: np.ndarray, start: int | np.ndarray = 0) -> np.ndarra
     logits = np.asarray(logits)
     if logits.ndim != 2 or logits.shape[0] < 2:
         raise UsageError(f"need column-major logits [V >= 2, n], got shape {logits.shape}")
-    if not np.isfinite(logits).all():
+    # NaN fails both comparisons; the finiteness mask is built only to name the column.
+    if logits.size and not (logits.min() > -np.inf and logits.max() < np.inf):
         pos = int(np.nonzero(~np.isfinite(logits).all(axis=0))[0][0])
         name = start[pos] if np.ndim(start) else start + pos
         raise DataError(f"non-finite logit at position {name}")

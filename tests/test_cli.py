@@ -1377,6 +1377,25 @@ class TestOversizedFlagValues:
         self.assert_one_line_usage_error(rc, capsys, out)
 
 
+class TestSourceDateEpoch:
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])
+    @pytest.mark.parametrize("command", ["audit", "gap-fit", "compare"])
+    def test_bad_epoch_exits_1_naming_it(self, tmp_path, tiny_logits, monkeypatch, capsys,
+                                         command, epoch):
+        ap = str(tmp_path / "fit.jsonl")
+        fileio.write_audit(ap, margin_audit((np.arange(2000) + 0.5) / 2000))
+        lp, tp, _ = tiny_logits
+        out = str(tmp_path / "out")
+        argv = {"audit": ["audit", lp, tp, out], "gap-fit": ["gap-fit", ap, "--out", out],
+                "compare": ["compare", ap, ap, "--out-dir", out]}[command]
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("marginlab: ") and "SOURCE_DATE_EPOCH must be an integer" in err
+        assert f"got '{epoch}'" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self):
         with pytest.raises(SystemExit) as e:

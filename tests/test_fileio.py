@@ -163,6 +163,12 @@ class TestAuditFile:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert fileio.created_stamp() == "1970-01-01T00:00:00Z"
 
+    @pytest.mark.parametrize("epoch", ["abc", "1e20", "99999999999999999999"])
+    def test_source_date_epoch_not_an_integer_stamp(self, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(UsageError, match=rf"^SOURCE_DATE_EPOCH .* got '{epoch}'$"):
+            fileio.created_stamp()
+
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -888,3 +894,25 @@ class TestReports:
         assert open(path).read() == "two"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_take_the_mode_open_gives(self, tmp_path, umask):
+        # One writer of each kind: logits, audit, report, CSV, checkpoint.
+        cfg = ToyLmConfig(vocab_size=32, hidden_dim=16, layers=1, heads=2, context=8)
+        writers = {
+            "logits.bin": lambda p: fileio.write_logits(p, np.eye(3)),
+            "audit.jsonl": lambda p: fileio.write_audit(p, records(5, np.random.default_rng(0))),
+            "report.json": lambda p: fileio.write_report_json(p, {"beta": 1.0}),
+            "metrics.csv": lambda p: fileio.write_metrics_csv(p, []),
+            "model.ckpt": lambda p: fileio.save_checkpoint(p, ToyLm(cfg, seed=5)),
+        }
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w"):
+                pass
+            for name, write in writers.items():
+                write(str(tmp_path / name))
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["plain", *writers], 0o666 & ~umask)

@@ -141,7 +141,7 @@ A_MARGIN = np.finfo(np.float64).max / 2.0 * (1.0 + 1e-7)
 
 
 class TestSampleBlocks:
-    """``generate`` draws, embeds and scores ``_CHUNK`` samples at a time;
+    """``generate`` draws, embeds and scores a block of samples at a time;
     the result is that of one draw of all the samples."""
 
     @pytest.mark.parametrize("n", [2 * manifold._CHUNK + 7, 3])
@@ -202,8 +202,70 @@ class TestSampleBlocks:
         finally:
             tracemalloc.stop()
         # The [2, 1e6] points array alone is 15.3 MiB; without it the peak is
-        # the 7.6 MiB margins plus one block's arrays (11.3 MiB in all).
+        # the 7.6 MiB margins plus one block's arrays (9.5 MiB in all).
         assert peak < 16 * 2**20
+
+
+# Sites enough that the byte budgets, not _CHUNK, set every block's size.
+MANY_SITES = ManifoldSpec(np.random.default_rng(11).normal(size=(30, 3)), "square_uniform",
+                          100_003)
+WIDE_SITES = ManifoldSpec(np.random.default_rng(12).normal(size=(200, 2)), "circle_uniform",
+                          100_003)
+
+
+class TestByteSizedBlocks:
+    """Blocks hold a byte budget of logits and coordinates, at most _CHUNK
+    points; every stage gives the same bits at any block size."""
+
+    def test_block_points(self):
+        block = manifold._block
+        assert block(manifold._SAMPLE_BYTES, 8 + 2) == 16_384  # square8's sampler
+        assert block(manifold._EVAL_BYTES, 8 + 2) == manifold._CHUNK  # presets' oracle
+        assert block(manifold._SAMPLE_BYTES, 2 + 2) == 40_960  # circle2's sampler
+        assert block(10**12, 1) == manifold._CHUNK
+        assert block(1, 10**6) == 1
+        for spec in (MANY_SITES, WIDE_SITES):
+            width = spec.sites.shape[0] + spec.ambient_dim
+            for budget in (manifold._SAMPLE_BYTES, manifold._EVAL_BYTES):
+                assert 8 * width * block(budget, width) <= budget
+                assert block(budget, width) < manifold._CHUNK
+
+    @staticmethod
+    def stages(spec):
+        """Bits of every synth stage: generate, gradient_floor, _alpha_estimate,
+        and (MANY_SITES only) validate_scaling."""
+        points, margins = generate(spec, seed=3)
+        out = [points.tobytes(), margins.tobytes(), repr(gradient_floor(spec)),
+               repr(manifold._alpha_estimate(spec, 200_000, 0.01))]
+        if spec is MANY_SITES:
+            out.append(repr(manifold.validate_scaling(spec, seed=0)))
+        return out
+
+    @pytest.mark.parametrize("spec", [MANY_SITES, WIDE_SITES], ids=["many", "wide"])
+    def test_stages_equal_across_block_sizes(self, monkeypatch, spec):
+        bits = self.stages(spec)  # the byte budgets set every block
+        for name, value in [("_SAMPLE_BYTES", 3 << 16), ("_EVAL_BYTES", 3 << 18)]:
+            monkeypatch.setattr(manifold, name, value)
+        assert self.stages(spec) == bits  # smaller budgets, no multiples of the first
+        monkeypatch.setattr(manifold, "_CHUNK", 97)
+        assert self.stages(spec) == bits  # _CHUNK sets every block
+        np.testing.assert_array_equal(generate(spec, seed=3)[1],
+                                      column_margins(spec.sites @ one_draw(spec, 3)))
+
+    @pytest.mark.parametrize("sites, coords", [(64, 2), (512, 2), (64, 64)])
+    def test_sampler_scratch_does_not_grow_with_sites(self, sites, coords):
+        import tracemalloc
+
+        spec = ManifoldSpec(np.random.default_rng(sites).normal(size=(sites, coords)),
+                            "circle_uniform", 100_000)
+        tracemalloc.start()
+        try:
+            margins = manifold._sample(spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A 65,536-point block of 512 sites' logits alone is 256 MiB.
+        assert peak < margins.nbytes + 2 * 2**20
 
 
 class TestOracleAlpha:
