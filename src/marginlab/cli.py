@@ -103,6 +103,19 @@ def _read_targets(path: str, expected: int, vocab: int) -> np.ndarray:
     return targets
 
 
+def _read_audits(*paths: str) -> tuple[list[Audit], list[str]]:
+    """The audit in each of ``paths``, read in turn, and each file's digest,
+    which one worker thread computes meanwhile: hashlib frees the GIL, so the
+    hashing overlaps the parse.  A read error is raised as ``read_audit``
+    raised it, and the digests are then dropped unread."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        digests = pool.submit(lambda: [fileio.file_digest(p) for p in paths])
+        audits = [fileio.read_audit(p)[0] for p in paths]
+        return audits, digests.result()
+
+
 def _load_corpus(path: str, vocab_size: int) -> np.ndarray:
     """The ids of the corpus in ``path`` under its own ``vocab_size`` vocabulary."""
     try:
@@ -197,7 +210,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_gap_fit(args) -> int:
     grid = GridSpec(count=args.grid_count, quantile_lo=args.grid_qlo, quantile_hi=args.grid_qhi)
-    audit, _ = fileio.read_audit(args.audit)
+    (audit,), (digest,) = _read_audits(args.audit)
     if len(audit) < MIN_MARGINS:
         raise DataError(f"{args.audit}: gap-fit needs at least {MIN_MARGINS} records, "
                         f"got {len(audit)}")
@@ -205,7 +218,7 @@ def _cmd_gap_fit(args) -> int:
     report = {
         **_fit_report(fit),
         "provenance": {
-            "audit": fileio.file_digest(args.audit),
+            "audit": digest,
             "positions": len(audit),
             "created": fileio.created_stamp(),
         },
@@ -221,8 +234,7 @@ def _cmd_gap_fit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    baseline, _ = fileio.read_audit(args.baseline)
-    polished, _ = fileio.read_audit(args.polished)
+    (baseline, polished), digests = _read_audits(args.baseline, args.polished)
     for path, audit in ((args.baseline, baseline), (args.polished, polished)):
         if not len(audit):
             raise DataError(f"{path}: compare needs an audit with at least one record")
@@ -238,8 +250,8 @@ def _cmd_compare(args) -> int:
 
     bundle = {
         "provenance": {
-            "baseline": fileio.file_digest(args.baseline),
-            "polished": fileio.file_digest(args.polished),
+            "baseline": digests[0],
+            "polished": digests[1],
             "positions": len(baseline),
             "created": fileio.created_stamp(),
         },

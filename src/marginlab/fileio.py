@@ -11,7 +11,12 @@ Formats are designed for bit-exact round trips:
   rendering ids by digit arithmetic and formatting each distinct margin
   once; its bytes are those of ``json.dumps(record, sort_keys=True)`` per
   line.  Record lines in the writer's exact form are read as columns; any
-  other valid JSONL is read through ``json`` to the same result.
+  other valid JSONL is read through ``json`` to the same result.  The
+  columnar reader computes a margin of at most 19 significant digits and
+  a decimal exponent in [-22, 22] exactly by integer arithmetic, and casts
+  the rare other texts with numpy; either way it gets the bits ``float``
+  gives.  ``compare`` and ``gap-fit`` hash their inputs (``file_digest``)
+  on a worker thread while the audits are parsed.
 * Targets: a JSON array of token ids.  One in ``json.dumps``'s default
   form is read as columns (``read_id_array``); the caller reads any other
   through ``json``.
@@ -359,23 +364,44 @@ _MARGIN_WIDTH = 24  # the longest float64 repr: -1.2345678901234567e-308
 # 0 past the margin's end (NUL), 1 '-', 2 '0', 3 '1'-'9', 4 '.', 5 'e', 6 '+', 7 other.
 _BYTE_CLASS = np.full(256, 7, np.uint8)
 _BYTE_CLASS[list(b"\0-0123456789.e+")] = [0, 1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5, 6]
-# States: 0 start, 1 sign, 2 leading 0, 3 integer digits, 4 '.', 5 fraction
-# digits, 6 'e', 7 exponent sign, 8 exponent digits, 9 accepted, 10 dead.
+# States, the six entered on a digit first: 0 the integer part "0", 1 fraction
+# zeros after "0.", 2 other fraction digits, 3 other integer digits, 4 and 5
+# exponent digits after "e+" and "e-"; 6 start, 7 sign, 8 "." after "0", 9
+# other ".", 10 "e", 11 "e+", 12 "e-", 13 accepted, 14 dead.
 _NUMBER_DFA = np.array([
     # end '-' '0' 1-9 '.' 'e' '+' other
-    [10, 1, 2, 3, 10, 10, 10, 10],
-    [10, 10, 2, 3, 10, 10, 10, 10],
-    [10, 10, 10, 10, 4, 6, 10, 10],
-    [10, 10, 3, 3, 4, 6, 10, 10],
-    [10, 10, 5, 5, 10, 10, 10, 10],
-    [9, 10, 5, 5, 10, 6, 10, 10],
-    [10, 7, 10, 10, 10, 10, 7, 10],
-    [10, 10, 8, 8, 10, 10, 10, 10],
-    [9, 10, 8, 8, 10, 10, 10, 10],
-    [9, 10, 10, 10, 10, 10, 10, 10],
-    [10] * 8,
-], np.uint8)
-_ACCEPT = 9
+    [14, 14, 14, 14, 8, 10, 14, 14],
+    [13, 14, 1, 2, 14, 10, 14, 14],
+    [13, 14, 2, 2, 14, 10, 14, 14],
+    [14, 14, 3, 3, 9, 10, 14, 14],
+    [13, 14, 4, 4, 14, 14, 14, 14],
+    [13, 14, 5, 5, 14, 14, 14, 14],
+    [14, 7, 0, 3, 14, 14, 14, 14],
+    [14, 14, 0, 3, 14, 14, 14, 14],
+    [14, 14, 1, 2, 14, 14, 14, 14],
+    [14, 14, 2, 2, 14, 14, 14, 14],
+    [14, 12, 14, 14, 14, 14, 11, 14],
+    [14, 14, 4, 4, 14, 14, 14, 14],
+    [14, 14, 5, 5, 14, 14, 14, 14],
+    [13, 14, 14, 14, 14, 14, 14, 14],
+    [14] * 8,
+], np.uint16)
+_DIGIT_STATES, _START, _ACCEPT = 6, 6, 13
+# The walk keeps states shifted left 8 bits and steps on (state << 8) + byte.
+_STEP = (_NUMBER_DFA[:, _BYTE_CLASS] << 8).ravel()
+# Counts each state adds as it is entered, one byte each: fraction digits,
+# exponent digits, digits from the first nonzero one on (they bound all the
+# digits read as one decimal), and digits of a negative exponent.
+_FRACTION, _EXPONENT, _SIGNIFICANT, _NEGATIVE = 1, 1 << 8, 1 << 16, 1 << 24
+_STATE_COUNTS = np.array([0, _FRACTION, _FRACTION + _SIGNIFICANT, _SIGNIFICANT,
+                          _EXPONENT + _SIGNIFICANT, _EXPONENT + _SIGNIFICANT + _NEGATIVE] + [0] * 9,
+                         np.uint32)
+_COUNT_STEP = _STATE_COUNTS[_NUMBER_DFA[:, _BYTE_CLASS]].ravel()
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_EXACT_POW10 = 10.0 ** np.arange(23)  # the powers of ten a float64 holds exactly
+# For k in [0, 22], y_k and 5**k shifted left y_k bits into [2**51, 2**52).
+_FIVES_SHIFT = np.array([52 - (5**k).bit_length() for k in range(23)])
+_FIVES = np.array([5**k << int(y) for k, y in enumerate(_FIVES_SHIFT)], np.uint64)
 # Bytes per slice of the newline scan: bounds its temporaries.
 _SCAN_BYTES = 1 << 20
 
@@ -404,6 +430,73 @@ def _decimals(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | N
     if (values > np.iinfo(np.int64).max).any():
         return None
     return values.astype(np.int64)
+
+
+def _cast_margins(text: np.ndarray) -> np.ndarray:
+    """The float64 values of margin texts, rows of ``text`` each followed by
+    NULs, by numpy's bytes cast (correctly rounded): ``_margins``' path for
+    the texts its integer arithmetic leaves."""
+    return text.view(f"S{text.shape[1]}")[:, 0].astype(np.float64)
+
+
+def _quotient(sig: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``sig / 10**k`` correctly rounded, for uint64 ``sig`` above 2**53 and
+    ``k`` in [1, 22].  sig, shifted into [2**62, 2**64), is divided by 5**k,
+    shifted into [2**51, 2**52), in 12-bit steps of long division to a
+    quotient of 59 to 61 bits and a remainder, which round it half to even to
+    53 bits; ldexp undoes the shifts and divides by 2**k."""
+    z = 64 - np.frexp(sig.astype(np.float64))[1]  # one less when the float rounded up
+    rem, five = sig << z.astype(np.uint64), _FIVES[k]
+    q = rem // five
+    rem -= q * five
+    for _ in range(4):
+        rem <<= np.uint64(12)
+        digit = rem // five
+        rem -= digit * five
+        q = q << np.uint64(12) | digit
+    cut = np.uint64(6) + (q >= 2**59) + (q >= 2**60)  # the bits below the 53 kept
+    mant = q >> cut
+    low, half = q - (mant << cut), np.uint64(1) << (cut - np.uint64(1))
+    mant += (low > half) | ((low == half) & ((rem != 0) | (mant & np.uint64(1) == 1)))
+    return np.ldexp(mant.astype(np.float64), cut.astype(np.int64) + _FIVES_SHIFT[k] - z - 48 - k)
+
+
+def _margins(text: np.ndarray) -> np.ndarray | None:
+    """The float64 values of the margin texts in the rows of ``text``, each
+    followed by a NUL, bit for bit what ``float`` reads; None unless each
+    matches the number grammar.  One DFA walk over the columns checks it,
+    reads all of a text's digits (the exponent's last) as one uint64 and
+    counts its kinds of digit.  A text of value sig * 10**q with at most 19
+    digits from its first nonzero one and q in [-22, 22] is then read exactly:
+    for sig <= 2**53 by one float64 product or quotient of exact operands, for
+    q < 0 by ``_quotient``.  ``_cast_margins`` reads the others."""
+    state = np.full(len(text), _START << 8, np.uint16)
+    digits = np.zeros(len(text), np.uint64)
+    counts = np.zeros(len(text), np.uint32)
+    for column in np.ascontiguousarray(text.T):
+        step = state + column
+        state = np.take(_STEP, step, mode="clip")  # every step is in range: "clip" checks none
+        counts += np.take(_COUNT_STEP, step, mode="clip")
+        digit = state < _DIGIT_STATES << 8
+        digits *= np.uint8(1) + np.uint8(9) * digit
+        digits += (column - np.uint8(ord("0"))) * digit
+    if not (state == _ACCEPT << 8).all():
+        return None
+    scale = np.take(_POW10, (counts >> 8) & 255, mode="clip")  # split off the exponent
+    sig = digits // scale
+    exponent = np.minimum(digits - sig * scale, 999).astype(np.int64)
+    q = np.where(counts >> 24, -exponent, exponent) - (counts & 255).astype(np.int64)
+    exact = ((counts >> 16) & 255 <= 19) & (q >= -22) & (q <= 22)
+    fast, divide = exact & (sig <= 2**53), exact & (sig > 2**53) & (q < 0)
+    whole, power = sig.astype(np.float64), np.take(_EXACT_POW10, np.abs(q), mode="clip")
+    value = np.where(q < 0, whole / power, whole * power)
+    if divide.any():
+        value[divide] = _quotient(sig[divide], -q[divide])
+    np.negative(value, out=value, where=text[:, 0] == ord("-"))
+    cast = ~(fast | divide)
+    if cast.any():
+        value[cast] = _cast_margins(text[cast])
+    return value
 
 
 def _record_block(buf: np.ndarray, ends: np.ndarray):
@@ -441,13 +534,8 @@ def _record_block(buf: np.ndarray, ends: np.ndarray):
     text *= np.arange(_MARGIN_WIDTH + 1) < width[:, None]  # clear what follows each margin
     if np.count_nonzero(text) != width.sum():  # a NUL inside one, or one too long
         return None
-    state = np.zeros(n, np.uint8)
-    for column in np.take(_BYTE_CLASS, text[:, : width.max() + 1].T):
-        state = np.take(_NUMBER_DFA, state * np.uint8(_NUMBER_DFA.shape[1]) + column)
-    if not (state == _ACCEPT).all():
-        return None
-    margin = text.view(f"S{_MARGIN_WIDTH + 1}")[:, 0].astype(np.float64)  # correctly rounded
-    return ids.T, margin, correct
+    margin = _margins(text[:, : width.max() + 1])
+    return None if margin is None else (ids.T, margin, correct)
 
 
 def _record_columns(raw: bytes, start: int) -> Audit | None:

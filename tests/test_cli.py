@@ -13,6 +13,7 @@ import pytest
 
 from marginlab import cli, fileio
 from marginlab.cli import main
+from marginlab.errors import DataError
 from marginlab.gapfit import GapFit, GridSpec
 from marginlab.margins import Audit, compute_margins
 from marginlab.objectives import MrpConfig
@@ -739,6 +740,72 @@ class TestBadAuditRecords:
         assert main(["compare", good, bad, "--out-dir", str(tmp_path / "cmp")]) == 2
         assert main(["compare", bad, good, "--out-dir", str(tmp_path / "cmp")]) == 2
         assert "line 501" in capsys.readouterr().err
+
+
+class TestDigestsWhileParsing:
+    """compare and gap-fit hash their inputs on a worker thread while the
+    audits are parsed: the digests are ``file_digest``'s, and an input that
+    cannot be read fails as the reader fails it, with no output."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(5)
+        paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("base", "pol", "bad")}
+        fileio.write_audit(paths["base"], margin_audit(rng.exponential(size=2000)))
+        fileio.write_audit(paths["pol"], margin_audit(rng.exponential(size=2000)))
+        lines = open(paths["pol"]).read().splitlines()
+        lines[700] = lines[700].replace('"margin": ', '"margin": "x", "m": ')
+        with open(paths["bad"], "w") as f:
+            f.write("\n".join(lines) + "\n")
+        paths.update(missing=str(tmp_path / "missing.jsonl"), directory=str(tmp_path))
+        return paths
+
+    def test_digests_are_file_digests(self, tmp_path, inputs):
+        out_dir, fit = str(tmp_path / "cmp"), str(tmp_path / "fit.json")
+        assert main(["compare", inputs["base"], inputs["pol"], "--out-dir", out_dir]) == 0
+        assert main(["gap-fit", inputs["pol"], "--out", fit]) == 0
+        provenance = json.loads(open(os.path.join(out_dir, "bundle.json")).read())["provenance"]
+        assert provenance["baseline"] == fileio.file_digest(inputs["base"])
+        assert provenance["polished"] == fileio.file_digest(inputs["pol"])
+        assert json.loads(open(fit).read())["provenance"]["audit"] == fileio.file_digest(inputs["pol"])
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "bad"])
+    @pytest.mark.parametrize("command", ["gap-fit", "compare-baseline", "compare-polished"])
+    def test_bad_input_fails_as_the_reader_does(self, tmp_path, inputs, kind, command, capsys):
+        bad, good, out = inputs[kind], inputs["base"], tmp_path / "out"
+        with pytest.raises((DataError, OSError)) as read_error:
+            fileio.read_audit(bad)
+        argv = {
+            "gap-fit": ["gap-fit", bad, "--out", str(out)],
+            "compare-baseline": ["compare", bad, good, "--out-dir", str(out)],
+            "compare-polished": ["compare", good, bad, "--out-dir", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"marginlab: data error: {read_error.value}\n"
+        assert not out.exists()
+
+    def test_digest_failure_is_a_data_error(self, tmp_path, inputs, monkeypatch, capsys):
+        def denied(path):
+            raise PermissionError(f"cannot read {path}")
+
+        monkeypatch.setattr(fileio, "file_digest", denied)
+        out = tmp_path / "out"
+        assert main(["gap-fit", inputs["pol"], "--out", str(out)]) == 2
+        assert main(["compare", inputs["base"], inputs["pol"], "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (f"marginlab: data error: cannot read {inputs['pol']}\n"
+                                           f"marginlab: data error: cannot read {inputs['base']}\n")
+        assert not out.exists()
+
+    def test_pinned_fit_digest(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        ap, rp = str(tmp_path / "audit.jsonl"), str(tmp_path / "fit.json")
+        margins = np.random.default_rng(1).exponential(size=2000).astype(np.float32)
+        fileio.write_audit(ap, margin_audit(margins.astype(np.float64)))
+        assert main(["gap-fit", ap, "--out", rp]) == 0
+        assert fileio.file_digest(ap) == (
+            "sha256:7d21a9d6801352fe631746874eef930bc430009f3bb44d4b23acfb27f813b45a")
+        assert fileio.file_digest(rp) == (
+            "sha256:e7ff7e7cfb66aec0e26eee9bad16167c85459a3a39ada559404930ef63eb0274")
 
 
 class TestAuditHeader:

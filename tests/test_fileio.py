@@ -27,6 +27,13 @@ def audit_of(rows):
     return Audit(*zip(*rows)) if rows else Audit(*[()] * 6)
 
 
+def margin_audit(margins):
+    """An audit with these margins at positions 0, 1, ..., every top-1 wrong."""
+    n = len(margins)
+    return Audit(np.arange(n), np.zeros(n, int), np.ones(n, int), np.full(n, 2), margins,
+                 np.zeros(n, bool))
+
+
 def records(n, rng):
     out = []
     for i in range(n):
@@ -710,6 +717,120 @@ class TestColumnarAuditReader:
         # about 225; the json path peaked at about 640, and parsing the whole
         # file as one block at about 810.
         assert peak < 300 * n
+
+
+def float_of_bits(bits, dtype):
+    return float(np.array(bits, dtype).view({np.uint64: np.float64, np.uint32: np.float32}[dtype]))
+
+
+# Finite non-negative float64 margins: any bit pattern, subnormals, the ends
+# of the range, and the float32- and bf16-exact values audits hold.
+PARSED_MARGINS = st.one_of(
+    st.integers(0, 0x7FEF_FFFF_FFFF_FFFF).map(lambda b: float_of_bits(b, np.uint64)),
+    st.integers(0, 0x000F_FFFF_FFFF_FFFF).map(lambda b: float_of_bits(b, np.uint64)),
+    st.integers(0, 0x7F7F_FFFF).map(lambda b: float_of_bits(b, np.uint32)),
+    st.integers(0, 0x7F7F).map(lambda b: float_of_bits(b << 16, np.uint32)),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 0.1, 1e-05, 1e16, 2.0**53 + 1]),
+)
+
+
+def writer_lines(margin_texts):
+    """An audit file's bytes with one record line in the writer's form per
+    margin text, the texts written as given."""
+    line = ('{"correct": false, "margin": %s, "position_index": %d, "target_id": 0, '
+            '"top1_id": 1, "top2_id": 2}\n')
+    header = json.dumps({"count": len(margin_texts), "version": 1}) + "\n"
+    return (header + "".join(line % (t, i) for i, t in enumerate(margin_texts))).encode()
+
+
+def columnar_margins(raw):
+    """The margin column of ``raw`` as the columnar reader reads it; it must
+    take the file."""
+    audit = fileio._record_columns(raw, raw.find(b"\n") + 1)
+    assert audit is not None
+    return audit.margin
+
+
+# Margin texts around the edges of the exact integer paths: halfway cases,
+# 17, 19 and 20 or more significant digits, exponents at and past the powers of
+# ten a float64 holds, the ends of the float64 range, long and zero-padded
+# exponents (some of them past int64) and a negative zero.
+MARGIN_TEXTS = [
+    "9007199254740993.0", "9007199254740995.0", "9007199254740993.001",
+    "9007199254740992.999", "4503599627370496.5", "0.30000000000000004",
+    "0.1", "1.1694397926330566", "0.012345678901234567", "1234567890123456789.0",
+    "0.1234567890123456789", "12345678901234567890.0", "0.10000000000000000555",
+    "1.0000000000000001110223", "18446744073709551616.0", "1e-05", "1e+16", "1e+22", "1e+23",
+    "1e-22", "1e-23", "9.999999999999999e+22", "1.2345678901234567e-06",
+    "1.2345678901234567e-07", "5e-324", "4.9406564584124654e-324", "2.2250738585072014e-308",
+    "2.225073858507201e-308", "1.7976931348623157e+308", "1.5e+000", "1.5e-0000000000000000001",
+    "0.0e+9999999999999999999", "1.0e-9999999999999999999", "1e+99999999999999999999", "-0.0",
+    "0.0", "0.000", "100.0",
+]
+
+
+class TestMarginParser:
+    """The columnar reader's margins are bit for bit what ``float`` reads;
+    writer-form float32 and bf16 margins take its integer paths only."""
+
+    @given(st.lists(PARSED_MARGINS, min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_written_margins_read_back_bit_for_bit(self, tmp_path_factory, margins):
+        path = str(tmp_path_factory.mktemp("audit") / "audit.jsonl")
+        fileio.write_audit(path, margin_audit(margins), created="x")
+        raw = open(path, "rb").read()
+        want = np.array(margins).view(np.uint64)
+        assert (columnar_margins(raw).view(np.uint64) == want).all()
+        assert (fileio.read_audit(path)[0].margin.view(np.uint64) == want).all()
+
+    @pytest.mark.parametrize("text", MARGIN_TEXTS)
+    def test_written_text_reads_as_float(self, text):
+        got = columnar_margins(writer_lines([text]))
+        assert got.view(np.uint64)[0] == np.array(float(text)).view(np.uint64)
+
+    def test_texts_in_one_block_read_as_float(self):
+        got = columnar_margins(writer_lines(MARGIN_TEXTS))
+        assert (got.view(np.uint64) == np.array([float(t) for t in MARGIN_TEXTS]).view(np.uint64)).all()
+
+    @pytest.fixture
+    def cast_rows(self, monkeypatch):
+        """The rows ``_cast_margins`` is given, one count per call."""
+        rows, cast = [], fileio._cast_margins
+        monkeypatch.setattr(fileio, "_cast_margins", lambda text: rows.append(len(text)) or cast(text))
+        return rows
+
+    def test_float32_and_bf16_margins_skip_the_cast(self, tmp_path, cast_rows):
+        rng = np.random.default_rng(33)
+        logits = rng.normal(size=(20_000, 64)).astype(np.float32)
+        targets = rng.integers(0, 64, 20_000)
+        f32 = rng.uniform(0, 100, 20_000).astype(np.float32)
+        for audit in (compute_margins(logits, targets), compute_margins(emulate_bf16(logits), targets),
+                      margin_audit(f32.astype(np.float64)), margin_audit(emulate_bf16(f32).astype(np.float64))):
+            path = str(tmp_path / "audit.jsonl")
+            fileio.write_audit(path, audit, created="x")
+            assert fileio.read_audit(path)[0] == audit
+        assert cast_rows == []
+
+    def test_cast_reads_the_texts_the_integer_paths_leave(self, cast_rows):
+        columnar_margins(writer_lines(["1.5", "1e+23", "0.5", "1.2345678901234567e-07", "5e-324"]))
+        assert cast_rows == [3]
+
+    def test_one_and_two_workers_read_alike(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7)
+        rng = np.random.default_rng(34)
+        margins = np.concatenate([rng.uniform(0, 100, 15).astype(np.float32), [5e-324, 1e300, 0.1, -0.0],
+                                  emulate_bf16(rng.uniform(0, 2, 10).astype(np.float32)),
+                                  rng.exponential(size=10)])
+        path = str(tmp_path / "audit.jsonl")
+        fileio.write_audit(path, margin_audit(margins), created="x")  # six blocks
+        outcomes = []
+        for n in (1, 2):
+            cpus(n)
+            monkeypatch.setattr(fileio, "_MAX_WORKERS", n)
+            outcomes.append(read_outcome(path))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1][4] == margins.tobytes()
 
 
 class TestCheckpoint:
