@@ -6,12 +6,15 @@ Formats are designed for bit-exact round trips:
   (``f32`` or ``bf16``).  bf16 payloads store the top 16 bits of the
   rounded float32 pattern and widen exactly on read.
 * AuditFile: JSONL; a header line followed by one margin record per
-  line.  Floats are serialized with ``repr``, which round-trips float64
-  exactly.  The writer encodes a block of records at a time as columns,
-  rendering ids by digit arithmetic and formatting each distinct margin
-  once; its bytes are those of ``json.dumps(record, sort_keys=True)`` per
-  line.  Record lines in the writer's exact form are read as columns; any
-  other valid JSONL is read through ``json`` to the same result.  The
+  line.  Floats are written as ``repr`` writes them, the shortest text
+  that round-trips the float64.  The writer encodes a block of records at
+  a time as columns, rendering ids by digit arithmetic and each distinct
+  margin once by integer arithmetic (Schubfach), to the bytes ``repr``
+  gives; blocks are encoded two at a time, one per worker thread, and
+  written in order.  Its bytes are those of ``json.dumps(record,
+  sort_keys=True)`` per line.  Record lines in the writer's exact form
+  are read as columns; any other valid JSONL is read through ``json`` to
+  the same result.  The
   columnar reader computes a margin of at most 19 significant digits and
   a decimal exponent in [-22, 22] exactly by integer arithmetic, and casts
   the rare other texts with numpy; either way it gets the bits ``float``
@@ -31,6 +34,7 @@ that repeated runs with identical seeds produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -284,13 +288,115 @@ def _id_texts(column: np.ndarray) -> np.ndarray:
     ten = magnitude.dtype.type(10)
     width = len(str(top)) + bool(negative.any())
     text = np.zeros((column.size, width), np.uint8)
-    text[:, -1] = magnitude % ten + ord("0")  # the last digit, a zero's only one
+    high = magnitude // ten  # remainders as x - x // 10 * 10: numpy's % is many times slower
+    text[:, -1] = magnitude - high * ten + ord("0")  # the last digit, a zero's only one
     for j in range(width - 2, -1, -1):
-        magnitude //= ten
-        text[:, j] = (magnitude % ten + ord("0")) * (magnitude > 0)
+        magnitude, high = high, high // ten
+        text[:, j] = (magnitude - high * ten + ord("0")) * (magnitude > 0)
     rows = np.flatnonzero(negative)
     text[rows, (text[rows] != 0).argmax(axis=1) - 1] = ord("-")
     return text.view(f"V{width}")[:, 0]
+
+
+# Margins are written as repr writes a float: the shortest decimal that reads
+# back to it and, of those, the closest, ties to an even last digit.  Schubfach
+# (Giulietti 2020, "The Schubfach way to render doubles") finds it in uint64
+# arithmetic; its operands stay uint64, as a mix with int64 becomes float64.
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_HALF = np.uint64(2**32 - 1)
+
+
+@functools.cache
+def _pow10_g() -> tuple[np.ndarray, np.ndarray]:
+    """The top and bottom 63 bits of g = floor(10**-k * 2**(125 - f)) + 1,
+    f = floor(log2 10**-k), for k in [-324, 292]: 10**-k to 126 bits, rounded up."""
+    g = [(10 ** max(-k, 0) << max(125 - f, 0)) // (10 ** max(k, 0) << max(f - 125, 0)) + 1
+         for k in range(-324, 293) for f in [-k * 913124641741 >> 38]]
+    return np.array([x >> 63 for x in g], np.uint64), np.array([x & 2**63 - 1 for x in g], np.uint64)
+
+
+def _mul_high(a0, a1, b0, b1):
+    """The top 64 bits of the 128-bit products a * b, given their 32-bit halves."""
+    t = (a0 * b0 >> np.uint64(32)) + a1 * b0
+    return a1 * b1 + (t >> np.uint64(32)) + ((t & _HALF) + a0 * b1 >> np.uint64(32))
+
+
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k): d * 10**k is repr's decimal for each positive finite float64
+    pattern, d maybe ending in zeros.  With the Java reference's names: v =
+    c * 2**q reads back from between the midpoints to its neighbours (ends
+    included for even c); vb, vbl and vbr are v and those ends times 4 *
+    10**-k, rounded to odd, for 10**k <= 2**q.  The candidates are s =
+    floor(vb / 4) and s + 1, and the multiples of ten next to s."""
+    u1, u2, u32 = np.uint64(1), np.uint64(2), np.uint64(32)
+    be = (bits >> np.uint64(52)).astype(np.int64)
+    c = (bits & np.uint64(2**52 - 1)) + (be > 0) * np.uint64(2**52)
+    irregular = (c == 2**52) & (be > 1)  # the gap below v is half the one above
+    q = np.maximum(be, 1) - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10 of 2**q or 3/4 * 2**q)
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)  # q + floor(log2 10**-k) + 2
+    g1, g0 = (part[k + 324] for part in _pow10_g())
+    halves = g0 & _HALF, g0 >> u32, g1 & _HALF, g1 >> u32
+
+    def round_to_odd(cp):  # g * cp / 2**127, its last bit set if inexact
+        cp = cp << h
+        b0, b1 = cp & _HALF, cp >> u32
+        z = (g1 * cp >> u1) + _mul_high(*halves[:2], b0, b1)
+        return _mul_high(*halves[2:], b0, b1) + (z >> np.uint64(63)) | (z << u1 != 0)
+
+    cb, odd = c << u2, c & u1
+    vb, vbl, vbr = round_to_odd(cb), round_to_odd(cb - u2 + irregular) + odd, round_to_odd(cb + u2) - odd
+    s = vb >> u2
+    sp = s // np.uint64(10) * np.uint64(10)
+    upin, wpin = vbl <= sp << u2, sp + np.uint64(10) << u2 <= vbr  # is each shorter one inside?
+    mid = (s << u2) + u2
+    d = s + (((vb > mid) | ((vb == mid) & (s & u1 == 1)) | (vbl > s << u2)) & (s + u1 << u2 <= vbr))
+    return d + (sp + wpin * np.uint64(10) - d) * (upin != wpin), k
+
+
+def _margin_texts(bits: np.ndarray) -> np.ndarray:
+    """repr's text of each float64 pattern in ``bits`` (finite and >= 0,
+    -0.0 included), left-aligned in NUL-padded ``V{w}`` fields as wide as the
+    longest.  A value's 17 digits, NULs after its significant ones, go down
+    its column, in blocks of values with the point in one place (few, for
+    ascending input); an exponent goes over a one-digit mantissa's ".0"."""
+    zero = bits << np.uint64(1) == 0
+    d, k = _shortest(bits)
+    d *= ~zero
+    count = np.searchsorted(_POW10, d, "right")
+    point = count + k * ~zero  # digits before the point, or minus the zeros after it
+    d *= _POW10[17 - count]
+    high = d // np.uint64(10**9)  # digits as x - x // 10 * 10: numpy's % is many times slower
+    digits = np.empty((17, bits.size), np.uint8)
+    for x, rows in ((high, range(7, -1, -1)), (d - high * np.uint64(10**9), range(16, 7, -1))):
+        x = x.astype(np.uint32)
+        for j in rows:
+            high = x // np.uint32(10)
+            digits[j], x = x - high * np.uint32(10), high
+    ends = ((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    digits += (np.arange(17, dtype=np.uint8)[:, None] < ends) * np.uint8(ord("0"))
+    sci = (point < -3) | (point > 16)
+    place = np.where(sci, 1, point)
+    size = np.where(place > 0, np.maximum(ends, place + 1) + 1, 2 - place + np.maximum(ends, 1))
+    text = np.zeros((23, bits.size), np.uint8)
+    cuts = np.flatnonzero(np.diff(place, prepend=99, append=99))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        p, out, value = int(place[a]), text[:, a:b], digits[:, a:b]
+        if p > 0:  # "12.5", "1200.0"
+            out[:p], out[p + 1 : 18] = np.maximum(value[:p], ord("0")), value[p:]
+        else:  # "0.0", "0.0125"
+            out[[0, *range(2, 2 - p)]], out[2 - p : 19 - p] = ord("0"), value
+        out[max(p, 1)], out[max(p, 1) + 1] = ord("."), np.maximum(out[max(p, 1) + 1], ord("0"))
+    rows = np.flatnonzero(sci)  # "1e-05", "1.25e+16": below 100 the sign covers a zero
+    e, at = np.abs(point[rows] - 1), ends[rows] + (ends[rows] > 1)
+    for i, digit in enumerate([e // 100, e // 10 % 10, e % 10]):
+        text[at + 1 + (e >= 100) + i, rows] = digit + ord("0")
+    text[at, rows], text[at + 1, rows] = ord("e"), np.where(point[rows] > 0, ord("+"), ord("-"))
+    size[rows] = at + 4 + (e >= 100)
+    rows = np.flatnonzero(bits == np.uint64(2**63))
+    text[:4, rows], size[rows] = np.frombuffer(b"-0.0", np.uint8)[:, None], 4
+    width = int(size.max(initial=1))
+    return np.ascontiguousarray(text[:width].T).view(f"V{width}")[:, 0]
 
 
 def _record_lines(part: Audit) -> bytes:
@@ -298,14 +404,14 @@ def _record_lines(part: Audit) -> bytes:
     each as wide as its longest text; one compress drops the NULs.  The ids
     are rendered by ``_id_texts``.  The margins are told apart by their
     64-bit patterns, so -0.0 and 0.0 stay apart, and each distinct one is
-    formatted once with ``repr``, which is what json writes for a finite
-    float."""
+    formatted once by ``_margin_texts``, to the text json writes for a
+    finite float."""
     fields = [np.array(_LINE_STARTS)[part.correct.view(np.uint8)]]
     for segment, name in zip(_KEY_SEGMENTS, _SEGMENT_COLUMNS):
         column = getattr(part, name)
         if name == "margin":
             bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), "S")[inverse]
+            texts = _margin_texts(bits)[inverse]
         else:
             texts = _id_texts(column)
         fields += [np.array(segment), texts]
@@ -343,10 +449,19 @@ def write_audit(
         if not accepts(header[key]):
             raise UsageError(f"audit {key} {header[key]!r} is not {rule}")
 
+    starts = range(0, len(audit), _WRITE_BLOCK)
+
     def chunks():
+        # Chunks are encoded _MAX_WORKERS at a time, one per worker thread:
+        # numpy does the work and releases the GIL.  Each group is written
+        # before the next is encoded, which bounds the chunks held.
         yield (json.dumps(header, sort_keys=True) + "\n").encode("utf-8")
-        for a in range(0, len(audit), _WRITE_BLOCK):
-            yield _record_lines(audit[a : a + _WRITE_BLOCK])
+        for i in range(0, len(starts), _MAX_WORKERS):
+            group = starts[i : i + _MAX_WORKERS]
+            encoded = in_threads(lambda lo, hi: [_record_lines(audit[a : a + _WRITE_BLOCK]) for a in group[lo:hi]],
+                                 len(group))
+            while encoded:
+                yield from encoded.pop(0)
 
     atomic_write_bytes(path, chunks())
 
@@ -397,7 +512,6 @@ _STATE_COUNTS = np.array([0, _FRACTION, _FRACTION + _SIGNIFICANT, _SIGNIFICANT,
                           _EXPONENT + _SIGNIFICANT, _EXPONENT + _SIGNIFICANT + _NEGATIVE] + [0] * 9,
                          np.uint32)
 _COUNT_STEP = _STATE_COUNTS[_NUMBER_DFA[:, _BYTE_CLASS]].ravel()
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _EXACT_POW10 = 10.0 ** np.arange(23)  # the powers of ten a float64 holds exactly
 # For k in [0, 22], y_k and 5**k shifted left y_k bits into [2**51, 2**52).
 _FIVES_SHIFT = np.array([52 - (5**k).bit_length() for k in range(23)])

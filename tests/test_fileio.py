@@ -455,9 +455,10 @@ class TestStreamedAuditWriter:
         # The columnar reader leaves negative ids to json.
         assert fileio._record_columns(raw, raw.find(b"\n") + 1) == (None if n == "signs" else audit)
 
-    def test_peak_memory_is_bounded(self, tmp_path):
+    def test_peak_memory_is_bounded(self, tmp_path, cpus):
         import tracemalloc
 
+        cpus(2)  # two chunks are encoded at once, one per worker
         n = 200_000
         rng = np.random.default_rng(6)
         audit = compute_margins(rng.normal(size=(n, 16)), rng.integers(0, 16, n))
@@ -469,6 +470,97 @@ class TestStreamedAuditWriter:
             tracemalloc.stop()
         # Building the whole text at once would peak at about 510 bytes per position.
         assert peak < 100 * n
+
+
+def formatted(values):
+    """_margin_texts of float64 ``values``, as str; a NUL inside a text stays."""
+    bits = np.asarray(values, np.float64).view(np.uint64)
+    return [bytes(t).rstrip(b"\0").decode() for t in fileio._margin_texts(bits)]
+
+
+def bit_patterns(bits):
+    """The float64 values of uint64, uint32 (float32) or uint16 (bf16) bit patterns."""
+    bits = bits.astype(np.uint32) << 16 if bits.dtype == np.uint16 else bits
+    return bits.view({8: np.float64, 4: np.float32}[bits.itemsize]).astype(np.float64)
+
+
+SEEDED_VALUES = {
+    "float64": lambda rng: bit_patterns(rng.integers(0, 0x7FF0 << 48, 10**5, np.uint64)),
+    "f32": lambda rng: bit_patterns(rng.integers(0, 0x7F80_0000, 10**5, np.uint32)),
+    "bf16": lambda rng: bit_patterns(np.arange(0x7F80, dtype=np.uint16)),
+    "integers": lambda rng: np.r_[: 10**5, rng.integers(0, 10**17, 10**5)].astype(float),
+    "subnormals": lambda rng: bit_patterns(np.r_[1:20_000, 2**52 - 20_000 : 2**52 + 5].astype(np.uint64)),
+    "powers of two": lambda rng: 2.0 ** np.arange(-1074, 1024),
+}
+
+
+class TestMarginFormatter:
+    """The writer formats margins as repr does, in ascending order (as
+    np.unique gives them) or any other."""
+
+    EDGES = [0.0, -0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 2.225073858507201e-308,
+             1.7976931348623157e308, 1e-05, 0.0001, 9.999999999999999e-05, 1e16, 9999999999999998.0,
+             2e23, 9.5, 120.0, 0.1, 2.0**49 + 0.25, 1e22, 1e23, 5e-310, 123456789012345680.0]
+
+    @given(st.lists(st.floats(min_value=0, allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_drawn_floats(self, values):
+        assert formatted(values) == list(map(repr, values))
+
+    @pytest.mark.parametrize("kind", SEEDED_VALUES)
+    def test_seeded_values(self, kind):
+        values = np.concatenate([SEEDED_VALUES[kind](np.random.default_rng(34)), self.EDGES])
+        for order in (np.arange(values.size), np.argsort(values, kind="stable")):
+            assert formatted(values[order]) == [repr(v) for v in values[order].tolist()]
+
+    def test_texts_are_as_wide_as_the_longest(self):
+        assert fileio._margin_texts(np.array([0.5, 12.25]).view(np.uint64)).dtype.itemsize == 5
+        assert fileio._margin_texts(np.array([0.0, -0.0]).view(np.uint64)).tolist() == [b"0.0\0", b"-0.0"]
+
+
+class TestWriterWorkers:
+    """write_audit encodes its ``_WRITE_BLOCK``-record chunks _MAX_WORKERS at a
+    time, one per worker thread; one and two workers write the same bytes."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "bf16"])
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
+    def test_one_and_two_workers_write_alike(self, tmp_path, monkeypatch, cpus, dtype, chunks):
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK", 7)
+        rng = np.random.default_rng(chunks)
+        logits = rng.normal(size=(7 * chunks - 3, 16)).astype(np.float32)  # a short last chunk
+        logits = emulate_bf16(logits) if dtype == "bf16" else logits
+        audit = compute_margins(logits, rng.integers(0, 16, len(logits)))
+        encode, threads, written = fileio._record_lines, [], []
+        monkeypatch.setattr(fileio, "_record_lines",
+                            lambda part: threads[-1].add(threading.get_ident()) or encode(part))
+        for n in (1, 2):
+            cpus(n)
+            threads.append(set())
+            path = tmp_path / f"audit{n}.jsonl"
+            fileio.write_audit(str(path), audit, dtype=dtype, seed=1, created="2026-01-01T00:00:00Z")
+            written.append(path.read_text())
+        assert written[0] == written[1] == oracle_audit_text(fileio.read_audit(str(path))[1], list(audit))
+        assert [len(t) for t in threads] == [1, min(chunks, 2)]
+
+    def test_many_workers_with_frequent_switches(self, tmp_path, monkeypatch, workers):
+        """More workers than cores, each encoding 40-record chunks while the
+        interpreter switches threads every microsecond, the powers-of-ten
+        table built by whichever worker comes first: the bytes stay the one
+        worker's."""
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK", 40)
+        audit = records(600, np.random.default_rng(11))
+        written = []
+        interval = sys.getswitchinterval()
+        try:
+            for n in (1, 4):
+                workers(n)
+                fileio._pow10_g.cache_clear()
+                sys.setswitchinterval(1e-6 if n > 1 else interval)
+                fileio.write_audit(str(tmp_path / "audit.jsonl"), audit, created="x")
+                written.append((tmp_path / "audit.jsonl").read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert written[0] == written[1]
 
 
 @pytest.fixture
@@ -572,18 +664,22 @@ class TestReaderWorkers:
         return out
 
     def test_two_workers_read_as_one(self, path, cpus, monkeypatch):
-        threads = set()
+        threads = []  # per read, the threads that parsed its blocks
         block = fileio._record_block
 
         def recording(*args):
-            threads.add(threading.get_ident())
+            threads[-1].add(threading.get_ident())
             return block(*args)
 
         monkeypatch.setattr(fileio, "_record_block", recording)
-        one, two = self.outcomes(path, cpus)
-        assert one == two
+        outcomes = []
+        for n in (1, 2):
+            cpus(n)
+            threads.append(set())
+            outcomes.append(read_outcome(path))
+        assert outcomes[0] == outcomes[1]
+        assert [len(t) for t in threads] == [1, 2]
         assert fileio.read_audit(path)[0] == records(self.N, np.random.default_rng(9))
-        assert len(threads) == 2
 
     def test_non_writer_line_in_second_half(self, path, cpus):
         want = read_outcome(path)
